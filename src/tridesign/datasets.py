@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, Gdd
+from .designs import Design, Gdd, distinct_row_count
 from .gf2n import build_field
 from .lines import desarguesian_spread
 from .orbits import FrobeniusCertificate, OrbitCertificate
@@ -191,12 +191,12 @@ def _expand_design6(ds: EmbeddedDataset) -> Design:
     for (a, ea, b, eb, c, ec) in ds.payload:
         for s in range(ord5):
             rows.append((vec(a, ea + s), vec(b, eb + s), vec(c, ec + s)))
-    tri = np.sort(np.array(rows, dtype=np.int64), axis=1)
-    packed = (tri[:, 0] << 12) | (tri[:, 1] << 6) | tri[:, 2]
-    if np.unique(packed).size != tri.shape[0]:
+    d = Design(n=6, poly=build_field(6).poly, tri=np.array(rows, dtype=np.int64),
+               provenance="dataset design6")
+    if distinct_row_count(d.tri) != d.triangle_count:
         raise DatasetError("design6 payload corrupt: repeated triangle in orbit expansion")
     _check_mu_semiregular(f5)
-    return Design(n=6, poly=build_field(6).poly, tri=tri, provenance="dataset design6")
+    return d
 
 
 def _check_mu_semiregular(f5) -> None:
@@ -229,13 +229,11 @@ def _expand_gdd6_2(ds: EmbeddedDataset) -> Gdd:
             s = 3 * l
             rows.append((exp6[(i + s) % ord6], exp6[(j + s) % ord6],
                          exp6[(k + s) % ord6]))
-    tri = np.sort(np.array(rows, dtype=np.int64), axis=1)
-    packed = (tri[:, 0] << 12) | (tri[:, 1] << 6) | tri[:, 2]
-    if np.unique(packed).size != tri.shape[0]:
+    g = Gdd(n=6, poly=ds.poly, tri=np.array(rows, dtype=np.int64), m=2,
+            groups=desarguesian_spread(f6, 2), provenance="dataset gdd6-2")
+    if distinct_row_count(g.tri) != g.triangle_count:
         raise DatasetError("gdd6-2 payload corrupt: repeated triangle in orbit expansion")
-    spread = desarguesian_spread(f6, 2)
-    return Gdd(n=6, poly=ds.poly, tri=tri, m=2, groups=spread,
-               provenance="dataset gdd6-2")
+    return g
 
 
 def expand_special(ds: EmbeddedDataset) -> Design | Gdd:

@@ -2,10 +2,19 @@
 construction-agnostic verifiers.
 
 A design is stored as an (T, 3) array of corner triples (each row
-sorted ascending; rows sorted lexicographically).  Verifiers never
-trust construction metadata: they recompute every line key from the
-corner vectors, check exact coverage, and report bounded witness
-samples on failure.
+sorted ascending; rows sorted lexicographically).  That order comes
+from one sort of packed int64 row keys (``_normalize_triangles``), and
+it is the only whole-design sort: repeated triangles are then adjacent
+rows (``distinct_row_count``), which is how expansions test that their
+orbits are distinct.
+
+Verifiers never trust construction metadata: they recompute every
+line key from the corner vectors, sort the 3T keys once, and check
+exact coverage.  Multiply covered lines are adjacent equal keys;
+uncovered lines are found by binary search of the ascending list of
+all lines in the sorted keys, so refusing a design costs about as much
+as accepting one.  Each witness list holds the first MAX_WITNESSES
+lines in ascending key order.
 
 The counting identities enforced here: a design over GF(2)^n has
 (2^n-1)(2^n-2)/18 triangles covering the (2^n-1)(2^n-2)/6 lines; an
@@ -27,12 +36,49 @@ MAX_WITNESSES = 10
 
 
 def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
+    """Canonical form of a (T, 3) corner array: each row ascending, rows
+    in lexicographic order.
+
+    When every value fits in w <= 21 bits, a row (a, b, c) packs into
+    one int64 key (a << 2w) | (b << w) | c whose order is the row order,
+    so one in-place sort of T keys replaces a three-column lexsort and
+    its gather; the keys are unpacked back into the row-sorted copy.
+    Wider, negative and empty inputs take the lexsort path.  Both paths
+    return the same array.
+    """
     tri = np.asarray(tri, dtype=np.int64)
     if tri.ndim != 2 or tri.shape[1] != 3:
         raise ValueError("triangle array must have shape (T, 3)")
     tri = np.sort(tri, axis=1)
-    order = np.lexsort((tri[:, 2], tri[:, 1], tri[:, 0]))
-    return tri[order]
+    bits = int(tri[:, 2].max()).bit_length() if tri.shape[0] else 0
+    if tri.shape[0] == 0 or 3 * bits > 63 or tri[:, 0].min() < 0:
+        order = np.lexsort((tri[:, 2], tri[:, 1], tri[:, 0]))
+        return tri[order]
+    key = tri[:, 0] << (2 * bits)
+    key |= tri[:, 1] << bits
+    key |= tri[:, 2]
+    key.sort()
+    mask = (1 << bits) - 1
+    np.bitwise_and(key, mask, out=tri[:, 2])
+    key >>= bits
+    np.bitwise_and(key, mask, out=tri[:, 1])
+    key >>= bits
+    tri[:, 0] = key
+    return tri
+
+
+def distinct_row_count(tri: np.ndarray) -> int:
+    """Number of distinct rows of a normalized (T, 3) triangle array.
+
+    Equal rows are adjacent after normalization, so this is T minus the
+    number of rows equal to their predecessor; no second sort is needed.
+    """
+    if tri.shape[0] == 0:
+        return 0
+    same = tri[1:, 0] == tri[:-1, 0]
+    same &= tri[1:, 1] == tri[:-1, 1]
+    same &= tri[1:, 2] == tri[:-1, 2]
+    return int(tri.shape[0] - np.count_nonzero(same))
 
 
 @dataclass
@@ -210,6 +256,19 @@ def _chunked_line_keys(tri: np.ndarray, n: int, chunk: int = 1 << 20) -> np.ndar
     return np.concatenate(parts)
 
 
+def _absent_keys(wanted: np.ndarray, have: np.ndarray) -> np.ndarray:
+    """Keys of ascending ``wanted`` that do not occur in sorted ``have``.
+
+    One binary search per wanted key against the already sorted line
+    keys; ascending needles keep the searches cache-friendly.
+    """
+    if have.size == 0:
+        return wanted
+    pos = np.searchsorted(have, wanted)
+    np.minimum(pos, have.size - 1, out=pos)
+    return wanted[have[pos] != wanted]
+
+
 def verify_design(d: Design) -> CoverReport:
     """Check that the triangles cover every line of GF(2)^n exactly once."""
     _structural_check(d.tri, d.n)
@@ -223,8 +282,7 @@ def verify_design(d: Design) -> CoverReport:
     distinct = keys.size - int(dup_mask.sum())
     uncovered: list = []
     if distinct != total:
-        missing = np.setdiff1d(enumerate_line_keys_np(d.n), keys, assume_unique=False)
-        uncovered = _describe_keys(missing, d.n)
+        uncovered = _describe_keys(_absent_keys(enumerate_line_keys_np(d.n), keys), d.n)
     ok = (dups.size == 0 and distinct == total
           and d.triangle_count == expected)
     return CoverReport(ok=ok, kind="design", n=d.n, m=1,
@@ -273,8 +331,7 @@ def verify_gdd(g: Gdd) -> CoverReport:
         alo = all_keys >> g.n
         amid = all_keys & mask_n
         outside_keys = all_keys[gid[alo] != gid[amid]]
-        missing = np.setdiff1d(outside_keys, keys, assume_unique=False)
-        uncovered = _describe_keys(missing, g.n)
+        uncovered = _describe_keys(_absent_keys(outside_keys, keys), g.n)
     ok = (group_hits.size == 0 and dups.size == 0
           and distinct == outside_total and not uncovered
           and g.triangle_count == expected)

@@ -90,6 +90,18 @@ def write_design(d: Design, path: str) -> None:
             fh.write(f"{a:x} {b:x} {c:x}\n")
 
 
+def _header_int(header: dict[str, str], key: str, base: int = 10,
+                default: str | None = None) -> int:
+    value = header.get(key, default)
+    if value is None:
+        raise ValueError(f"design file has no {key!r} line")
+    try:
+        return int(value, base)
+    except ValueError:
+        raise ValueError(f"design file {key!r} value {value!r} is not an integer "
+                         f"(base {base})") from None
+
+
 def read_design(path: str) -> Design | Gdd:
     header: dict[str, str] = {}
     rows: list[tuple[int, int, int]] = []
@@ -110,10 +122,10 @@ def read_design(path: str) -> Design | Gdd:
                 a, b, c = line.split()
                 rows.append((int(a, 16), int(b, 16), int(c, 16)))
     kind = header.get("kind", "design")
-    n = int(header["n"])
-    m = int(header.get("m", 1))
-    poly = int(header["poly"], 16)
-    count = int(header["count"])
+    n = _header_int(header, "n")
+    m = _header_int(header, "m", default="1")
+    poly = _header_int(header, "poly", base=16)
+    count = _header_int(header, "count")
     if count != len(rows):
         raise ValueError(f"header count {count} != body lines {len(rows)}")
     tri = np.array(rows, dtype=np.int64) if rows else np.empty((0, 3), dtype=np.int64)

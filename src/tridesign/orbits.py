@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, Gdd
+from .designs import Design, Gdd, distinct_row_count
 from .gf2n import FieldCtx, build_field
 from .lines import Line, desarguesian_spread
 
@@ -186,12 +186,6 @@ def _rep_keys(ctx: FieldCtx, i: int, j: int) -> tuple[int, int, int]:
     return (gamma_key(ctx, i), gamma_key(ctx, j), gamma_key(ctx, j - i))
 
 
-def _pack_rows(tri: np.ndarray, n: int) -> np.ndarray:
-    if 3 * n <= 63:
-        return (tri[:, 0] << (2 * n)) | (tri[:, 1] << n) | tri[:, 2]
-    return tri  # caller falls back to axis-0 unique
-
-
 def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
                        with_groups: bool | None = None) -> Design | Gdd:
     """Expand a certificate into the full design / GDD it encodes.
@@ -244,20 +238,18 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
         col_c = np.roll(exp, -j)
         blocks.append(np.column_stack([col_a, col_b, col_c]))
     tri = np.concatenate(blocks) if blocks else np.empty((0, 3), dtype=np.int64)
-    tri = np.sort(tri, axis=1)
-    packed = _pack_rows(tri, n)
-    if packed is tri:
-        distinct = np.unique(tri, axis=0).shape[0]
-    else:
-        distinct = np.unique(packed).size
-    if distinct != len(reps) * M:
-        raise OrbitCollisionError(
-            f"orbit collision: {len(reps)} orbits yield {distinct} distinct "
-            f"triangles, expected {len(reps) * M}")
+    del blocks  # would double the footprint while the rows are sorted
 
     if with_groups is None:
         with_groups = m > 1
     if with_groups:
-        return Gdd(n=n, poly=ctx.poly, tri=tri, m=m,
-                   groups=desarguesian_spread(ctx, m), provenance=provenance)
-    return Design(n=n, poly=ctx.poly, tri=tri, provenance=provenance)
+        d = Gdd(n=n, poly=ctx.poly, tri=tri, m=m,
+                groups=desarguesian_spread(ctx, m), provenance=provenance)
+    else:
+        d = Design(n=n, poly=ctx.poly, tri=tri, provenance=provenance)
+    distinct = distinct_row_count(d.tri)
+    if distinct != len(reps) * M:
+        raise OrbitCollisionError(
+            f"orbit collision: {len(reps)} orbits yield {distinct} distinct "
+            f"triangles, expected {len(reps) * M}")
+    return d

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tridesign.designs import (Design, Gdd, charge_ledger, coverage_counts,
-                               expected_triangle_count, verify_balanced,
-                               verify_design, verify_gdd)
+from tridesign.designs import (MAX_WITNESSES, Design, Gdd, _normalize_triangles,
+                               charge_ledger, coverage_counts,
+                               distinct_row_count, expected_triangle_count,
+                               verify_balanced, verify_design, verify_gdd)
 from tridesign.lines import desarguesian_spread
 
 
@@ -155,3 +156,129 @@ def test_line_keys_shard_independent(design6):
     full = np.sort(_chunked_line_keys(design6.tri, 6, chunk=1 << 20))
     tiny = np.sort(_chunked_line_keys(design6.tri, 6, chunk=7))
     assert np.array_equal(full, tiny)
+
+
+def _lexsort_reference(tri):
+    tri = np.sort(np.asarray(tri, dtype=np.int64), axis=1)
+    return tri[np.lexsort((tri[:, 2], tri[:, 1], tri[:, 0]))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("high", [1 << 6, 1 << 13, 1 << 21, 1 << 22, 1 << 40])
+def test_normalize_matches_lexsort(seed, high):
+    # high <= 2^21 takes the packed-key path (2^21 - 1 is its widest
+    # value), anything wider the lexsort fallback
+    rng = np.random.default_rng(seed)
+    tri = rng.integers(0, high, size=(300, 3), dtype=np.int64)
+    tri = np.concatenate([tri, tri[rng.integers(0, 300, size=40)]])  # repeats
+    tri[0] = (high - 1, 0, high - 1)
+    before = tri.copy()
+    out = _normalize_triangles(tri)
+    assert out.dtype == np.int64 and out.flags.c_contiguous
+    assert np.array_equal(out, _lexsort_reference(before))
+    assert np.array_equal(tri, before)  # input left untouched
+
+
+def test_normalize_negative_and_empty():
+    rng = np.random.default_rng(7)
+    tri = rng.integers(0, 64, size=(50, 3), dtype=np.int64)
+    tri[3, 1] = -5
+    assert np.array_equal(_normalize_triangles(tri), _lexsort_reference(tri))
+    empty = _normalize_triangles(np.empty((0, 3), dtype=np.int32))
+    assert empty.shape == (0, 3) and empty.dtype == np.int64
+    with pytest.raises(ValueError, match="shape"):
+        _normalize_triangles(np.zeros((4, 2), dtype=np.int64))
+
+
+def test_distinct_row_count_finds_planted_repeat():
+    rng = np.random.default_rng(3)
+    tri = np.unique(rng.integers(1, 1 << 12, size=(500, 3)), axis=0)
+    assert distinct_row_count(_normalize_triangles(tri)) == tri.shape[0]
+    planted = np.concatenate([tri, tri[[17]][:, ::-1]])  # same triangle, reordered
+    assert distinct_row_count(_normalize_triangles(planted)) == tri.shape[0]
+    # neighbours that differ in one column only are distinct
+    near = np.array([[1, 2, 4], [1, 2, 8], [1, 4, 8], [2, 4, 8]], dtype=np.int64)
+    assert distinct_row_count(near) == 4
+    assert distinct_row_count(np.empty((0, 3), dtype=np.int64)) == 0
+
+
+def _random_triangle(n, rng):
+    while True:
+        a, b, c = (int(x) for x in rng.integers(1, 1 << n, size=3))
+        if a != b and c not in (a, b, a ^ b):
+            return sorted((a, b, c))
+
+
+def _mutant(base, kind, seed):
+    rng = np.random.default_rng(seed)
+    i = int(rng.integers(0, base.tri.shape[0]))
+    if kind == "replaced":
+        tri = base.tri.copy()
+        tri[i] = _random_triangle(base.n, rng)
+    elif kind == "dropped":
+        tri = np.delete(base.tri, i, axis=0)
+    elif kind == "halved":  # more holes than witnesses are reported
+        tri = base.tri[seed % 2::2]
+    else:
+        tri = np.concatenate([base.tri, base.tri[i:i + 1]])
+    if isinstance(base, Gdd):
+        return Gdd(n=base.n, poly=base.poly, tri=tri, m=base.m, groups=base.groups)
+    return Design(n=base.n, poly=base.poly, tri=tri)
+
+
+def _reference_witnesses(d):
+    """Witnesses recomputed from corners with set operations."""
+    n = d.n
+    keys = []
+    for a, b, c in d.tri.tolist():
+        for p, q in ((a, b), (b, c), (a, c)):
+            lo, mid, _ = sorted((p, q, p ^ q))
+            keys.append((lo << n) | mid)
+    keys = np.array(keys, dtype=np.int64)
+    uniq, counts = np.unique(keys, return_counts=True)
+    all_keys = np.array(sorted((x << n) | y for x in range(1, 1 << n)
+                               for y in range(x + 1, 1 << n) if x ^ y > y),
+                        dtype=np.int64)
+    hits = np.empty(0, dtype=np.int64)
+    mask = (1 << n) - 1
+    if isinstance(d, Gdd):
+        gid = d.groups.group_id_table(n)
+        hits = np.unique(keys[gid[keys >> n] == gid[keys & mask]])
+        all_keys = all_keys[gid[all_keys >> n] != gid[all_keys & mask]]
+
+    def lines(ks):
+        return [(int(k) >> n, int(k) & mask, (int(k) >> n) ^ (int(k) & mask))
+                for k in ks[:MAX_WITNESSES]]
+    return {"uncovered": lines(np.setdiff1d(all_keys, keys)),
+            "multiply_covered": lines(uniq[counts > 1]),
+            "group_line_hits": lines(hits),
+            "lines_seen": int(uniq.size)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["replaced", "dropped", "duplicated", "halved"])
+@pytest.mark.parametrize("base", ["design6", "frob7_design", "gdd6_2"])
+def test_witnesses_match_set_reference(base, kind, seed, request):
+    d = _mutant(request.getfixturevalue(base), kind, seed)
+    rep = verify_gdd(d) if isinstance(d, Gdd) else verify_design(d)
+    ref = _reference_witnesses(d)
+    assert not rep.ok
+    assert rep.uncovered == ref["uncovered"]
+    assert rep.multiply_covered == ref["multiply_covered"]
+    assert rep.group_line_hits == ref["group_line_hits"]
+    assert rep.lines_seen == ref["lines_seen"]
+
+
+def test_group_line_witnesses_match_set_reference(gdd6_2):
+    tri = gdd6_2.tri.copy()
+    for row, grp in enumerate(gdd6_2.groups.groups[:12]):
+        x, y = int(grp[0]), int(grp[1])
+        w = next(v for v in range(1, 64) if v not in (x, y, x ^ y))
+        tri[row] = sorted((x, y, w))
+    d = Gdd(n=6, poly=gdd6_2.poly, tri=tri, m=2, groups=gdd6_2.groups)
+    rep, ref = verify_gdd(d), _reference_witnesses(d)
+    assert len(rep.group_line_hits) == MAX_WITNESSES
+    assert rep.group_line_hits == ref["group_line_hits"]
+    assert rep.uncovered == ref["uncovered"]
+    assert rep.multiply_covered == ref["multiply_covered"]
+    assert rep.lines_seen == ref["lines_seen"]

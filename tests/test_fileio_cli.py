@@ -195,3 +195,28 @@ def test_out_of_range_vector_rejected(tmp_path):
                  "poly: 0xb\ncount: 1\ntriangles:\n1 2 ff\n")
     with pytest.raises(ValueError, match="range"):
         read_design(str(p))
+
+
+_SMALL_DESIGN = ("tridesign-design v1\nkind: design\nn: 3\nm: 1\n"
+                 "poly: 0xb\ncount: 1\ntriangles:\n1 2 4\n")
+
+
+@pytest.mark.parametrize("key", ["n", "poly", "count"])
+def test_missing_header_key(key, tmp_path):
+    p = tmp_path / "bad.design"
+    p.write_text("\n".join(line for line in _SMALL_DESIGN.split("\n")
+                           if not line.startswith(f"{key}:")))
+    with pytest.raises(ValueError, match=f"no '{key}' line"):
+        read_design(str(p))
+    assert run_cli("verify", "--in", str(p)) == 2
+
+
+@pytest.mark.parametrize("key, bad", [("n", "3.0"), ("m", "one"),
+                                      ("poly", "0xzz"), ("count", "")])
+def test_non_integer_header_value(key, bad, tmp_path):
+    p = tmp_path / "bad.design"
+    p.write_text("\n".join(f"{key}: {bad}" if line.startswith(f"{key}:") else line
+                           for line in _SMALL_DESIGN.split("\n")))
+    with pytest.raises(ValueError, match=f"'{key}' value .* not an integer"):
+        read_design(str(p))
+    assert run_cli("verify", "--in", str(p)) == 2
