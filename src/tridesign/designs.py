@@ -12,9 +12,11 @@ Verifiers never trust construction metadata: they recompute every
 line key from the corner vectors, sort the 3T keys once, and check
 exact coverage.  Multiply covered lines are adjacent equal keys;
 uncovered lines are found by binary search of the ascending list of
-all lines in the sorted keys, so refusing a design costs about as much
-as accepting one.  Each witness list holds the first MAX_WITNESSES
-lines in ascending key order.
+lines in the sorted keys, so refusing a design costs about as much as
+accepting one.  That list stops as soon as it must hold the first
+MAX_WITNESSES uncovered lines, so it never outgrows the design.  Each
+witness list holds the first MAX_WITNESSES lines in ascending key
+order.
 
 The counting identities enforced here: a design over GF(2)^n has
 (2^n-1)(2^n-2)/18 triangles covering the (2^n-1)(2^n-2)/6 lines; an
@@ -282,7 +284,10 @@ def verify_design(d: Design) -> CoverReport:
     distinct = keys.size - int(dup_mask.sum())
     uncovered: list = []
     if distinct != total:
-        uncovered = _describe_keys(_absent_keys(enumerate_line_keys_np(d.n), keys), d.n)
+        # At most ``distinct`` of the smallest line keys are covered, so the
+        # first MAX_WITNESSES uncovered ones lie in this prefix.
+        wanted = enumerate_line_keys_np(d.n, distinct + MAX_WITNESSES)
+        uncovered = _describe_keys(_absent_keys(wanted, keys), d.n)
     ok = (dups.size == 0 and distinct == total
           and d.triangle_count == expected)
     return CoverReport(ok=ok, kind="design", n=d.n, m=1,
@@ -327,7 +332,8 @@ def verify_gdd(g: Gdd) -> CoverReport:
     outside_total = total - internal
     uncovered: list = []
     if distinct != outside_total or group_hits.size:
-        all_keys = enumerate_line_keys_np(g.n)
+        # the prefix also makes room for every group line it may hold
+        all_keys = enumerate_line_keys_np(g.n, distinct + internal + MAX_WITNESSES)
         alo = all_keys >> g.n
         amid = all_keys & mask_n
         outside_keys = all_keys[gid[alo] != gid[amid]]

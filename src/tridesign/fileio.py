@@ -1,4 +1,4 @@
-"""Stable text formats: design files, certificate JSON, report schema.
+r"""Stable text formats: design files, certificate JSON, report schema.
 
 Design files are line-oriented text (gzip accepted transparently):
 
@@ -14,7 +14,19 @@ Design files are line-oriented text (gzip accepted transparently):
     <a> <b> <c>          (hex corner vectors, one triangle per line)
 
 Triangles are emitted in canonical sorted order, so emit -> parse ->
-emit is byte-identical.
+emit is byte-identical.  The writer emits lowercase hex without
+leading zeros, one space between corners and ``\n`` after each row.
+
+The reader takes header lines ending in ``\n``, ``\r\n`` or ``\r``.
+Triangle rows end in ``\n``.  A row token is 1 to 15 hex digits of
+either case; tokens are separated by any ASCII whitespace (space, tab,
+CR, VT, FF); blank lines are skipped and every other line holds exactly
+three tokens.  ``0x`` prefixes, underscores, signs and any other byte
+are refused with a ValueError naming the 1-based triangle line.
+
+Both directions work on numpy byte arrays in fixed-size chunks (rows on
+write, bytes cut at a newline on read), so the temporaries stay small
+however large the design is.
 """
 
 from __future__ import annotations
@@ -22,6 +34,8 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import re
+import zlib
 from importlib import resources
 
 import numpy as np
@@ -33,20 +47,37 @@ from .orbits import (FrobeniusCertificate, OrbitCertificate,
                      certificate_from_json_dict)
 
 FORMAT_HEADER = "tridesign-design v1"
+_MAX_N = 31                 # line keys pack two n-bit points into an int64
+
+_WRITE_ROWS = 1 << 18       # triangle rows encoded per chunk
+_READ_BYTES = 1 << 22       # body bytes parsed per chunk, extended to a newline
+_MAX_DIGITS = 15            # longer tokens could overflow int64
+
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# byte -> nibble value; -1 for ASCII whitespace, -2 for anything else
+_NIBBLE = np.full(256, -2, dtype=np.int8)
+_NIBBLE[list(b" \t\n\r\x0b\x0c")] = -1
+_NIBBLE[list(b"0123456789abcdef")] = np.arange(16)
+_NIBBLE[list(b"ABCDEF")] = np.arange(10, 16)
+_EOL = re.compile(rb"\r\n|\r|\n")
 
 
-def _open_read(path: str) -> io.TextIOBase:
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, encoding="utf-8")
+def _read_bytes(path: str) -> bytes:
+    """The file's contents, gunzipped when it starts with the gzip magic."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:2] != b"\x1f\x8b":
+        return data
+    try:
+        return gzip.decompress(data)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+        raise ValueError(f"corrupt gzip stream: {e}") from None
 
 
-def _open_write(path: str) -> io.TextIOBase:
+def _open_write(path: str) -> io.BufferedIOBase:
     if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "wb"), encoding="utf-8")
-    return open(path, "w", encoding="utf-8")
+        return gzip.open(path, "wb")
+    return open(path, "wb")
 
 
 def _groups_to_exponents(g: Gdd) -> list[int]:
@@ -72,22 +103,44 @@ def _groups_from_exponents(n: int, poly: int, m: int, exps: list[int]) -> Spread
     return Spread(m, groups)
 
 
+def _encode_rows(tri: np.ndarray):
+    """Yield the rows as ``f"{a:x} {b:x} {c:x}\\n"`` text, a chunk at a time.
+
+    Each value is laid out right-aligned in a fixed number of hex digits
+    (enough for the largest value), then a keep-mask drops its leading
+    zeros.
+    """
+    width = max(1, (int(tri.max()).bit_length() + 3) // 4) if tri.size else 1
+    cols = np.arange(width + 1)
+    for lo in range(0, tri.shape[0], _WRITE_ROWS):
+        v = tri[lo:lo + _WRITE_ROWS].ravel()
+        cells = np.empty((v.size, width + 1), dtype=np.uint8)
+        ndig = np.ones(v.size, dtype=np.int8)
+        for k in range(width):
+            cells[:, width - 1 - k] = _HEX_DIGITS[(v >> (4 * k)) & 15]
+            if k:
+                ndig += v >= (1 << (4 * k))
+        cells[:, width] = ord(" ")
+        cells[2::3, width] = ord("\n")
+        yield cells[cols >= width - ndig[:, None]].tobytes()
+
+
 def write_design(d: Design, path: str) -> None:
+    tri = np.asarray(d.tri, dtype=np.int64)
+    if tri.size and int(tri.min()) < 0:
+        raise ValueError("negative corner value; corners are vectors of GF(2)^n")
+    head = [FORMAT_HEADER, f"kind: {d.kind}", f"n: {d.n}",
+            f"m: {d.m if isinstance(d, Gdd) else 1}", f"poly: {hex(d.poly)}",
+            f"count: {d.triangle_count}"]
+    if d.provenance:
+        head.append(f"provenance: {d.provenance}")
+    if isinstance(d, Gdd):
+        head.append("groups: " + " ".join(str(e) for e in _groups_to_exponents(d)))
+    head.append("triangles:\n")
     with _open_write(path) as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        fh.write(f"kind: {d.kind}\n")
-        fh.write(f"n: {d.n}\n")
-        fh.write(f"m: {d.m if isinstance(d, Gdd) else 1}\n")
-        fh.write(f"poly: {hex(d.poly)}\n")
-        fh.write(f"count: {d.triangle_count}\n")
-        if d.provenance:
-            fh.write(f"provenance: {d.provenance}\n")
-        if isinstance(d, Gdd):
-            exps = " ".join(str(e) for e in _groups_to_exponents(d))
-            fh.write(f"groups: {exps}\n")
-        fh.write("triangles:\n")
-        for a, b, c in d.tri.tolist():
-            fh.write(f"{a:x} {b:x} {c:x}\n")
+        fh.write("\n".join(head).encode("utf-8"))
+        for block in _encode_rows(tri):
+            fh.write(block)
 
 
 def _header_int(header: dict[str, str], key: str, base: int = 10,
@@ -102,33 +155,115 @@ def _header_int(header: dict[str, str], key: str, base: int = 10,
                          f"(base {base})") from None
 
 
-def read_design(path: str) -> Design | Gdd:
+def _header_lines(data: bytes):
+    """(line, offset just past it) for each line of ``data``; lines end in
+    ``\\n``, ``\\r\\n`` or ``\\r``, as text mode reads them."""
+    pos = 0
+    while pos < len(data):
+        eol = _EOL.search(data, pos)
+        stop, end = (eol.start(), eol.end()) if eol else (len(data), len(data))
+        yield data[pos:stop].decode("utf-8"), end
+        pos = end
+
+
+def _split_header(data: bytes) -> tuple[dict[str, str], int]:
+    """The header's key/value lines and the offset of the first triangle row."""
+    lines = _header_lines(data)
+    first = next(lines, ("", 0))[0].strip()
+    if first != FORMAT_HEADER:
+        raise ValueError(f"not a design file (header {first!r})")
     header: dict[str, str] = {}
-    rows: list[tuple[int, int, int]] = []
-    with _open_read(path) as fh:
-        first = fh.readline().strip()
-        if first != FORMAT_HEADER:
-            raise ValueError(f"not a design file (header {first!r})")
-        in_body = False
-        for line in fh:
-            line = line.rstrip("\n")
-            if not in_body:
-                if line == "triangles:":
-                    in_body = True
-                    continue
-                key, _, value = line.partition(":")
-                header[key.strip()] = value.strip()
-            elif line:
-                a, b, c = line.split()
-                rows.append((int(a, 16), int(b, 16), int(c, 16)))
+    for line, end in lines:
+        if line == "triangles:":
+            return header, end
+        key, _, value = line.partition(":")
+        header[key.strip()] = value.strip()
+    return header, len(data)
+
+
+def _parse_chunk(c: np.ndarray, first_line: int) -> tuple[np.ndarray, int]:
+    """(R,3) rows of one body chunk that ends at a newline or at the end
+    of the file, and the number of newlines in it.  ``first_line`` is the
+    1-based triangle line the chunk starts on."""
+    nib = _NIBBLE.take(c)
+    # Tokens are the digit runs between consecutive separators (with
+    # sentinels before the first byte and after the last).
+    sep = np.flatnonzero(nib < 0)
+    bounds = np.concatenate(([-1], sep, [c.size]))
+    gaps = np.diff(bounds) - 1
+    tok = np.flatnonzero(gaps)
+    # newlines[j]: newlines among the first j separators, i.e. the line
+    # a token following separator j - 1 is on
+    ix = np.int32 if c.size < 1 << 31 else np.int64   # per-byte index dtype
+    newlines = np.zeros(sep.size + 1, dtype=ix)
+    np.cumsum(c[sep] == 10, out=newlines[1:])
+    line = newlines[tok]
+    lens = gaps[tok].astype(ix)
+    stops = bounds[tok + 1].astype(ix)
+    width = int(lens.max()) if tok.size else 0
+    # (line in chunk, rank, message) of the first fault of each kind; the
+    # earliest line is named, a bad byte before a miscount it causes
+    faults = []
+    if nib.min() < -1:
+        p = int(np.argmax(nib < -1))
+        faults.append((np.count_nonzero(c[:p] == 10), 0,
+                       f"byte {bytes(c[p:p + 1])!r} is neither a hex digit "
+                       "nor ASCII whitespace"))
+    per_line = np.bincount(line)
+    bad = np.flatnonzero((per_line != 0) & (per_line != 3))
+    if bad.size:
+        faults.append((int(bad[0]), 1, f"{per_line[bad[0]]} tokens, expected 3"))
+    if width > _MAX_DIGITS:
+        i = int(np.argmax(lens > _MAX_DIGITS))
+        faults.append((int(line[i]), 1, f"token of {lens[i]} hex digits, "
+                       f"at most {_MAX_DIGITS} allowed"))
+    if faults:
+        at, _, fault = min(faults)
+        raise ValueError(f"triangle line {first_line + at}: {fault}")
+    # Assemble values from the least significant digit up: the digit k
+    # places before a token's end, or, once the token is shorter than k,
+    # the separator just before it, whose nibble is cleared to 0.  Index 0
+    # of ``digits`` stands in for the sentinel separator before the chunk.
+    digits = np.zeros(c.size + 1, dtype=np.int8)
+    np.maximum(nib, 0, out=digits[1:])
+    starts = stops - lens
+    acc = np.int32 if width <= 7 else np.int64
+    val = digits.take(stops).astype(acc)
+    for k in range(2, width + 1):
+        at = np.maximum(stops + 1 - k, starts)
+        val |= np.left_shift(digits.take(at), 4 * (k - 1), dtype=acc)
+    return val.astype(np.int64).reshape(-1, 3), int(newlines[-1])
+
+
+def _parse_rows(data: bytes, pos: int) -> np.ndarray:
+    """All triangle rows of ``data[pos:]``, parsed in newline-aligned chunks."""
+    chunks = []
+    line = 1
+    while pos < len(data):
+        nl = data.find(b"\n", pos + _READ_BYTES - 1)
+        end = nl + 1 if nl >= 0 else len(data)
+        rows, newlines = _parse_chunk(
+            np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos), line)
+        chunks.append(rows)
+        line += newlines
+        pos = end
+    return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int64)
+
+
+def read_design(path: str) -> Design | Gdd:
+    data = _read_bytes(path)
+    header, body = _split_header(data)
     kind = header.get("kind", "design")
     n = _header_int(header, "n")
     m = _header_int(header, "m", default="1")
     poly = _header_int(header, "poly", base=16)
     count = _header_int(header, "count")
-    if count != len(rows):
-        raise ValueError(f"header count {count} != body lines {len(rows)}")
-    tri = np.array(rows, dtype=np.int64) if rows else np.empty((0, 3), dtype=np.int64)
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"design file n = {n} is outside 1..{_MAX_N}")
+    tri = _parse_rows(data, body)
+    del data    # the text is not needed while Design sorts the rows
+    if count != tri.shape[0]:
+        raise ValueError(f"header count {count} != body lines {tri.shape[0]}")
     if tri.size and int(tri.max()) >= (1 << n):
         raise ValueError("triangle vector out of range for declared dimension")
     provenance = header.get("provenance", "")
@@ -142,14 +277,13 @@ def read_design(path: str) -> Design | Gdd:
 
 def write_certificate(cert: OrbitCertificate | FrobeniusCertificate,
                       path: str) -> None:
+    text = json.dumps(cert.to_json_dict(), indent=1, sort_keys=True) + "\n"
     with _open_write(path) as fh:
-        json.dump(cert.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text.encode("utf-8"))
 
 
 def read_certificate(path: str) -> OrbitCertificate | FrobeniusCertificate:
-    with _open_read(path) as fh:
-        return certificate_from_json_dict(json.load(fh))
+    return certificate_from_json_dict(json.loads(_read_bytes(path).decode("utf-8")))
 
 
 def load_report_schema() -> dict:

@@ -67,18 +67,30 @@ def enumerate_lines(n: int) -> Iterator[Line]:
                 yield Line((x, y, x ^ y))
 
 
-def enumerate_line_keys_np(n: int) -> np.ndarray:
-    """Sorted int64 array of all canonical line keys ((x << n) | y)."""
-    top = 1 << n
-    keys = []
-    for x in range(1, top):
-        y = np.arange(x + 1, top, dtype=np.int64)
-        y = y[(x ^ y) > y]
-        if y.size:
-            keys.append((x << n) | y)
-    if not keys:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(keys)
+def enumerate_line_keys_np(n: int, limit: int | None = None) -> np.ndarray:
+    """Sorted int64 array of all canonical line keys ((x << n) | y), or of
+    the ``limit`` smallest.
+
+    x < y are the two smallest points of the line {x, y, x ^ y}.  With h
+    the top bit of x, y is such a partner exactly when y >= 2^(h+1) and
+    bit h of y is clear, a set that does not depend on x; so the keys
+    with x in [2^h, 2^(h+1)) are one ascending outer product.  Only the
+    partners a prefix needs are built.
+    """
+    left = line_count(n) if limit is None else min(limit, line_count(n))
+    blocks = []
+    for h in range(n - 1):
+        if left <= 0:
+            break
+        per_x = (1 << (n - 1)) - (1 << h)
+        j = np.arange(min(per_x, left), dtype=np.int64)
+        y = (2 << h) + (((j >> h) << (h + 1)) | (j & ((1 << h) - 1)))
+        x = np.arange(1 << h, (1 << h) + min(1 << h, -(-left // per_x)),
+                      dtype=np.int64)
+        block = ((x[:, None] << n) | y[None, :]).ravel()[:left]
+        blocks.append(block)
+        left -= block.size
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -199,8 +199,7 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
     if (n - m) % 6:
         raise ValueError(f"(n={n}, m={m}) rejected: n - m = {n - m} is not "
                          "divisible by 6, no such invariant design exists")
-    ctx = build_field(n, cert.poly)
-    M = ctx.order
+    M = (1 << n) - 1
     rep_count = len(cert.pairs) * n if isinstance(cert, FrobeniusCertificate) \
         else len(cert.reps)
     if rep_count * M > 50_000_000:
@@ -208,6 +207,7 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
             f"expansion of {rep_count} orbits over 2^{n}-1 multipliers "
             f"({rep_count * M} triangles) is too large to materialize; "
             "verify at the orbit level instead")
+    ctx = build_field(n, cert.poly)
     if isinstance(cert, FrobeniusCertificate):
         reps = frobenius_reps(ctx, cert.pairs)
         provenance = f"expand frobenius n={n} ({len(cert.pairs)} pairs)"

@@ -282,3 +282,40 @@ def test_group_line_witnesses_match_set_reference(gdd6_2):
     assert rep.uncovered == ref["uncovered"]
     assert rep.multiply_covered == ref["multiply_covered"]
     assert rep.lines_seen == ref["lines_seen"]
+
+
+def _row_line_keys(row, n):
+    a, b, c = row
+    keys = []
+    for p, q in ((a, b), (b, c), (a, c)):
+        lo, mid, _ = sorted((p, q, p ^ q))
+        keys.append((lo << n) | mid)
+    return keys
+
+
+def test_uncovered_witnesses_at_large_n(design6):
+    # design6's triangles read as a design over GF(2)^20: almost every
+    # line is uncovered, and the witnesses are found without listing all
+    # 2^39 / 3 lines.
+    n = 20
+    d = Design(n=n, poly=design6.poly, tri=design6.tri)
+    rep = verify_design(d)
+    covered = {k for row in d.tri.tolist() for k in _row_line_keys(row, n)}
+    # the smallest line keys are (1 << n) | y for even y >= 2
+    want = [(1, y, 1 ^ y) for y in range(2, 1 << n, 2)
+            if (1 << n) | y not in covered][:MAX_WITNESSES]
+    assert not rep.ok and rep.lines_seen == len(covered)
+    assert rep.uncovered == want
+
+
+def test_gdd_witnesses_among_largest_lines(gdd6_2):
+    # Drop the triangle on the largest line: its uncovered lines sit at
+    # the end of the key order, so the witness search must make room for
+    # the group lines that come before them.
+    n = gdd6_2.n
+    top = [max(_row_line_keys(row, n)) for row in gdd6_2.tri.tolist()]
+    tri = np.delete(gdd6_2.tri, int(np.argmax(top)), axis=0)
+    d = Gdd(n=n, poly=gdd6_2.poly, tri=tri, m=2, groups=gdd6_2.groups)
+    rep, ref = verify_gdd(d), _reference_witnesses(d)
+    assert len(rep.uncovered) == 3
+    assert rep.uncovered == ref["uncovered"]

@@ -1,12 +1,19 @@
+import contextlib
 import gzip
+import io
 import json
+import re
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tridesign import fileio
 from tridesign.cli import main
 from tridesign.datasets import as_certificate, load_dataset
-from tridesign.designs import Gdd
+from tridesign.designs import Design, Gdd
 from tridesign.fileio import (load_report_schema, read_certificate, read_design,
                               write_certificate, write_design)
 
@@ -220,3 +227,283 @@ def test_non_integer_header_value(key, bad, tmp_path):
     with pytest.raises(ValueError, match=f"'{key}' value .* not an integer"):
         read_design(str(p))
     assert run_cli("verify", "--in", str(p)) == 2
+
+
+# -- bulk encoder/decoder against per-row references ---------------------------
+
+
+def _rows_text(tri):
+    """Reference encoder: one f-string per row, as the format defines it."""
+    return "".join(f"{a:x} {b:x} {c:x}\n" for a, b, c in tri.tolist()).encode()
+
+
+def _reference_read(data: bytes) -> dict:
+    """Reference parser, one line at a time, for the grammar in the fileio
+    docstring.  Raises ValueError wherever read_design must."""
+    lines = data.splitlines(keepends=True)   # \n, \r\n and \r, as text mode
+    first = lines[0].decode("utf-8").strip() if lines else ""
+    if first != fileio.FORMAT_HEADER:
+        raise ValueError("header")
+    header, rest = {}, []
+    for i, raw in enumerate(lines[1:], start=1):
+        line = raw.decode("utf-8").rstrip("\r\n")
+        if line == "triangles:":
+            rest = lines[i + 1:]
+            break
+        key, _, value = line.partition(":")
+        header[key.strip()] = value.strip()
+    try:
+        n = int(header["n"])
+        int(header.get("m", "1"))
+        poly = int(header["poly"], 16)
+        count = int(header["count"])
+    except KeyError as e:
+        raise ValueError(f"missing {e}") from None
+    rows = []
+    for line in b"".join(rest).split(b"\n"):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 3 or not all(re.fullmatch(rb"[0-9a-fA-F]{1,15}", t)
+                                       for t in tokens):
+            raise ValueError(f"row {line!r}")
+        rows.append([int(t, 16) for t in tokens])
+    if not 1 <= n <= 31 or count != len(rows) \
+            or any(v >= 1 << n for row in rows for v in row):
+        raise ValueError("n, count or range")
+    tri = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return {"gdd": header.get("kind") == "gdd", "n": n, "poly": poly,
+            "provenance": header.get("provenance", ""),
+            "tri": Design(n=n, poly=poly, tri=tri).tri}
+
+
+def _read_both(path):
+    """(read_design result or None, reference result or None)."""
+    try:
+        got = read_design(str(path))
+    except ValueError:
+        got = None
+    try:
+        want = _reference_read(path.read_bytes() if not str(path).endswith(".gz")
+                               else gzip.decompress(path.read_bytes()))
+    except ValueError:
+        want = None
+    return got, want
+
+
+def _assert_same(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert isinstance(got, Gdd) == want["gdd"] and got.n == want["n"]
+        assert got.poly == want["poly"] and got.provenance == want["provenance"]
+        assert np.array_equal(got.tri, want["tri"])
+
+
+def _relabelled(d, seed):
+    rng = np.random.default_rng(seed)
+    img = np.concatenate(([0], rng.permutation(np.arange(1, 1 << d.n))))
+    return Design(n=d.n, poly=d.poly, tri=img[d.tri], provenance=f"relabel {seed}")
+
+
+@pytest.mark.parametrize("suffix", ["design", "design.gz"])
+@pytest.mark.parametrize("which", ["gdd12_6", "frob7"])
+def test_writer_matches_per_row_encoder(which, suffix, gdd12_6, frob7_design, tmp_path):
+    d = gdd12_6 if which == "gdd12_6" else _relabelled(frob7_design, 5)
+    p = tmp_path / f"d.{suffix}"
+    write_design(d, str(p))
+    data = p.read_bytes()
+    if suffix.endswith(".gz"):
+        data = gzip.decompress(data)
+    head, body = data.split(b"\ntriangles:\n")
+    assert body == _rows_text(d.tri)
+    if which == "frob7":
+        assert head.decode() == (f"{fileio.FORMAT_HEADER}\nkind: design\nn: 7\nm: 1\n"
+                                 f"poly: {hex(d.poly)}\ncount: {d.triangle_count}\n"
+                                 "provenance: relabel 5")
+    else:
+        assert f"\ncount: {d.triangle_count}\n".encode() in head + b"\n"
+
+
+def test_writer_width_from_largest_value(tmp_path):
+    # values wider than n still round-trip to the per-row text
+    tri = np.array([[1, 0x2f, 0xabcdef], [3, 0x10, 0x1000]], dtype=np.int64)
+    d = Design(n=3, poly=0xb, tri=tri)
+    p = tmp_path / "wide.design"
+    write_design(d, str(p))
+    assert p.read_bytes().split(b"triangles:\n")[1] == _rows_text(d.tri)
+
+
+@pytest.mark.parametrize("rows, nbytes", [(1, 1), (2, 3), (5, 7), (64, 17)])
+def test_roundtrip_across_chunk_boundaries(rows, nbytes, design6, monkeypatch, tmp_path):
+    whole = tmp_path / "whole.design"
+    write_design(design6, str(whole))
+    monkeypatch.setattr(fileio, "_WRITE_ROWS", rows)
+    monkeypatch.setattr(fileio, "_READ_BYTES", nbytes)
+    p = tmp_path / "chunked.design"
+    write_design(design6, str(p))
+    assert p.read_bytes() == whole.read_bytes()
+    assert np.array_equal(read_design(str(p)).tri, design6.tri)
+    # a blank line, a trailing separator and no final newline, read in chunks
+    text = p.read_bytes().replace(b"\n", b" \n\n", 3)[:-1]
+    p.write_bytes(text)
+    assert np.array_equal(read_design(str(p)).tri, design6.tri)
+
+
+def _one_row(row: str) -> str:
+    return _SMALL_DESIGN.replace("1 2 4\n", row)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1 2 0000000000000004\n", "16 hex digits"),
+    ("1 2 00000000000000004\n", "17 hex digits"),
+    ("1 2 -4\n", "line 1: byte b'-'"),
+    ("1 2 0x4\n", "line 1: byte b'x'"),
+    ("1 2 4_0\n", "line 1: byte b'_'"),
+    ("1 2 4\n\n1 2\n", "line 3: 2 tokens"),
+    ("1 2 4 5\n", "line 1: 4 tokens"),
+    ("1 2 4\n1 2 \xe9\n", "line 2: byte b'\\\\xc3'"),
+])
+def test_reader_refuses_bad_rows(row, message, tmp_path):
+    p = tmp_path / "bad.design"
+    p.write_text(_one_row(row))
+    with pytest.raises(ValueError, match=message):
+        read_design(str(p))
+    assert run_cli("verify", "--in", str(p)) == 2
+
+
+@pytest.mark.parametrize("nbytes", [1, 5, 64, 1 << 22])
+def test_reader_names_line_across_chunks(nbytes, design6, monkeypatch, tmp_path):
+    p = tmp_path / "d6.design"
+    write_design(design6, str(p))
+    head, body = p.read_bytes().split(b"triangles:\n")
+    rows = body.split(b"\n")
+    rows[149] = rows[149].rsplit(b" ", 1)[0]          # triangle line 150
+    rows[199] = rows[199].replace(b" ", b" g", 1)     # triangle line 200
+    monkeypatch.setattr(fileio, "_READ_BYTES", nbytes)
+    p.write_bytes(head + b"triangles:\n" + b"\n".join(rows))
+    with pytest.raises(ValueError, match="^triangle line 150: 2 tokens"):
+        read_design(str(p))
+    rows[149] += b" 1"
+    p.write_bytes(head + b"triangles:\n" + b"\n".join(rows))
+    with pytest.raises(ValueError, match="^triangle line 200: byte b'g'"):
+        read_design(str(p))
+
+
+def test_fifteen_digit_token_accepted(tmp_path):
+    p = tmp_path / "ok.design"
+    p.write_text(_one_row("1 2 000000000000004\n"))
+    assert read_design(str(p)).tri.tolist() == [[1, 2, 4]]
+
+
+@pytest.mark.parametrize("token, value", [("7fffffff", (1 << 31) - 1),
+                                          ("80000000", None), ("ffffffff", None),
+                                          ("fffffffffffffff", None)])
+def test_reader_wide_tokens_at_n31(token, value, tmp_path):
+    p = tmp_path / "wide.design"
+    p.write_text(_one_row(f"1 2 {token}\n").replace("n: 3", "n: 31"))
+    if value is None:
+        with pytest.raises(ValueError, match="range"):
+            read_design(str(p))
+    else:
+        assert read_design(str(p)).tri.tolist() == [[1, 2, value]]
+
+
+def test_writer_refuses_negative_corner(tmp_path):
+    d = Design(n=3, poly=0xb, tri=np.array([[-1, 2, 4]]))
+    p = tmp_path / "neg.design"
+    with pytest.raises(ValueError, match="negative"):
+        write_design(d, str(p))
+    assert not p.exists()
+
+
+def test_reader_refuses_dimension_beyond_line_keys(tmp_path):
+    p = tmp_path / "big.design"
+    p.write_text(_SMALL_DESIGN.replace("n: 3", "n: 32"))
+    with pytest.raises(ValueError, match="outside 1..31"):
+        read_design(str(p))
+
+
+def test_reader_refuses_corrupt_gzip(design6, tmp_path):
+    p = tmp_path / "d6.design.gz"
+    write_design(design6, str(p))
+    p.write_bytes(p.read_bytes()[:-20])
+    with pytest.raises(ValueError, match="gzip"):
+        read_design(str(p))
+    assert run_cli("verify", "--in", str(p)) == 2
+
+
+# -- fuzzing: malformed and valid variants of the design6 file --------------------
+
+_BYTES = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\r\n", b"0", b"7", b"f", b"F",
+                          b"g", b"x", b"-", b"_", b":", b"\x00", b"\xff", b"\xe9",
+                          b"\x0b", b"\x1c", b"\xa0"]) | st.binary(min_size=1, max_size=4)
+_EDIT = st.one_of(
+    st.tuples(st.just("replace"), st.integers(0, 1 << 20), _BYTES),
+    st.tuples(st.just("insert"), st.integers(0, 1 << 20), _BYTES),
+    st.tuples(st.just("delete"), st.integers(0, 1 << 20), st.integers(1, 12)),
+    st.tuples(st.just("truncate_row"), st.integers(0, 1 << 20), st.integers(0, 8)),
+)
+
+
+def _apply(data: bytes, edit) -> bytes:
+    op, pos, arg = edit
+    if op == "truncate_row":
+        body = data.find(b"triangles:\n") + len(b"triangles:\n")
+        rows = data[body:].split(b"\n")
+        r = pos % len(rows)
+        rows[r] = rows[r][:arg]
+        return data[:body] + b"\n".join(rows)
+    pos %= len(data) + 1
+    if op == "replace":
+        return data[:pos] + arg + data[pos + len(arg):]
+    if op == "insert":
+        return data[:pos] + arg + data[pos:]
+    return data[:pos] + data[pos + arg:]
+
+
+@pytest.fixture(scope="module")
+def design6_bytes(design6, tmp_path_factory):
+    p = tmp_path_factory.mktemp("fuzz") / "d6.design"
+    write_design(design6, str(p))
+    return p.read_bytes()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(_EDIT, min_size=1, max_size=4))
+def test_fuzz_malformed_design_file(edits, design6_bytes, tmp_path_factory):
+    data = design6_bytes
+    for edit in edits:
+        data = _apply(data, edit)
+    p = tmp_path_factory.getbasetemp() / "fuzz.design"
+    p.write_bytes(data)
+    _assert_same(*_read_both(p))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli("verify", "--in", str(p)) in (0, 1, 2)
+
+
+_SEPARATORS = [" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\r"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rnd=st.randoms(use_true_random=False), upper=st.booleans(),
+       crlf=st.booleans(), gz=st.booleans())
+def test_fuzz_valid_variants(rnd, upper, crlf, gz, design6, design6_bytes,
+                             tmp_path_factory):
+    head, _ = design6_bytes.split(b"triangles:\n")
+    eol = "\r\n" if crlf else "\n"
+    out = [head.decode().replace("\n", eol) + "triangles:" + eol]
+    for row in design6.tri.tolist():
+        cells = [f"{v:x}".upper() if upper else f"{v:x}" for v in row]
+        lead, trail = (rnd.choice(["", rnd.choice(_SEPARATORS)]) for _ in range(2))
+        line = lead + cells[0] + rnd.choice(_SEPARATORS) + cells[1] \
+            + rnd.choice(_SEPARATORS) + cells[2] + trail
+        out.append(line + eol * rnd.choice([1, 1, 2]))
+    raw = "".join(out).encode()
+    p = tmp_path_factory.getbasetemp() / ("valid.design.gz" if gz else "valid.design")
+    p.write_bytes(gzip.compress(raw) if gz else raw)
+    got, want = _read_both(p)
+    _assert_same(got, want)
+    assert got is not None and np.array_equal(got.tri, design6.tri)

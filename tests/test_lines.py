@@ -36,11 +36,41 @@ def test_enumerate_lines_canonical_ascending():
         assert l.pts[0] ^ l.pts[1] ^ l.pts[2] == 0
 
 
+def _line_keys_loop(n):
+    """Reference: one Python iteration per smaller point x."""
+    top = 1 << n
+    keys = []
+    for x in range(1, top):
+        y = np.arange(x + 1, top, dtype=np.int64)
+        y = y[(x ^ y) > y]
+        if y.size:
+            keys.append((x << n) | y)
+    if not keys:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(keys)
+
+
 def test_enumerate_line_keys_np_matches():
     for n in (3, 5, 6):
         keys = enumerate_line_keys_np(n)
         ref = np.array([l.key(n) for l in enumerate_lines(n)])
         assert np.array_equal(np.sort(keys), np.sort(ref))
+    for n in range(2, 13):
+        ref = _line_keys_loop(n)
+        keys = enumerate_line_keys_np(n)
+        assert keys.dtype == np.int64 and keys.size == line_count(n)
+        assert np.array_equal(keys, ref)
+
+
+def test_enumerate_line_keys_np_prefix():
+    for n in (2, 3, 7, 10):
+        ref = _line_keys_loop(n)
+        for limit in (0, 1, 2, 5, ref.size // 3, ref.size - 1, ref.size, ref.size + 9):
+            assert np.array_equal(enumerate_line_keys_np(n, limit), ref[:limit])
+    # a prefix at large n builds only the partners it needs
+    keys = enumerate_line_keys_np(31, 1000)
+    assert keys.size == 1000 and np.all(np.diff(keys) > 0)
+    assert int(keys[0]) == (1 << 31) | 2
 
 
 def test_is_triangle_basic():

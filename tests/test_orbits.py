@@ -3,7 +3,7 @@ import pytest
 
 from tridesign.datasets import as_certificate, load_dataset
 from tridesign.designs import verify_design
-from tridesign.gf2n import build_field
+from tridesign.gf2n import _build_field_cached, build_field
 from tridesign.lines import canonical_line
 from tridesign.orbits import (OrbitCertificate,
                               OrbitCollisionError, certificate_from_json_dict,
@@ -131,6 +131,18 @@ def test_expand_rejects_group_line(f12):
     cert = OrbitCertificate(n=12, m=6, poly=f12.poly, reps=((65, 7),))
     with pytest.raises(ValueError, match="group line"):
         expand_certificate(cert)
+
+
+def test_expand_size_guard_runs_before_field_tables():
+    # 2^26 - 1 triangles exceed the 50M guard.  The polynomial has no
+    # constant term, so if the guard ever moved behind build_field the
+    # call would fail there at once, with another message, instead of
+    # allocating the 2^26-entry tables.
+    cert = OrbitCertificate(n=26, m=2, poly=1 << 26, reps=((1, 2),))
+    before = _build_field_cached.cache_info().currsize
+    with pytest.raises(ValueError, match="too large"):
+        expand_certificate(cert)
+    assert _build_field_cached.cache_info().currsize == before
 
 
 def test_expand_rejects_bad_dimension_gap():
