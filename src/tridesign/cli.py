@@ -156,8 +156,7 @@ def cmd_construct(args) -> int:
             msg = {"ok": True, "k": k, "planes": g.plane_count,
                    "per_plane": g.per_plane}
             if args.count:
-                total = g.stream_count(progress=args.progress,
-                                       workers=args.workers)
+                total = g.stream_count(progress=args.progress)
                 msg["streamed_triangles"] = total
             if args.sample:
                 checked = g.sample_line_check(args.sample, seed=args.seed,
@@ -215,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="JSON reports on stdout")
     p.add_argument("--progress", action="store_true",
                    help="progress diagnostics on stderr")
-    p.add_argument("--workers", type=int, default=0,
-                   help="worker hint for parallel paths (0 = auto)")
     sub = p.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("field", help="field table and Zech queries")

@@ -413,15 +413,7 @@ class GddStream:
         tri = cu[self.alpha6] ^ cv[self.beta6]
         return np.sort(tri, axis=1) if canonical else tri
 
-    def stream_count(self, progress: bool = False, workers: int = 0) -> int:
-        if workers and workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            planes = list(self.planes())
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                counts = ex.map(
-                    lambda p: int(self.plane_triangles(p, canonical=False).shape[0]),
-                    planes, chunksize=64)
-                return sum(counts)
+    def stream_count(self, progress: bool = False) -> int:
         total = 0
         for idx, plane in enumerate(self.planes()):
             total += int(self.plane_triangles(plane, canonical=False).shape[0])

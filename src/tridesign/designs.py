@@ -45,8 +45,9 @@ def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
     one int64 key (a << 2w) | (b << w) | c whose order is the row order,
     so one in-place sort of T keys replaces a three-column lexsort and
     its gather; the keys are unpacked back into the row-sorted copy.
-    Wider, negative and empty inputs take the lexsort path.  Both paths
-    return the same array.
+    Keys that already ascend, as in a design file read back, skip the
+    sort and the unpacking.  Wider, negative and empty inputs take the
+    lexsort path.  All paths return the same array.
     """
     tri = np.asarray(tri, dtype=np.int64)
     if tri.ndim != 2 or tri.shape[1] != 3:
@@ -59,6 +60,8 @@ def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
     key = tri[:, 0] << (2 * bits)
     key |= tri[:, 1] << bits
     key |= tri[:, 2]
+    if (key[1:] >= key[:-1]).all():
+        return tri
     key.sort()
     mask = (1 << bits) - 1
     np.bitwise_and(key, mask, out=tri[:, 2])

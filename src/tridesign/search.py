@@ -22,8 +22,8 @@ import numpy as np
 from .gf2n import FieldCtx, build_field
 from .orbits import (FrobeniusCertificate, OrbitCertificate, cy_gamma, gamma,
                      frobenius_reps)
-from .xcover import (LimitExceeded, Unsatisfiable, XCoverInstance,
-                     check_solution, solve)
+from .xcover import (CoverSolution, LimitExceeded, Unsatisfiable,
+                     XCoverInstance, check_solution, dfs, solve)
 
 
 class SearchUnsatisfiable(RuntimeError):
@@ -54,6 +54,18 @@ class InfeasibleStratumError(RuntimeError):
 def _progress(msg: str, verbose: bool) -> None:
     if verbose:
         print(msg, file=sys.stderr, flush=True)
+
+
+def _solved(result: CoverSolution | Unsatisfiable | LimitExceeded, what: str
+            ) -> CoverSolution:
+    """The solution of an exact-cover run, or the search error for its failure."""
+    if isinstance(result, Unsatisfiable):
+        raise SearchUnsatisfiable(
+            f"{what}: no exact cover after {result.nodes} nodes", result)
+    if isinstance(result, LimitExceeded):
+        raise SearchLimitExceeded(
+            f"{what} stopped: {result.reason} after {result.nodes} nodes", result)
+    return result
 
 
 # -- multiplicative-group (gamma-set) problem -----------------------------------
@@ -125,8 +137,7 @@ def singer_problem(ctx: FieldCtx, m: int, verbose: bool = False
         subsets.append(tuple(sorted(int(key_index[k]) for k in trip)))
         tags.append(found[packed])
     _progress(f"candidate triples: {len(subsets)}", verbose)
-    inst = XCoverInstance(n_items=keys.size, subsets=subsets, tags=tags,
-                          labels=[int(k) for k in keys])
+    inst = XCoverInstance(n_items=keys.size, subsets=subsets, tags=tags)
     return inst, [int(k) for k in keys]
 
 
@@ -144,26 +155,22 @@ def search_singer(n: int, m: int, node_limit: int | None = None,
     g = M // ((1 << m) - 1) if m > 1 else 1
     kbar_size = (M - 1) - (M // g - 1 if g > 1 else 0)
     n_items = kbar_size // 6
+    what = f"search (n={n}, m={m})"
     if n_items > LAZY_STRATUM_THRESHOLD:
         key_of = _gamma_key_table(ctx, g)
         keys = sorted(int(k) for k in np.unique(key_of[key_of >= 0]))
         gammas = {k: np.array(gamma(ctx, k), dtype=np.int64) for k in keys}
         _progress(f"gamma items: {len(keys)}, lazy search", verbose)
-        witnesses = _solve_stratum_lazy(ctx, keys, key_of, gammas, gammas,
-                                        node_limit, time_limit, verbose)
+        sol = _solved(dfs(_LazySource(M, keys, key_of, gammas, gammas),
+                          node_limit=node_limit, time_limit=time_limit), what)
+        witnesses = [pair for _, pair in sol.chosen]
     else:
-        inst, keys = singer_problem(ctx, m, verbose=verbose)
-        result = solve(inst, node_limit=node_limit, time_limit=time_limit)
-        if isinstance(result, Unsatisfiable):
-            raise SearchUnsatisfiable(f"no orbit partition for (n={n}, m={m})",
-                                      result)
-        if isinstance(result, LimitExceeded):
-            raise SearchLimitExceeded(
-                f"search (n={n}, m={m}) stopped: {result.reason} "
-                f"after {result.nodes} nodes", result)
-        assert check_solution(inst, result)
-        _progress(f"solved in {result.nodes} nodes", verbose)
-        witnesses = [inst.tags[s] for s in result.chosen]
+        inst, _ = singer_problem(ctx, m, verbose=verbose)
+        sol = _solved(solve(inst, node_limit=node_limit, time_limit=time_limit),
+                      what)
+        assert check_solution(inst, sol)
+        witnesses = [inst.tags[s] for s in sol.chosen]
+    _progress(f"solved in {sol.nodes} nodes", verbose)
     reps = sorted((s1, (s1 + s2) % M) for s1, s2 in witnesses)
     cert = OrbitCertificate(n=n, m=m, poly=ctx.poly, reps=tuple(reps))
     _verify_singer_partition(ctx, m, cert)
@@ -254,8 +261,7 @@ def frobenius_problem(ctx: FieldCtx, t: int, verbose: bool = False
         subsets.append(tuple(sorted(key_index[k] for k in trip)))
         tags.append(found[trip])
     _progress(f"stratum t={t}: {len(subsets)} candidate triples", verbose)
-    return XCoverInstance(n_items=len(stratum_keys), subsets=subsets, tags=tags,
-                          labels=stratum_keys)
+    return XCoverInstance(n_items=len(stratum_keys), subsets=subsets, tags=tags)
 
 
 def _class_size(n: int, k: int) -> int:
@@ -269,10 +275,10 @@ def _class_size(n: int, k: int) -> int:
 
 
 # Above this many items the candidate triples are not materialized
-# (the triple set is ~90% dense: gigabytes at n=19); a lazy first-fit
-# DFS generates candidates on demand instead.  All acceptance-scale
-# problems (up to 672 items) stay on the materialized exact-cover
-# path.
+# (the triple set is ~90% dense: gigabytes at n=19); the same DFS runs
+# first-fit over candidates generated on demand instead.  All
+# acceptance-scale problems (up to 672 items) stay on the materialized
+# source.
 LAZY_STRATUM_THRESHOLD = 1000
 
 
@@ -299,44 +305,46 @@ def _stratum_tables(ctx: FieldCtx, t: int):
     return stratum_keys, key_of, gamma_of_key, members
 
 
-def _solve_stratum_lazy(ctx: FieldCtx, stratum_keys, key_of, gamma_of_key,
-                        members, node_limit, time_limit, verbose
-                        ) -> list[tuple[int, int]]:
-    """First-fit DFS over lazily generated triples.
+class _LazySource:
+    """First-fit candidate source over lazily generated triples.
 
-    Candidates for the smallest uncovered key are produced in
-    ascending (partner, third-key) order, so the search is as
-    deterministic as the materialized solver.  The triple set is dense
-    enough that the first fit almost always extends; backtracking
-    handles the rare dead end.
+    The item is the smallest uncovered key; a cursor per open node
+    remembers where the scan for it stopped, since covering only ever
+    moves it forward.  Candidates for a key are produced in ascending
+    (partner, third-key) order as ``((k1, k2, k3), (a, b))``, so the
+    search is as deterministic as the materialized one.  The triple set
+    is dense enough that the first fit almost always extends;
+    backtracking handles the rare dead end.
     """
-    import time as _time
 
-    class _LazyLimit(Exception):
-        def __init__(self, reason: str):
-            self.reason = reason
+    def __init__(self, M: int, keys: list[int], key_of: np.ndarray,
+                 gamma_of_key: dict[int, np.ndarray],
+                 members: dict[int, np.ndarray]):
+        self.M = M
+        self.keys = keys
+        self.key_of = key_of
+        self.gamma_of_key = gamma_of_key
+        self.members = members
+        self.covered: set[int] = set()
+        self.cursor = [0]
 
-    # depth = one frame per chosen triple plus generator/numpy frames
-    need = (len(stratum_keys) // 3) * 5 + 1000
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
+    def next_item(self) -> int | None:
+        keys, pos = self.keys, self.cursor[-1]
+        while pos < len(keys) and keys[pos] in self.covered:
+            pos += 1
+        self.cursor[-1] = pos
+        return keys[pos] if pos < len(keys) else None
 
-    M = ctx.order
-    keys = stratum_keys
-    covered: set[int] = set()
-    chosen: list[tuple[int, int, int, int, int]] = []  # (k1,k2,k3,a,b)
-    deadline = _time.monotonic() + time_limit if time_limit else None
-    nodes = 0
-
-    def candidates(k1: int):
-        g1 = gamma_of_key[k1]
+    def candidates(self, k1: int):
+        M, covered, members = self.M, self.covered, self.members
+        g1 = self.gamma_of_key[k1]
         seen: set[tuple[int, int]] = set()
-        for k2 in keys:
+        for k2 in self.keys:
             if k2 == k1 or k2 in covered:
                 continue
             mb = members[k2]
             s3 = (-g1[:, None] - mb[None, :]) % M
-            k3s = np.where(s3 > 0, key_of[s3], -1)
+            k3s = np.where(s3 > 0, self.key_of[s3], -1)
             hits = np.nonzero((k3s >= 0) & (k3s != k1) & (k3s != k2))
             options = sorted(
                 {(int(k3s[i, j]), int(g1[i]), int(mb[j]))
@@ -347,45 +355,15 @@ def _solve_stratum_lazy(ctx: FieldCtx, stratum_keys, key_of, gamma_of_key,
                 if (k2, k3) in seen:
                     continue
                 seen.add((k2, k3))
-                yield k2, k3, a, b
+                yield (k1, k2, k3), (a, b)
 
-    def dfs() -> bool:
-        nonlocal nodes
-        if len(covered) == len(keys):
-            return True
-        nodes += 1
-        if verbose and nodes % 2000 == 0:
-            _progress(f"  lazy search: {nodes} nodes, "
-                      f"{len(covered)}/{len(keys)} covered", verbose)
-        if node_limit is not None and nodes > node_limit:
-            raise _LazyLimit("node limit")
-        if deadline is not None and _time.monotonic() > deadline:
-            raise _LazyLimit("time limit")
-        k1 = next(k for k in keys if k not in covered)
-        covered.add(k1)
-        for k2, k3, a, b in candidates(k1):
-            covered.add(k2)
-            covered.add(k3)
-            chosen.append((k1, k2, k3, a, b))
-            if dfs():
-                return True
-            chosen.pop()
-            covered.discard(k2)
-            covered.discard(k3)
-        covered.discard(k1)
-        return False
+    def cover(self, cand) -> None:
+        self.covered.update(cand[0])
+        self.cursor.append(self.cursor[-1])
 
-    try:
-        ok = dfs()
-    except _LazyLimit as l:
-        raise SearchLimitExceeded(
-            f"lazy stratum search stopped: {l.reason} after {nodes} nodes",
-            LimitExceeded(nodes=nodes, reason=l.reason)) from None
-    if not ok:
-        raise SearchUnsatisfiable("lazy stratum search exhausted",
-                                  Unsatisfiable(nodes=nodes))
-    _progress(f"lazy stratum solved in {nodes} nodes", verbose)
-    return [(a, b) for (_, _, _, a, b) in chosen]
+    def uncover(self, cand) -> None:
+        self.covered.difference_update(cand[0])
+        self.cursor.pop()
 
 
 def search_frobenius(n: int, node_limit: int | None = None,
@@ -411,6 +389,7 @@ def search_frobenius(n: int, node_limit: int | None = None,
         if t == 1:
             continue  # only k = 0 fixed by squaring
         expected = strata[t] // 18 * 3
+        what = f"stratum t={t}"
         if expected > LAZY_STRATUM_THRESHOLD:
             stratum_keys, key_of, gamma_of_key, members = _stratum_tables(ctx, t)
             if len(stratum_keys) != expected:
@@ -418,24 +397,21 @@ def search_frobenius(n: int, node_limit: int | None = None,
                     f"stratum t={t}: {len(stratum_keys)} items, "
                     f"expected {expected}")
             _progress(f"stratum t={t}: {expected} items, lazy search", verbose)
-            pairs.extend(_solve_stratum_lazy(ctx, stratum_keys, key_of,
-                                             gamma_of_key, members,
-                                             node_limit, time_limit, verbose))
-            continue
-        inst = frobenius_problem(ctx, t, verbose=verbose)
-        if inst.n_items != expected:
-            raise AssertionError(
-                f"stratum t={t}: {inst.n_items} items, expected {expected}")
-        result = solve(inst, node_limit=node_limit, time_limit=time_limit)
-        if isinstance(result, Unsatisfiable):
-            raise SearchUnsatisfiable(f"stratum t={t} unsatisfiable", result)
-        if isinstance(result, LimitExceeded):
-            raise SearchLimitExceeded(
-                f"stratum t={t} stopped: {result.reason} "
-                f"after {result.nodes} nodes", result)
-        assert check_solution(inst, result)
-        _progress(f"stratum t={t} solved in {result.nodes} nodes", verbose)
-        pairs.extend(inst.tags[s] for s in result.chosen)
+            source = _LazySource(ctx.order, stratum_keys, key_of, gamma_of_key,
+                                 members)
+            sol = _solved(dfs(source, node_limit=node_limit,
+                              time_limit=time_limit), what)
+            pairs.extend(pair for _, pair in sol.chosen)
+        else:
+            inst = frobenius_problem(ctx, t, verbose=verbose)
+            if inst.n_items != expected:
+                raise AssertionError(
+                    f"stratum t={t}: {inst.n_items} items, expected {expected}")
+            sol = _solved(solve(inst, node_limit=node_limit,
+                                time_limit=time_limit), what)
+            assert check_solution(inst, sol)
+            pairs.extend(inst.tags[s] for s in sol.chosen)
+        _progress(f"stratum t={t} solved in {sol.nodes} nodes", verbose)
     pairs.sort()
     cert = FrobeniusCertificate(n=n, poly=ctx.poly, pairs=tuple(pairs))
     _verify_frobenius_partition(ctx, cert)

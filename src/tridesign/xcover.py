@@ -1,21 +1,27 @@
 """Deterministic exact-cover engine (Algorithm X).
 
-Items are contiguous indices; candidate subsets are sorted index
-lists with an opaque tag each.  The solver is depth-first with
-minimum-remaining-candidates item selection, ties broken by lowest
-item index, subsets tried in ascending index order, so two runs on
-the same instance produce identical solutions and node counts.
+One explicit-stack depth-first search, ``dfs``, runs over a candidate
+source with four operations: ``next_item()`` (an uncovered item, or
+None once everything is covered), ``candidates(item)`` (an iterable
+of the candidates, never None, that cover it), ``cover(candidate)`` and
+``uncover(candidate)``.  Covers and uncovers nest like a stack, so a
+source may keep its undo trail internally.  The search owns node
+counting, the node and time limits and the result types; a node is
+one item branched on.
 
-Internally subsets of one uniform size (our orbit problems are all
-triples) take a vectorized cover/uncover path over numpy arrays;
-ragged instances fall back to per-subset loops.
+``solve`` runs it over a materialized instance: items are contiguous
+indices, candidate subsets are sorted index lists of any sizes with an
+opaque tag each.  Selection is minimum remaining candidates, ties
+broken by lowest item index, subsets tried in ascending index order,
+so two runs on the same instance produce identical solutions and node
+counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +31,6 @@ class XCoverInstance:
     n_items: int
     subsets: list[tuple[int, ...]]
     tags: list = field(default_factory=list)
-    labels: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.tags:
@@ -49,7 +54,7 @@ class XCoverInstance:
 
 @dataclass(frozen=True)
 class CoverSolution:
-    chosen: tuple[int, ...]
+    chosen: tuple
     nodes: int
 
 
@@ -75,205 +80,105 @@ def check_solution(inst: XCoverInstance, sol: CoverSolution) -> bool:
     return seen == set(range(inst.n_items))
 
 
-class _UniformState:
-    """Cover/uncover over an (S, w) item matrix; trails are index arrays."""
+def dfs(source, node_limit: int | None = None, time_limit: float | None = None
+        ) -> CoverSolution | Unsatisfiable | LimitExceeded:
+    """First exact cover in the source's order, or a proof there is none.
 
-    def __init__(self, inst: XCoverInstance, order: np.ndarray | None):
-        self.n_items = inst.n_items
-        self.sub_items = np.array(inst.subsets, dtype=np.int64)
-        S = self.sub_items.shape[0]
-        # CSR: subsets containing each item, ascending
-        flat = self.sub_items.ravel()
-        order_by_item = np.argsort(flat, kind="stable")
-        self.by_item_subs = (order_by_item // self.sub_items.shape[1]).astype(np.int64)
-        counts = np.bincount(flat, minlength=self.n_items)
-        self.indptr = np.zeros(self.n_items + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
+    A limit is checked at every node, before branching: ``time_limit=0``
+    stops at the first node.  ``chosen`` lists the covered candidates
+    from the root down.
+    """
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    nodes = 0
+    frames: list = []       # one candidate iterator per open node
+    chosen: list = []       # chosen[d] is applied while frame d tries it
+    while True:
+        item = source.next_item()
+        if item is None:
+            return CoverSolution(chosen=tuple(chosen), nodes=nodes)
+        nodes += 1
+        if node_limit is not None and nodes > node_limit:
+            return LimitExceeded(nodes=nodes, reason="node limit")
+        if deadline is not None and time.monotonic() >= deadline:
+            return LimitExceeded(nodes=nodes, reason="time limit")
+        frames.append(iter(source.candidates(item)))
+        while frames:
+            if len(chosen) == len(frames):
+                source.uncover(chosen.pop())
+            cand = next(frames[-1], None)
+            if cand is not None:
+                source.cover(cand)
+                chosen.append(cand)
+                break
+            frames.pop()
+        else:
+            return Unsatisfiable(nodes=nodes)
+
+
+class _CsrSource:
+    """Subsets of an instance as two CSR maps: subset -> items and
+    item -> subsets (ascending), with active flags and live counts."""
+
+    def __init__(self, inst: XCoverInstance):
+        # int32 indices halve the transient arrays of this build, which
+        # sets the search's peak memory on ~1.3M-subset instances
+        S, n = len(inst.subsets), inst.n_items
+        lens = np.fromiter(map(len, inst.subsets), dtype=np.int64, count=S)
+        self.sub_ptr = np.zeros(S + 1, dtype=np.int64)
+        np.cumsum(lens, out=self.sub_ptr[1:])
+        self.sub_items = np.fromiter(itertools.chain.from_iterable(inst.subsets),
+                                     dtype=np.int32, count=int(self.sub_ptr[-1]))
+        owner = np.repeat(np.arange(S, dtype=np.int32), lens)
+        del lens
+        self.item_subs = owner[np.argsort(self.sub_items, kind="stable")]
+        self.count = np.bincount(self.sub_items, minlength=n)
+        self.item_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.count, out=self.item_ptr[1:])
+        self.n_items = n
         self.active = np.ones(S, dtype=bool)
-        self.count = counts.astype(np.int64)
-        self.covered = np.zeros(self.n_items, dtype=bool)
-        self.rank = order  # optional per-subset trial rank (seeded runs)
+        self.covered = np.zeros(n, dtype=bool)
+        self.trail: list[np.ndarray] = []
 
-    def subs_of(self, item: int) -> np.ndarray:
-        return self.by_item_subs[self.indptr[item]:self.indptr[item + 1]]
+    def _items(self, s: int) -> np.ndarray:
+        return self.sub_items[self.sub_ptr[s]:self.sub_ptr[s + 1]]
 
-    def candidates(self, item: int) -> np.ndarray:
-        subs = self.subs_of(item)
-        cand = subs[self.active[subs]]
-        if self.rank is not None:
-            cand = cand[np.argsort(self.rank[cand], kind="stable")]
-        return cand
+    def _subs(self, item: int) -> np.ndarray:
+        return self.item_subs[self.item_ptr[item]:self.item_ptr[item + 1]]
 
-    def choose_item(self) -> int | None:
-        c = np.where(self.covered, np.iinfo(np.int64).max, self.count)
-        i = int(np.argmin(c))
-        if self.covered[i]:
-            return None  # everything covered
-        return i
+    def _items_of_all(self, subs: np.ndarray) -> np.ndarray:
+        starts = self.sub_ptr[subs]
+        lens = self.sub_ptr[subs + 1] - starts
+        offsets = np.cumsum(lens) - lens
+        return self.sub_items[np.repeat(starts - offsets, lens)
+                              + np.arange(int(lens.sum()))]
 
-    def cover(self, s: int) -> np.ndarray:
-        items = self.sub_items[s]
-        touched = np.concatenate([self.subs_of(int(i)) for i in items])
-        touched = np.unique(touched)
+    def next_item(self) -> int | None:
+        if self.covered.all():
+            return None
+        return int(np.argmin(np.where(self.covered, np.iinfo(np.int64).max,
+                                      self.count)))
+
+    def candidates(self, item: int) -> list[int]:
+        subs = self._subs(item)
+        return subs[self.active[subs]].tolist()
+
+    def cover(self, s: int) -> None:
+        items = self._items(s)
+        touched = np.unique(np.concatenate([self._subs(i) for i in items.tolist()]))
         deact = touched[self.active[touched]]
         self.active[deact] = False
-        np.subtract.at(self.count, self.sub_items[deact].ravel(), 1)
+        self.count -= np.bincount(self._items_of_all(deact), minlength=self.n_items)
         self.covered[items] = True
-        return deact
+        self.trail.append(deact)
 
-    def uncover(self, s: int, deact: np.ndarray) -> None:
-        self.covered[self.sub_items[s]] = False
-        np.add.at(self.count, self.sub_items[deact].ravel(), 1)
-        self.active[deact] = True
-
-
-class _RaggedState(_UniformState):
-    """Fallback for mixed subset sizes; same contract, python loops."""
-
-    def __init__(self, inst: XCoverInstance, order: np.ndarray | None):
-        self.n_items = inst.n_items
-        self.subsets = inst.subsets
-        S = len(inst.subsets)
-        by_item: list[list[int]] = [[] for _ in range(self.n_items)]
-        for s, items in enumerate(inst.subsets):
-            for i in items:
-                by_item[i].append(s)
-        self._by_item = [np.array(l, dtype=np.int64) for l in by_item]
-        self.active = np.ones(S, dtype=bool)
-        self.count = np.array([len(l) for l in by_item], dtype=np.int64)
-        self.covered = np.zeros(self.n_items, dtype=bool)
-        self.rank = order
-
-    def subs_of(self, item: int) -> np.ndarray:
-        return self._by_item[item]
-
-    def cover(self, s: int) -> np.ndarray:
-        items = self.subsets[s]
-        touched = np.unique(np.concatenate([self._by_item[i] for i in items]))
-        deact = touched[self.active[touched]]
-        self.active[deact] = False
-        for t in deact.tolist():
-            for i in self.subsets[t]:
-                self.count[i] -= 1
-        self.covered[list(items)] = True
-        return deact
-
-    def uncover(self, s: int, deact: np.ndarray) -> None:
-        self.covered[list(self.subsets[s])] = False
-        for t in deact.tolist():
-            for i in self.subsets[t]:
-                self.count[i] += 1
+    def uncover(self, s: int) -> None:
+        deact = self.trail.pop()
+        self.covered[self._items(s)] = False
+        self.count += np.bincount(self._items_of_all(deact), minlength=self.n_items)
         self.active[deact] = True
 
 
 def solve(inst: XCoverInstance, node_limit: int | None = None,
-          time_limit: float | None = None,
-          seed: int | None = None) -> CoverSolution | Unsatisfiable | LimitExceeded:
-    """First exact cover in deterministic DFS order, or a proof there is none.
-
-    ``seed`` permutes the subset trial order for experimentation; the
-    default (None) is the fully deterministic ascending-index order.
-    """
-    if not inst.subsets:
-        if inst.n_items == 0:
-            return CoverSolution(chosen=(), nodes=0)
-        return Unsatisfiable(nodes=0)
-    # DFS depth is bounded by the solution length (worst case one item
-    # per subset); large instances need headroom over the default limit
-    import sys as _sys
-    need = inst.n_items + 200
-    if _sys.getrecursionlimit() < need:
-        _sys.setrecursionlimit(need)
-    order = None
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(inst.subsets)).astype(np.int64)
-    sizes = {len(s) for s in inst.subsets}
-    state_cls = _UniformState if len(sizes) == 1 else _RaggedState
-    st = state_cls(inst, order)
-
-    deadline = time.monotonic() + time_limit if time_limit is not None else None
-    nodes = 0
-    chosen: list[int] = []
-
-    class _Limit(Exception):
-        def __init__(self, reason: str):
-            self.reason = reason
-
-    def dfs() -> bool:
-        nonlocal nodes
-        item = st.choose_item()
-        if item is None:
-            return True
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise _Limit("node limit")
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Limit("time limit")
-        if st.count[item] == 0:
-            return False
-        for s in st.candidates(item).tolist():
-            chosen.append(s)
-            trail = st.cover(s)
-            if dfs():
-                return True
-            st.uncover(s, trail)
-            chosen.pop()
-        return False
-
-    try:
-        found = dfs()
-    except _Limit as l:
-        return LimitExceeded(nodes=nodes, reason=l.reason)
-    if found:
-        return CoverSolution(chosen=tuple(chosen), nodes=nodes)
-    return Unsatisfiable(nodes=nodes)
-
-
-def portfolio_solve(inst: XCoverInstance, seeds: Sequence[int],
-                    node_limit: int | None = None,
-                    time_limit: float | None = None):
-    """Run seeded solves and return (seed, result) of the first finisher.
-
-    Results depend on scheduling; never used for acceptance runs.
-    """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    with ProcessPoolExecutor(max_workers=len(seeds)) as ex:
-        futs = {ex.submit(_portfolio_worker, inst.n_items, inst.subsets,
-                          seed, node_limit, time_limit): seed
-                for seed in seeds}
-        done, pending = wait(futs, return_when=FIRST_COMPLETED)
-        for f in pending:
-            f.cancel()
-        fut = next(iter(done))
-        return futs[fut], fut.result()
-
-
-def _portfolio_worker(n_items, subsets, seed, node_limit, time_limit):
-    inst = XCoverInstance(n_items=n_items, subsets=list(subsets))
-    return solve(inst, node_limit=node_limit, time_limit=time_limit, seed=seed)
-
-
-def dump_instance(inst: XCoverInstance, path: str) -> None:
-    """Line-based text dump: header, then one subset per line (tag + items)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"items {inst.n_items}\n")
-        for tag, items in zip(inst.tags, inst.subsets):
-            fh.write(f"{tag} " + " ".join(str(i) for i in items) + "\n")
-
-
-def load_instance(path: str) -> XCoverInstance:
-    subsets: list[tuple[int, ...]] = []
-    tags: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "items":
-            raise ValueError("bad instance header")
-        n_items = int(header[1])
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            tags.append(parts[0])
-            subsets.append(tuple(int(p) for p in parts[1:]))
-    return XCoverInstance(n_items=n_items, subsets=subsets, tags=tags)
+          time_limit: float | None = None) -> CoverSolution | Unsatisfiable | LimitExceeded:
+    """First exact cover in deterministic DFS order, or a proof there is none."""
+    return dfs(_CsrSource(inst), node_limit=node_limit, time_limit=time_limit)

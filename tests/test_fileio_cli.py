@@ -349,6 +349,21 @@ def test_roundtrip_across_chunk_boundaries(rows, nbytes, design6, monkeypatch, t
     assert np.array_equal(read_design(str(p)).tri, design6.tri)
 
 
+def test_shuffled_rows_normalize_to_written_order(frob7_design, tmp_path):
+    # rows read in written order skip the row sort; shuffled rows with
+    # reversed corners must still give the same canonical array
+    p = tmp_path / "f7.design"
+    write_design(frob7_design, str(p))
+    head, body = p.read_bytes().split(b"triangles:\n")
+    rows = body.splitlines()
+    rng = np.random.default_rng(5)
+    shuffled = [b" ".join(rows[i].split()[::-1]) for i in rng.permutation(len(rows))]
+    q = tmp_path / "shuffled.design"
+    q.write_bytes(head + b"triangles:\n" + b"\n".join(shuffled) + b"\n")
+    assert np.array_equal(read_design(str(p)).tri, frob7_design.tri)
+    assert np.array_equal(read_design(str(q)).tri, frob7_design.tri)
+
+
 def _one_row(row: str) -> str:
     return _SMALL_DESIGN.replace("1 2 4\n", row)
 

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -105,13 +106,43 @@ def test_search_determinism():
     assert f1 == f2
 
 
+# the forced-lazy n=13 certificate: first fit on the smallest uncovered
+# key walks one fixed tree, so a change of traversal changes these pairs
+LAZY_FROB13_PAIRS = (
+    (1, 4097), (7, 7219), (13, 8161), (19, 450), (25, 5723), (39, 551),
+    (45, 4540), (53, 8081), (59, 289), (65, 6126), (73, 1483), (79, 1752),
+    (109, 7969), (115, 7182), (145, 5961), (157, 7869), (167, 5566),
+    (195, 4443), (207, 7773), (299, 1915), (311, 5494), (317, 873),
+    (373, 3449), (403, 4664), (1130, 3233), (1243, 1589), (1331, 1872),
+    (1748, 6202), (1811, 6647), (2621, 1140), (2931, 6894), (3151, 4594),
+    (3161, 494), (3284, 4601), (3883, 4165))
+
+
+def _spy(monkeypatch, S, name):
+    """Record (instance or source, result) of every S.<name> call."""
+    calls = []
+    orig = getattr(S, name)
+
+    def spy(arg, **kw):
+        result = orig(arg, **kw)
+        calls.append((arg, result))
+        return result
+
+    monkeypatch.setattr(S, name, spy)
+    return calls
+
+
 def test_lazy_stratum_path_matches_contract(monkeypatch):
     # force the lazy solver onto the n=13 stratum and check the result
     # expands and verifies exactly like the materialized path
     import tridesign.search as S
     monkeypatch.setattr(S, "LAZY_STRATUM_THRESHOLD", 10)
+    calls = _spy(monkeypatch, S, "dfs")
+    limit = sys.getrecursionlimit()
     cert = S.search_frobenius(13)
-    assert len(cert.pairs) == 35
+    assert sys.getrecursionlimit() == limit
+    assert cert.pairs == LAZY_FROB13_PAIRS
+    assert [r.nodes for _, r in calls] == [35]
     d = expand_certificate(cert)
     assert d.triangle_count == 3726905
     assert verify_design(d).ok
@@ -136,14 +167,26 @@ def test_search_frobenius_19_long_run():
 def test_search_singer_12_6_uses_materialized_path(monkeypatch):
     # the acceptance-scale problem must stay on the exact-cover engine
     import tridesign.search as S
-    called = {}
-    orig = S.solve
-
-    def spy(inst, **kw):
-        called["items"] = inst.n_items
-        return orig(inst, **kw)
-
-    monkeypatch.setattr(S, "solve", spy)
+    calls = _spy(monkeypatch, S, "solve")
     cert = S.search_singer(12, 6)
-    assert called["items"] == 672
+    assert [(inst.n_items, r.nodes) for inst, r in calls] == [(672, 224)]
     assert len(cert.reps) == 224
+
+
+def test_search_frobenius_13_materialized_nodes(monkeypatch):
+    import tridesign.search as S
+    calls = _spy(monkeypatch, S, "solve")
+    S.search_frobenius(13)
+    assert [(inst.n_items, len(inst.subsets), r.nodes)
+            for inst, r in calls] == [(105, 168015, 35)]
+
+
+@pytest.mark.parametrize("threshold", [None, 10])
+def test_time_limit_zero_stops_at_once(monkeypatch, threshold):
+    # 0 seconds is a limit on both the materialized and the lazy path
+    import tridesign.search as S
+    if threshold is not None:
+        monkeypatch.setattr(S, "LAZY_STRATUM_THRESHOLD", threshold)
+    with pytest.raises(S.SearchLimitExceeded, match="time limit") as exc:
+        S.search_frobenius(13, time_limit=0)
+    assert exc.value.result.nodes == 1

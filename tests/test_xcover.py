@@ -1,12 +1,12 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tridesign.xcover import (CoverSolution, LimitExceeded, Unsatisfiable,
-                              XCoverInstance, check_solution, dump_instance,
-                              load_instance, portfolio_solve, solve)
+                              XCoverInstance, check_solution, solve)
 
 
 def test_basic_solution():
@@ -105,26 +105,11 @@ def test_against_brute_force(data):
         assert isinstance(result, Unsatisfiable)
 
 
-def test_seeded_solve_still_valid():
-    rows = [(2, 4, 5), (0, 3, 6), (1, 2, 5), (0, 3), (1, 6), (3, 4, 6)]
-    inst = XCoverInstance(7, rows)
-    for seed in (0, 1, 2):
-        r = solve(inst, seed=seed)
-        assert isinstance(r, CoverSolution) and check_solution(inst, r)
-
-
-def test_portfolio_smoke():
-    rows = [(0, 1), (2,), (0, 2), (1, 2)]
-    inst = XCoverInstance(3, rows)
-    seed, result = portfolio_solve(inst, seeds=[0, 1])
-    assert isinstance(result, CoverSolution)
-
-
-def test_dump_load_roundtrip(tmp_path):
-    inst = XCoverInstance(4, [(0, 1), (2, 3), (0, 2)], tags=["a", "b", "c"])
-    path = tmp_path / "inst.txt"
-    dump_instance(inst, str(path))
-    back = load_instance(str(path))
-    assert back.n_items == 4
-    assert back.subsets == inst.subsets
-    assert back.tags == ["a", "b", "c"]
+def test_deep_solve_leaves_recursion_limit():
+    # one node per item: 2000 levels deep, past the default recursion limit
+    limit = sys.getrecursionlimit()
+    inst = XCoverInstance(2000, [(i,) for i in range(2000)])
+    r = solve(inst)
+    assert isinstance(r, CoverSolution) and r.chosen == tuple(range(2000))
+    assert r.nodes == 2000
+    assert sys.getrecursionlimit() == limit
