@@ -6,9 +6,8 @@ the 2-dimensional subspaces of GF(2)^n into triples of subspaces with
 pairwise 1-dimensional intersections.
 """
 
-from .construct import (GddStream, ProductLayout, balanced_extension,
-                        fill_groups, gdd_6k_6, product, product_census,
-                        trivial_design)
+from .construct import (GddStream, balanced_extension, fill_groups, gdd_6k_6,
+                        product, product_census, trivial_design)
 from .datasets import (EmbeddedDataset, as_certificate, dataset_names,
                        expand_special, load_dataset)
 from .designs import (BalanceReport, ChargeLedger, CoverReport, Design, Gdd,

@@ -151,6 +151,14 @@ def cmd_construct(args) -> int:
                "triangles": out.triangle_count}
     else:  # gdd6k
         k = args.k
+        if k >= 3 and args.out:
+            print("k >= 3 streams are not written to files; "
+                  "use --count/--sample", file=sys.stderr)
+            return 2
+        if k <= 2 and (args.count or args.sample):
+            print("--count/--sample apply to streamed towers (k >= 3); "
+                  "use --out", file=sys.stderr)
+            return 2
         g = construct.gdd_6k_6(k)
         if isinstance(g, construct.GddStream):
             msg = {"ok": True, "k": k, "planes": g.plane_count,
@@ -162,10 +170,6 @@ def cmd_construct(args) -> int:
                 checked = g.sample_line_check(args.sample, seed=args.seed,
                                               progress=args.progress)
                 msg["sampled_lines_ok"] = checked
-            if args.out:
-                print("k >= 3 streams are not written to files; "
-                      "use --count/--sample", file=sys.stderr)
-                return 2
         else:
             if args.out:
                 fileio.write_design(g, args.out)

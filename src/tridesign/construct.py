@@ -1,121 +1,90 @@
 """Explicit constructions: direct product, balanced +6 extension,
 the GF(2^6)-tower of group-divisible designs, and group filling.
 
-The product views GF(2)^(m+n) as GF(2)^m x GF(2)^n and covers the six
-types of product lines with six triangle families; each family's size
-is checked against its closed-form census during generation.  The
-balanced extension reruns the product against a fixed 6-dimensional
-right factor, regrouping families so the per-vector charge ledger
-cancels exactly; its correctness gate is the verifier, not the
-generation bookkeeping.  The tower transports a fixed (12,6) design
-through every 2-dimensional extension-field plane, and group filling
-transplants a small design into every group of a spread.
+The product views GF(2)^(m+n) as GF(2)^m x GF(2)^n, the left factor on
+the high bits, and covers the six types of product lines with six
+triangle families.  Every family is one broadcast OR ``L[:, None, :] |
+R`` of left rows L with right rows R, both already in ambient
+coordinates; R is shared by every left row or, where the rows rotate
+with the left vector, one block per left row.  With T_a, T_b the two
+factor designs (b the factor carrying a spread of lines), the product
+families are:
+
+  A  triangles of T_a              | zero
+  B  zero                          | triangles of T_b
+  C  triangles of T_a              | lines of b, in all 6 corner orders
+  D  lines of a                    | (v, v, v), v nonzero in b
+  E  (y, y, y), y nonzero in a     | lines of b outside the spread
+  F  (y, 0, y) and (0, y, y)       | spread lines (u, v, w) as (0, v, u)
+                                     and (w, v, w)
+
+Family sizes are checked against their closed-form census before the
+output is allocated.  The balanced extension runs the same families
+against the fixed 6-dimensional right factor with the left factor
+balanced: D ORs each left triangle with (0, v, v), (v, 0, v), (v, v, 0),
+E ORs those masks of each left vector y with the balanced (6,2)
+design's triangles, and E and F take their right rows rotated per y so
+that the per-vector charge ledger cancels exactly; its correctness
+gate is the verifier, not the generation bookkeeping.  The tower
+transports a fixed (12,6) design through every 2-dimensional
+extension-field plane, and group filling transplants a small design
+into every group of a spread.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterator
 
 import numpy as np
 
-from .datasets import as_certificate, expand_special, load_dataset
-from .designs import (ChargeLedger, Design, Gdd, charge_ledger, verify_balanced,
-                      verify_design, verify_gdd)
+from .datasets import as_certificate, expand_special, load_dataset, multiplier_table
+from .designs import Design, Gdd, charge_ledger, verify_balanced, verify_design, verify_gdd
 from .gf2n import FieldCtx, build_field, embed_subfield
 from .orbits import expand_certificate
 from .lines import (PlaneBasis, Spread, canonical_plane_basis, desarguesian_spread,
-                    enumerate_ext_planes, enumerate_lines, ext_plane_count,
-                    line_count, validate_spread)
+                    enumerate_ext_planes, ext_plane_count, line_count, line_rows,
+                    validate_spread)
 
 
 class ConstructionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ProductLayout:
-    """Bit layout of GF(2)^(m+n) = GF(2)^m x GF(2)^n, left factor high."""
-
-    m: int
-    n: int
-
-    def inject_left(self, x: int) -> int:
-        return x << self.n
-
-    def inject_right(self, u: int) -> int:
-        return u
-
-    def split(self, v: int) -> tuple[int, int]:
-        return v >> self.n, v & ((1 << self.n) - 1)
+_PERMS3 = np.array(list(permutations(range(3))))
+_DROP = np.array([(0, 1, 1), (1, 0, 1), (1, 1, 0)])   # one corner at zero
 
 
-def _lines_array(n: int) -> np.ndarray:
-    return np.array([l.pts for l in enumerate_lines(n)], dtype=np.int64)
+def _or_families(terms, census: dict[str, int] | None = None):
+    """All rows ``L[:, None, :] | R`` of the ``(family, L, R)`` terms, in
+    term order, as one (T, 3) array; returns it with the family sizes.
+
+    R is (r, 3), shared by every row of L, or (l, r, 3), one block per
+    row.  The sizes are totalled, and must equal ``census`` when it is
+    given, before the output is allocated; each term is then written
+    straight into its slice of it.
+    """
+    sizes: dict[str, int] = {}
+    for fam, left, right in terms:
+        sizes[fam] = sizes.get(fam, 0) + left.shape[0] * right.shape[-2]
+    if census is not None and sizes != census:
+        raise ConstructionError(f"family census mismatch: {sizes} != {census}")
+    tri = np.empty((sum(sizes.values()), 3), dtype=np.int64)
+    at = 0
+    for _, left, right in terms:
+        shape = (left.shape[0], right.shape[-2], 3)
+        np.bitwise_or(left[:, None, :], right,
+                      out=tri[at:at + shape[0] * shape[1]].reshape(shape))
+        at += shape[0] * shape[1]
+    return tri, sizes
 
 
-_PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-
-
-def _product_families(tm: Design, tn: Design, spread: Spread,
-                      inj_m, inj_n) -> dict[str, list[np.ndarray]]:
-    """The six triangle families; inj_m/inj_n place the two factors."""
-    nm, nn = tm.n, tn.n
-    lines_n = _lines_array(nn) if nn >= 2 else np.empty((0, 3), dtype=np.int64)
-    lines_m = _lines_array(nm) if nm >= 2 else np.empty((0, 3), dtype=np.int64)
-
-    spread_keys = {tuple(sorted(g.tolist())) for g in spread.groups}
-    in_spread = np.array([tuple(row) in spread_keys for row in lines_n.tolist()],
-                         dtype=bool) if lines_n.size else np.empty(0, dtype=bool)
-    lines_n_out = lines_n[~in_spread] if lines_n.size else lines_n
-    fam: dict[str, list[np.ndarray]] = {k: [] for k in "ABCDEF"}
-
-    # (A) the M-side design embedded on component zero
-    if tm.tri.shape[0]:
-        fam["A"].append(np.vectorize(inj_m, otypes=[np.int64])(tm.tri))
-    # (B) the N-side design embedded on component zero
-    if tn.tri.shape[0]:
-        fam["B"].append(np.vectorize(inj_n, otypes=[np.int64])(tn.tri))
-    # (C) corner bijections: each triangle of T_m against each line of N,
-    # one triangle per matching of corners to line points
-    if tm.tri.shape[0] and lines_n.size:
-        lu = np.array([inj_n(int(u)) for u in lines_n[:, 0]], dtype=np.int64)
-        lv = np.array([inj_n(int(u)) for u in lines_n[:, 1]], dtype=np.int64)
-        lw = np.array([inj_n(int(u)) for u in lines_n[:, 2]], dtype=np.int64)
-        cols = (lu, lv, lw)
-        for x, y, z in tm.tri.tolist():
-            xi, yi, zi = inj_m(x), inj_m(y), inj_m(z)
-            for p in _PERMS3:
-                fam["C"].append(np.column_stack([xi | cols[p[0]],
-                                                 yi | cols[p[1]],
-                                                 zi | cols[p[2]]]))
-    # (D) each M-line lifted to a constant nonzero N-component
-    if lines_m.size:
-        lx = np.array([inj_m(int(x)) for x in lines_m[:, 0]], dtype=np.int64)
-        ly = np.array([inj_m(int(x)) for x in lines_m[:, 1]], dtype=np.int64)
-        lz = np.array([inj_m(int(x)) for x in lines_m[:, 2]], dtype=np.int64)
-        for v in range(1, 1 << nn):
-            vi = inj_n(v)
-            fam["D"].append(np.column_stack([lx | vi, ly | vi, lz | vi]))
-    # (E) each non-spread N-line lifted to a constant nonzero M-component
-    if lines_n_out.size:
-        eu = np.array([inj_n(int(u)) for u in lines_n_out[:, 0]], dtype=np.int64)
-        ev = np.array([inj_n(int(u)) for u in lines_n_out[:, 1]], dtype=np.int64)
-        ew = np.array([inj_n(int(u)) for u in lines_n_out[:, 2]], dtype=np.int64)
-        for y in range(1, 1 << nm):
-            yi = inj_m(y)
-            fam["E"].append(np.column_stack([yi | eu, yi | ev, yi | ew]))
-    # (F) two triangles per spread line and nonzero M-component, the
-    # pair that also covers the mixed two-component lines
-    su = np.array([inj_n(int(g[0])) for g in spread.groups], dtype=np.int64)
-    sv = np.array([inj_n(int(g[1])) for g in spread.groups], dtype=np.int64)
-    sw = np.array([inj_n(int(g[2])) for g in spread.groups], dtype=np.int64)
-    for y in range(1, 1 << nm):
-        yi = inj_m(y)
-        fam["F"].append(np.column_stack([np.full_like(su, yi), sv, yi | su]))
-        fam["F"].append(np.column_stack([sw, yi | sv, yi | sw]))
-    return fam
+def _spread_terms(ys: np.ndarray, uvw: np.ndarray) -> list:
+    """Family F: per left vector y and spread line (u, v, w), the pair
+    (y, v, y|u), (w, y|v, y|w) that also covers the mixed lines."""
+    return [("F", ys[:, None] * (1, 0, 1), uvw[..., (1, 1, 0)] * (0, 1, 1)),
+            ("F", ys[:, None] * (0, 1, 1), uvw[..., (2, 1, 2)])]
 
 
 def product_census(tm: Design, tn: Design, spread_size: int) -> dict[str, int]:
@@ -137,9 +106,9 @@ def product(tm: Design, tn: Design, spread: Spread | None = None,
 
     One factor dimension must be even; that factor carries a spread
     of lines (default: the GF(4)-coset spread).  The left factor
-    always occupies the high bits of the product space.
+    always occupies the high bits of the product space.  Both factors
+    must verify as designs.
     """
-    layout = ProductLayout(tm.n, tn.n)
     if tn.n % 2 == 0:
         swap = False
     elif tm.n % 2 == 0:
@@ -149,27 +118,31 @@ def product(tm: Design, tn: Design, spread: Spread | None = None,
             f"factor dimensions {tm.n}, {tn.n} are both odd; "
             "the product needs an even factor to carry a line spread")
     a, b = (tn, tm) if swap else (tm, tn)   # b is the even/spread factor
+    sa, sb = (0, tn.n) if swap else (tn.n, 0)
     if spread is None:
         spread = desarguesian_spread(build_field(b.n), 2)
     if spread.dim_m != 2:
         raise ConstructionError("spread must consist of lines (dimension 2)")
     validate_spread(spread, b.n)
+    for side, factor in (("left", tm), ("right", tn)):
+        if not verify_design(factor).ok:
+            raise ConstructionError(f"{side} factor does not verify as a design")
 
-    if swap:
-        inj_m = layout.inject_right          # odd factor = right
-        inj_n = layout.inject_left           # spread factor = left
-    else:
-        inj_m = layout.inject_left
-        inj_n = layout.inject_right
-    fam = _product_families(a, b, spread, inj_m, inj_n)
-    census = {k: int(sum(blk.shape[0] for blk in blocks))
-              for k, blocks in fam.items()}
-    expected = product_census(a, b, len(spread.groups))
-    if census != expected:
-        raise ConstructionError(f"family census mismatch: {census} != {expected}")
+    lines_b = line_rows(b.n)
+    gid = spread.group_id_table(b.n)
+    outside = lines_b[gid[lines_b[:, 0]] != gid[lines_b[:, 1]]] << sb
+    ya = np.arange(1, 1 << a.n, dtype=np.int64) << sa
+    yb = np.arange(1, 1 << b.n, dtype=np.int64) << sb
+    zero = np.zeros((1, 3), dtype=np.int64)
+    tri, census = _or_families([
+        ("A", a.tri << sa, zero),
+        ("B", zero, b.tri << sb),
+        ("C", a.tri << sa, (lines_b << sb)[:, _PERMS3].reshape(-1, 3)),
+        ("D", line_rows(a.n) << sa, yb[:, None] * (1, 1, 1)),
+        ("E", ya[:, None] * (1, 1, 1), outside),
+        *_spread_terms(ya, np.array(spread.groups, dtype=np.int64) << sb),
+    ], product_census(a, b, len(spread.groups)))
 
-    blocks = [blk for k in "ABCDEF" for blk in fam[k]]
-    tri = np.concatenate(blocks) if blocks else np.empty((0, 3), dtype=np.int64)
     n_out = tm.n + tn.n
     out = Design(n=n_out, poly=build_field(n_out).poly, tri=tri,
                  provenance=f"product {tm.n}+{tn.n}")
@@ -185,20 +158,6 @@ def trivial_design() -> Design:
 
 
 # -- balanced +6 extension -------------------------------------------------------
-
-
-def _rho_tables(f5: FieldCtx) -> np.ndarray:
-    """rho[t][v]: multiply the low-5 component of a 6-bit vector by xi^t."""
-    ord5 = f5.order
-    exp5, log5 = f5.exp_table, f5.log_table
-    rho = np.zeros((ord5, 64), dtype=np.int64)
-    for t in range(ord5):
-        for v in range(64):
-            low = v & 31
-            if low:
-                low = exp5[(log5[low] + t) % ord5]
-            rho[t, v] = (v & 32) | low
-    return rho
 
 
 def _spread_role_orders(spread: Spread) -> tuple[np.ndarray, np.ndarray]:
@@ -256,84 +215,48 @@ def balanced_extension(tm: Design, return_trace: bool = False):
 
     d6 = expand_special(load_dataset("design6"))
     g62 = expand_special(load_dataset("gdd6-2"))
-    rho = _rho_tables(build_field(5))
+    mu = multiplier_table(build_field(5))
     base_order, special_order = _spread_role_orders(g62.groups)
-
-    blocks: list[np.ndarray] = []
-    # (A) balanced left design on component zero
-    blocks.append(tm.tri << 6)
-    # (B) right-factor design on component zero; its known charge
-    # profile is compensated by the special rows of part (F)
-    blocks.append(d6.tri.copy())
-    profile = charge_ledger(d6.tri, 6).counts
-    # (C) corner bijections, unchanged from the plain product
-    lines6 = _lines_array(6)
-    cols = (lines6[:, 0], lines6[:, 1], lines6[:, 2])
-    for x, y, z in tm.tri.tolist():
-        xi, yi, zi = x << 6, y << 6, z << 6
-        for p in _PERMS3:
-            blocks.append(np.column_stack([xi | cols[p[0]],
-                                           yi | cols[p[1]],
-                                           zi | cols[p[2]]]))
-    # (D) left lines grouped by left triangles: per triangle and right
-    # vector, drop each corner to component zero once
-    vv = np.arange(1, 64, dtype=np.int64)
-    for x, y, z in tm.tri.tolist():
-        xi, yi, zi = x << 6, y << 6, z << 6
-        blocks.append(np.column_stack([np.full_like(vv, xi), yi | vv, zi | vv]))
-        blocks.append(np.column_stack([xi | vv, np.full_like(vv, yi), zi | vv]))
-        blocks.append(np.column_stack([xi | vv, yi | vv, np.full_like(vv, zi)]))
-    # (E) right non-spread lines grouped by the balanced (6,2) design;
-    # the grouping design is rotated in step with part (F)'s spreads
+    # Left vectors y = 1..31 are the special ones: their rows are turned
+    # by mu[y - 1], and their spread lines take the special order that
+    # cancels the charge profile of family B.  The plain y >= 32 rotate
+    # the spread roles in blocks of three, so each slot collects -2
+    # (first) or +1 equally often.
     ys = np.arange(1, 1 << m, dtype=np.int64)
-    special_y = {int(y): t for t, y in enumerate(range(1, 32))}
-    g62_tri = g62.tri
-    for y in ys.tolist():
-        t = special_y.get(y)
-        tri_y = g62_tri if t is None else rho[t][g62_tri]
-        p, q, r = tri_y[:, 0], tri_y[:, 1], tri_y[:, 2]
-        yi = y << 6
-        blocks.append(np.column_stack([p, yi | q, yi | r]))
-        blocks.append(np.column_stack([yi | p, q, yi | r]))
-        blocks.append(np.column_stack([yi | p, yi | q, r]))
+    plain = ys.size - 31
+    assert plain % 3 == 0
+    turn = np.where(ys < 32, ys - 1, 0)
+    rotated = np.array([base_order, base_order[:, (1, 2, 0)], base_order[:, (2, 0, 1)]])
+    spread_orders = np.concatenate([mu[:31, special_order],
+                                    rotated[np.arange(plain) % 3]])
+    grouping = mu[turn[:, None, None], g62.tri]   # (6,2) design turned per y
+    left, y6 = tm.tri << 6, ys << 6
+    vv = np.arange(1, 64, dtype=np.int64)
+    zero = np.zeros((1, 3), dtype=np.int64)
+    tri, census = _or_families([
+        ("A", left, zero),
+        ("B", zero, d6.tri),
+        ("C", left, line_rows(6)[:, _PERMS3].reshape(-1, 3)),
+        *[("D", left, vv[:, None] * mask) for mask in _DROP],
+        *[("E", y6[:, None] * mask, grouping) for mask in _DROP],
+        *_spread_terms(y6, spread_orders),
+    ])
 
-    trace_ledger = None
-    if return_trace:
-        partial = np.concatenate(blocks)
-        led = charge_ledger(partial, m + 6)
-        trace_ledger = ChargeLedger(m + 6, led.counts.copy())
-
-    # (F) spread lines: two triangles per line and left vector; the
-    # first slot of the role order collects -2, the others +1.  Plain
-    # left vectors rotate roles in blocks of three; the 31 special
-    # ones use the rotated special order that cancels part (B).
-    plain = [y for y in range(32, 1 << m)]
-    assert len(plain) % 3 == 0
-    orders = (base_order,
-              base_order[:, (1, 2, 0)],
-              base_order[:, (2, 0, 1)])
-    for pos, y in enumerate(plain):
-        u, v, w = (orders[pos % 3][:, 0], orders[pos % 3][:, 1],
-                   orders[pos % 3][:, 2])
-        yi = y << 6
-        blocks.append(np.column_stack([np.full_like(u, yi), v, yi | u]))
-        blocks.append(np.column_stack([w, yi | v, yi | w]))
-    for y in range(1, 32):
-        t = special_y[y]
-        rows = rho[t][special_order]
-        u, v, w = rows[:, 0], rows[:, 1], rows[:, 2]
-        yi = y << 6
-        blocks.append(np.column_stack([np.full_like(u, yi), v, yi | u]))
-        blocks.append(np.column_stack([w, yi | v, yi | w]))
-
-    tri = np.concatenate(blocks)
     n_out = m + 6
-    led = charge_ledger(tri, n_out)
+    trace = None
+    if return_trace:
+        led = charge_ledger(tri[:tri.shape[0] - census["F"]], n_out)
+        expected_profile = np.zeros_like(led.counts)
+        expected_profile[:64] = charge_ledger(d6.tri, 6).counts
+        trace = {"ledger_after_ABCDE": led,
+                 "part_b_profile_matched": bool((led.counts == expected_profile).all())}
+    out = Design(n=n_out, poly=build_field(n_out).poly, tri=tri,
+                 provenance=f"balanced extension {m}+6")
+    del tri   # only the normalized copy in ``out`` is checked from here on
+    led = charge_ledger(out.tri, n_out)
     if not led.is_zero:
         bad = dict(list(led.as_dict().items())[:10])
         raise ConstructionError(f"charge ledger did not cancel: {bad}")
-    out = Design(n=n_out, poly=build_field(n_out).poly, tri=tri,
-                 provenance=f"balanced extension {m}+6")
     rep = verify_design(out)
     if not rep.ok:
         raise ConstructionError("balanced extension failed verification:\n"
@@ -343,11 +266,7 @@ def balanced_extension(tm: Design, return_trace: bool = False):
         raise ConstructionError("balanced extension is not balanced: "
                                 + brep.to_text())
     if return_trace:
-        expected_profile = np.zeros_like(trace_ledger.counts)
-        expected_profile[:64] = profile
-        return out, {"ledger_after_ABCDE": trace_ledger,
-                     "part_b_profile_matched":
-                         bool((trace_ledger.counts == expected_profile).all())}
+        return out, trace
     return out
 
 
@@ -371,6 +290,15 @@ def _gdd12_coordinates() -> tuple[np.ndarray, np.ndarray, Gdd]:
             alpha_of[w] = a6
             beta_of[w] = b6
     return alpha_of[g12.tri], beta_of[g12.tri], g12
+
+
+def _plane_copy(ctx: FieldCtx, emb: tuple[int, ...], plane: PlaneBasis,
+                alpha6: np.ndarray, beta6: np.ndarray) -> np.ndarray:
+    """The (12,6) design carried into ``plane``: the corner with subfield
+    coordinates (alpha, beta) goes to alpha*u + beta*v.  Rows unsorted."""
+    cu = np.array([ctx.mul(e, plane.u) for e in emb], dtype=np.int64)
+    cv = np.array([ctx.mul(e, plane.v) for e in emb], dtype=np.int64)
+    return cu[alpha6] ^ cv[beta6]
 
 
 class GddStream:
@@ -408,9 +336,7 @@ class GddStream:
         return enumerate_ext_planes(self.ctx, 6)
 
     def plane_triangles(self, plane: PlaneBasis, canonical: bool = True) -> np.ndarray:
-        cu = np.array([self.ctx.mul(e, plane.u) for e in self.emb], dtype=np.int64)
-        cv = np.array([self.ctx.mul(e, plane.v) for e in self.emb], dtype=np.int64)
-        tri = cu[self.alpha6] ^ cv[self.beta6]
+        tri = _plane_copy(self.ctx, self.emb, plane, self.alpha6, self.beta6)
         return np.sort(tri, axis=1) if canonical else tri
 
     def stream_count(self, progress: bool = False) -> int:
@@ -503,9 +429,7 @@ def gdd_6k_6(k: int):
         ctx = build_field(12)
         emb = embed_subfield(build_field(6), ctx)
         plane = next(enumerate_ext_planes(ctx, 6))
-        cu = np.array([ctx.mul(e, plane.u) for e in emb], dtype=np.int64)
-        cv = np.array([ctx.mul(e, plane.v) for e in emb], dtype=np.int64)
-        tri = np.sort(cu[alpha6] ^ cv[beta6], axis=1)
+        tri = np.sort(_plane_copy(ctx, emb, plane, alpha6, beta6), axis=1)
         return Gdd(n=12, poly=ctx.poly, tri=tri, m=6,
                    groups=desarguesian_spread(ctx, 6), provenance="tower k=2")
     return GddStream(k)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Design, Gdd, distinct_row_count
-from .gf2n import build_field
-from .lines import desarguesian_spread
+from .gf2n import FieldCtx, build_field
+from .lines import desarguesian_spread, line_rows
 from .orbits import FrobeniusCertificate, OrbitCertificate
 
 # 7 triangle representatives over GF(2) x GF(2^5), GF(2^5) built on
@@ -179,45 +179,40 @@ def as_certificate(ds: EmbeddedDataset) -> OrbitCertificate | FrobeniusCertifica
                        "use expand_special")
 
 
+def multiplier_table(f5: FieldCtx) -> np.ndarray:
+    """mu[t, v] = (v & 32) | xi^t * (v & 31): the multiplier xi^t of
+    GF(2^5) acting on GF(2) x GF(2^5), a (31, 64) table."""
+    v = np.arange(64, dtype=np.int64)
+    low = v & 31
+    t = np.arange(f5.order, dtype=np.int64)[:, None]
+    turned = f5.exp_np[(f5.log_np[low] + t) % f5.order]
+    return np.where(low > 0, turned, 0) | (v & 32)
+
+
 def _expand_design6(ds: EmbeddedDataset) -> Design:
     f5 = build_field(5, ds.poly)
-    exp5 = f5.exp_table
-    ord5 = f5.order
-
-    def vec(a: int, e: int) -> int:
-        return (a << 5) | exp5[e % ord5]
-
-    rows = []
-    for (a, ea, b, eb, c, ec) in ds.payload:
-        for s in range(ord5):
-            rows.append((vec(a, ea + s), vec(b, eb + s), vec(c, ec + s)))
-    d = Design(n=6, poly=build_field(6).poly, tri=np.array(rows, dtype=np.int64),
+    mu = multiplier_table(f5)
+    reps = np.array(ds.payload, dtype=np.int64)
+    # corner (a, xi^e) is the vector (a << 5) | 1 moved by xi^e; the
+    # orbit of a representative moves all three corners by xi^s
+    s = np.arange(f5.order, dtype=np.int64)[None, :, None]
+    tri = mu[(reps[:, None, 1::2] + s) % f5.order, (reps[:, None, 0::2] << 5) | 1]
+    d = Design(n=6, poly=build_field(6).poly, tri=tri.reshape(-1, 3),
                provenance="dataset design6")
     if distinct_row_count(d.tri) != d.triangle_count:
         raise DatasetError("design6 payload corrupt: repeated triangle in orbit expansion")
-    _check_mu_semiregular(f5)
+    _check_mu_semiregular(mu)
     return d
 
 
-def _check_mu_semiregular(f5) -> None:
+def _check_mu_semiregular(mu: np.ndarray) -> None:
     # the multiplier action must not fix any line (all line orbits have
     # full length 31)
-    exp5, log5, ord5 = f5.exp_table, f5.log_table, f5.order
-
-    def mu(s: int, v: int) -> int:
-        low = v & 31
-        if low:
-            low = exp5[(log5[low] + s) % ord5]
-        return (v & 32) | low
-
-    for x in range(1, 64):
-        for y in range(x + 1, 64):
-            if x ^ y <= y:
-                continue
-            pts = {x, y, x ^ y}
-            for s in range(1, ord5):
-                if {mu(s, p) for p in pts} == pts:
-                    raise DatasetError(f"multiplier action fixes line {sorted(pts)}")
+    lines = line_rows(6)
+    fixed = (np.sort(mu[1:, lines], axis=-1) == lines).all(axis=-1).any(axis=0)
+    if fixed.any():
+        line = lines[np.flatnonzero(fixed)[0]]
+        raise DatasetError(f"multiplier action fixes line {line.tolist()}")
 
 
 def _expand_gdd6_2(ds: EmbeddedDataset) -> Gdd:

@@ -93,6 +93,14 @@ def enumerate_line_keys_np(n: int, limit: int | None = None) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
 
+def line_rows(n: int) -> np.ndarray:
+    """All canonical lines of GF(2)^n as an (L, 3) int64 array of sorted
+    points (x, y, x ^ y), in ascending key order."""
+    keys = enumerate_line_keys_np(n)
+    x, y = keys >> n, keys & ((1 << n) - 1)
+    return np.column_stack([x, y, x ^ y])
+
+
 @dataclass(frozen=True)
 class TriangleV:
     """A triangle at the vector level, canonically the sorted corner triple."""

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from tridesign.construct import (ConstructionError, GddStream, ProductLayout,
+from tridesign.construct import (ConstructionError, GddStream,
                                  balanced_extension, fill_groups, gdd_6k_6,
                                  product, product_census, trivial_design)
 from tridesign.designs import (Design, charge_ledger, verify_balanced,
@@ -10,10 +12,74 @@ from tridesign.designs import _line_keys
 from tridesign.lines import Spread
 
 
-def test_product_layout():
-    lay = ProductLayout(6, 6)
-    v = lay.inject_left(5) | lay.inject_right(9)
-    assert lay.split(v) == (5, 9)
+def _tri_sha(d):
+    return hashlib.sha256(d.tri.tobytes()).hexdigest()
+
+
+def _linear_relabel(d, seed):
+    """Image of ``d`` under a seeded invertible GF(2)-linear map."""
+    rng = np.random.default_rng(seed)
+    while True:
+        cols = rng.integers(1, 1 << d.n, size=d.n).tolist()
+        basis = []
+        for c in cols:
+            for b in basis:
+                c = min(c, c ^ b)
+            if c:
+                basis.append(c)
+                basis.sort(reverse=True)
+        if len(basis) == d.n:
+            break
+    v = np.arange(1 << d.n, dtype=np.int64)
+    img = np.zeros(1 << d.n, dtype=np.int64)
+    for bit, col in enumerate(cols):
+        img ^= ((v >> bit) & 1) * col
+    return Design(n=d.n, poly=d.poly, tri=img[d.tri], provenance="relabel")
+
+
+# Triangle arrays and family censuses recorded from the per-triangle
+# family loops that the broadcast-OR builder replaced.
+_PRODUCT_PINS = {
+    "6x6": ("26d104fef27b7e6bd1cace2b66c35bfd903890cc13daa04aa318fb4b4e965e59",
+            {"A": 217, "B": 217, "C": 847602, "D": 41013, "E": 39690, "F": 2646}),
+    "6x1": ("c03965477e9ed12eb1adcc1fbd2a6d60fdf5fcc1bbe163030715603a96e091d8",
+            {"A": 0, "B": 217, "C": 0, "D": 0, "E": 630, "F": 42}),
+    "1x6": ("fd927d84ba45bd5608283ce37bf7a5868354b8cb22bb0fe529ca856f73fce57a",
+            {"A": 0, "B": 217, "C": 0, "D": 0, "E": 630, "F": 42}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PRODUCT_PINS))
+def test_product_pinned_output(case, design6):
+    factors = {"6": design6, "1": trivial_design()}
+    left, right = (factors[c] for c in case.split("x"))
+    out, census = product(left, right, with_census=True)
+    assert (_tri_sha(out), census) == _PRODUCT_PINS[case]
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (None, "a10e81955c59cbab6a5d36a5ea0858df411630e288500979d34afdbc7c37c8d8"),
+    (7, "d1e96fe671a2ba888001b55b1571213afaf99652d7c3e7e25bf4c26579c04b50"),
+])
+def test_balanced_extension_pinned_output(seed, digest, frob7_design):
+    base = frob7_design if seed is None else _linear_relabel(frob7_design, seed)
+    out, trace = balanced_extension(base, return_trace=True)
+    assert _tri_sha(out) == digest
+    expected = {**{v: 2 for v in range(1, 32)}, 32: -31,
+                **{v: -1 for v in range(33, 64)}}
+    assert trace["ledger_after_ABCDE"].as_dict() == expected
+    assert trace["part_b_profile_matched"]
+
+
+def test_product_refuses_unverified_factor(design6):
+    tri = design6.tri.copy()
+    tri[0] = tri[1]
+    bad = Design(n=6, poly=design6.poly, tri=tri)
+    assert not verify_design(bad).ok
+    with pytest.raises(ConstructionError, match="left factor does not verify"):
+        product(bad, design6)
+    with pytest.raises(ConstructionError, match="right factor does not verify"):
+        product(trivial_design(), bad)
 
 
 def test_product_design6_trivial(design6):

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from tridesign.datasets import (DatasetError, EmbeddedDataset, as_certificate,
-                                dataset_names, expand_special, load_dataset)
+from tridesign.datasets import (DatasetError, EmbeddedDataset, _check_mu_semiregular,
+                                as_certificate, dataset_names, expand_special,
+                                load_dataset, multiplier_table)
 from tridesign.designs import verify_balanced, verify_design, verify_gdd
 
 
@@ -80,3 +82,22 @@ def test_all_embedded_datasets_verify(design6, gdd6_2, gdd12_6, frob7_design,
     assert verify_balanced(frob7_design).lam == 42
     assert verify_design(frob13_design).ok
     assert verify_balanced(frob13_design).lam == 2730
+
+
+def test_multiplier_table_matches_scalar_action(f5):
+    mu = multiplier_table(f5)
+    assert mu.shape == (31, 64)
+    for t in range(31):
+        for v in range(64):
+            low = v & 31
+            if low:
+                low = f5.exp_table[(f5.log_table[low] + t) % 31]
+            assert mu[t, v] == (v & 32) | low
+    _check_mu_semiregular(mu)
+
+
+def test_mu_semiregular_refuses_fixed_line(f5):
+    mu = multiplier_table(f5).copy()
+    mu[1] = np.arange(64)
+    with pytest.raises(DatasetError, match=r"fixes line \[1, 2, 3\]"):
+        _check_mu_semiregular(mu)

@@ -176,6 +176,38 @@ def test_cli_construct_error_exit_code(tmp_path, capsys):
     assert "odd" in capsys.readouterr().err
 
 
+def test_cli_construct_product_refuses_unverified_factor(design6, tmp_path, capsys):
+    tri = design6.tri.copy()
+    tri[0] = tri[1]
+    bad, good = tmp_path / "bad.design", tmp_path / "d6.design"
+    write_design(Design(n=6, poly=design6.poly, tri=tri), str(bad))
+    write_design(design6, str(good))
+    out = tmp_path / "d12.design"
+    assert run_cli("--json", "construct", "product", "--left", str(bad),
+                   "--right", str(good), "--out", str(out)) == 2
+    assert "left factor does not verify" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k", "3", "--out", "F", "--count"),
+    ("--k", "2", "--out", "F", "--count"),
+    ("--k", "1", "--sample", "10"),
+])
+def test_cli_gdd6k_usage_checked_before_work(argv, monkeypatch, tmp_path, capsys):
+    from tridesign import construct
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction ran before the usage check")
+
+    monkeypatch.setattr(construct.GddStream, "stream_count", refuse)
+    monkeypatch.setattr(construct, "gdd_6k_6", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("construct", "gdd6k", *argv) == 2
+    assert "--count/--sample" in capsys.readouterr().err
+    assert not (tmp_path / "F").exists()
+
+
 def test_cli_gdd6k_k1(tmp_path, capsys):
     out = tmp_path / "g6.design"
     assert run_cli("construct", "gdd6k", "--k", "1", "--out", str(out)) == 0
