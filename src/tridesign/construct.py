@@ -40,7 +40,9 @@ from typing import Iterator
 import numpy as np
 
 from .datasets import as_certificate, expand_special, load_dataset, multiplier_table
-from .designs import Design, Gdd, charge_ledger, verify_balanced, verify_design, verify_gdd
+from .designs import (MAX_MATERIALIZED_TRIANGLES, Design, Gdd, charge_ledger,
+                      expected_triangle_count, verify_balanced, verify_design,
+                      verify_gdd)
 from .gf2n import FieldCtx, build_field, embed_subfield
 from .orbits import expand_certificate
 from .lines import (PlaneBasis, Spread, canonical_plane_basis, desarguesian_spread,
@@ -207,6 +209,11 @@ def balanced_extension(tm: Design, return_trace: bool = False):
     m = tm.n
     if m < 7 or m % 2 == 0:
         raise ConstructionError(f"left factor dimension {m} must be odd and >= 7")
+    size = expected_triangle_count(m + 6)
+    if size > MAX_MATERIALIZED_TRIANGLES:
+        raise ConstructionError(
+            f"balanced extension to n={m + 6} ({size} triangles) is too large "
+            f"to materialize (limit {MAX_MATERIALIZED_TRIANGLES})")
     if not verify_design(tm).ok:
         raise ConstructionError("left factor does not verify as a design")
     bal = verify_balanced(tm)

@@ -35,6 +35,9 @@ from .lines import (Spread, TriangleV, line_count, enumerate_line_keys_np,
                     validate_spread)
 
 MAX_WITNESSES = 10
+# Largest triangle count a construction or an expansion builds in memory
+# (a (T, 3) int64 array of 50M rows is 1.2 GB, before it is sorted).
+MAX_MATERIALIZED_TRIANGLES = 50_000_000
 
 
 def _normalize_triangles(tri: np.ndarray) -> np.ndarray:

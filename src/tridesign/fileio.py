@@ -260,6 +260,14 @@ def read_design(path: str) -> Design | Gdd:
     count = _header_int(header, "count")
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"design file n = {n} is outside 1..{_MAX_N}")
+    if kind == "gdd":   # checked here, before a field is built for the groups
+        if not 1 <= m <= n or n % m:
+            raise ValueError(f"design file m = {m} is not a divisor of n = {n}")
+        exps = [int(e) for e in header.get("groups", "").split()]
+        per = ((1 << n) - 1) // ((1 << m) - 1)
+        if len(exps) != per or not all(0 <= e < per for e in exps):
+            raise ValueError(f"design file groups: {len(exps)} exponents, expected "
+                             f"{per} in 0..{per - 1} for m = {m}, n = {n}")
     tri = _parse_rows(data, body)
     del data    # the text is not needed while Design sorts the rows
     if count != tri.shape[0]:
@@ -268,7 +276,6 @@ def read_design(path: str) -> Design | Gdd:
         raise ValueError("triangle vector out of range for declared dimension")
     provenance = header.get("provenance", "")
     if kind == "gdd":
-        exps = [int(e) for e in header.get("groups", "").split()]
         groups = _groups_from_exponents(n, poly, m, exps)
         return Gdd(n=n, poly=poly, tri=tri, m=m, groups=groups,
                    provenance=provenance)

@@ -116,13 +116,18 @@ class FieldCtx:
 
     # -- bulk views ----------------------------------------------------------
 
-    def _np(self, name: str) -> np.ndarray:
+    def cached(self, name: str, build) -> np.ndarray:
+        """The read-only array ``build(self)``, built once per field."""
         arr = self._np_cache.get(name)
         if arr is None:
-            arr = np.asarray(getattr(self, name + "_table"), dtype=np.int64)
+            arr = build(self)
             arr.setflags(write=False)
             self._np_cache[name] = arr
         return arr
+
+    def _np(self, name: str) -> np.ndarray:
+        return self.cached(name, lambda ctx: np.asarray(
+            getattr(ctx, name + "_table"), dtype=np.int64))
 
     @property
     def exp_np(self) -> np.ndarray:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, Gdd, distinct_row_count
+from .designs import (MAX_MATERIALIZED_TRIANGLES, Design, Gdd,
+                      distinct_row_count)
 from .gf2n import FieldCtx, build_field
 from .lines import Line, desarguesian_spread
 
@@ -54,18 +55,29 @@ def gamma_key(ctx: FieldCtx, k: int) -> int:
     return gamma(ctx, k)[0]
 
 
+def _build_gamma_table(ctx: FieldCtx) -> np.ndarray:
+    M, z = ctx.order, ctx.zech_np
+    k = np.arange(M, dtype=np.int64)
+    zm = z[-k % M]
+    rows = np.sort(np.column_stack([k, z, zm, M - zm, M - z, M - k]), axis=1)
+    rows[0] = 0
+    return rows
+
+
+def gamma_table(ctx: FieldCtx) -> np.ndarray:
+    """(2^n - 1, 6) array: row k is gamma(k) sorted, built once per field.
+
+    A degenerate row (3k = 0) keeps its repeats, [k, k, k, -k, -k, -k],
+    and row 0 is a sentinel of zeros (gamma is undefined at 0), so
+    ``gamma_table(ctx)[:, 0]`` is the gamma key of every residue.
+    """
+    return ctx.cached("gamma", _build_gamma_table)
+
+
 def cyclotomic_class(n: int, k: int) -> tuple[int, ...]:
     """Orbit of k under doubling mod 2^n - 1, sorted."""
     M = (1 << n) - 1
-    k %= M
-    out = []
-    v = k
-    while True:
-        out.append(v)
-        v = (v * 2) % M
-        if v == k:
-            break
-    return tuple(sorted(out))
+    return tuple(sorted({(k << j) % M for j in range(n)}))
 
 
 def cy_gamma(ctx: FieldCtx, k: int) -> tuple[int, ...]:
@@ -147,16 +159,24 @@ class FrobeniusCertificate:
 
 
 def certificate_from_json_dict(d: dict) -> OrbitCertificate | FrobeniusCertificate:
-    kind = d["kind"]
-    poly = d["poly"]
-    poly = int(poly, 16) if isinstance(poly, str) else int(poly)
-    n = int(d["n"])
-    if kind == "singer":
-        reps = tuple((int(i), int(j)) for i, j in d["reps"])
-        return OrbitCertificate(n=n, m=int(d.get("m", 1)), poly=poly, reps=reps)
-    if kind == "frobenius":
-        pairs = tuple((int(a), int(b)) for a, b in d["pairs"])
-        return FrobeniusCertificate(n=n, poly=poly, pairs=pairs)
+    if not isinstance(d, dict):
+        raise ValueError("certificate must be a JSON object, not a "
+                         f"{type(d).__name__}")
+    try:
+        kind = d["kind"]
+        poly = d["poly"]
+        poly = int(poly, 16) if isinstance(poly, str) else int(poly)
+        n = int(d["n"])
+        if kind == "singer":
+            reps = tuple((int(i), int(j)) for i, j in d["reps"])
+            return OrbitCertificate(n=n, m=int(d.get("m", 1)), poly=poly, reps=reps)
+        if kind == "frobenius":
+            pairs = tuple((int(a), int(b)) for a, b in d["pairs"])
+            return FrobeniusCertificate(n=n, poly=poly, pairs=pairs)
+    except KeyError as e:
+        raise ValueError(f"certificate has no {e.args[0]!r} entry") from None
+    except TypeError as e:
+        raise ValueError(f"malformed certificate entry: {e}") from None
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
@@ -169,21 +189,41 @@ def frobenius_reps(ctx: FieldCtx, pairs) -> list[tuple[int, int]]:
     M = ctx.order
     reps = []
     for a, b in pairs:
-        t = len(cyclotomic_class(ctx.n, a))
-        tb = len(cyclotomic_class(ctx.n, b))
-        tc = len(cyclotomic_class(ctx.n, (a + b) % M))
+        t, tb, tc = (len(cyclotomic_class(ctx.n, x)) for x in (a, b, a + b))
         if not t == tb == tc:
             raise OrbitCollisionError(
                 f"pair ({a},{b}): class sizes differ ({t},{tb},{tc})")
-        p = 1
-        for _ in range(t):
-            reps.append(((a * p) % M, (-b * p) % M))
-            p = (p * 2) % M
+        reps.extend(((a << j) % M, (-b << j) % M) for j in range(t))
     return reps
 
 
-def _rep_keys(ctx: FieldCtx, i: int, j: int) -> tuple[int, int, int]:
-    return (gamma_key(ctx, i), gamma_key(ctx, j), gamma_key(ctx, j - i))
+def exponent_universe(M: int, m: int) -> np.ndarray:
+    """Residues mod M = 2^n - 1 off the spread of m-dimensional groups,
+    i.e. not multiples of M / (2^m - 1); for m = 1 all but 0."""
+    return np.arange(M) % (M // ((1 << m) - 1)) != 0
+
+
+def _rep_lines(ctx: FieldCtx, reps) -> np.ndarray:
+    """(R, 3) line residues i, j, j - i of the reps (i, j)."""
+    r = np.asarray(reps, dtype=np.int64).reshape(-1, 2)
+    lines = np.column_stack([r, r[:, 1] - r[:, 0]]) % ctx.order
+    if not lines.all():
+        i, j = r[np.argmin(lines.all(axis=1))].tolist()
+        raise ValueError(f"rep ({i},{j}): a line has residue 0 (gamma undefined)")
+    return lines
+
+
+def orbit_cover_counts(ctx: FieldCtx, reps) -> np.ndarray:
+    """How often each residue mod 2^n - 1 lies in the gamma-sets of the
+    three lines of the reps (i, j): residues i, j and j - i.
+
+    The reps' 18-sets partition a set of residues exactly when that set
+    counts 1 and every other residue 0.  A degenerate gamma-set counts
+    each of its residues three times, so it never passes for a part.
+    A rep with a repeated corner (a line residue 0) is refused.
+    """
+    rows = gamma_table(ctx)[_rep_lines(ctx, reps)]
+    return np.bincount(rows.ravel(), minlength=ctx.order)
 
 
 def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
@@ -202,7 +242,7 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
     M = (1 << n) - 1
     rep_count = len(cert.pairs) * n if isinstance(cert, FrobeniusCertificate) \
         else len(cert.reps)
-    if rep_count * M > 50_000_000:
+    if rep_count * M > MAX_MATERIALIZED_TRIANGLES:
         raise ValueError(
             f"expansion of {rep_count} orbits over 2^{n}-1 multipliers "
             f"({rep_count * M} triangles) is too large to materialize; "
@@ -215,20 +255,16 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
         reps = [(i % M, j % M) for i, j in cert.reps]
         provenance = f"expand singer n={n} m={m} ({len(reps)} reps)"
 
-    g = M // ((1 << m) - 1) if m > 1 else 1
-    seen_keys: set[int] = set()
-    for i, j in reps:
-        k1, k2, k3 = _rep_keys(ctx, i, j)
-        if len({k1, k2, k3}) != 3:
-            raise OrbitCollisionError(
-                f"rep ({i},{j}): line orbits not distinct (keys {k1},{k2},{k3})")
-        for k in (k1, k2, k3):
-            if m > 1 and k % g == 0:
-                raise ValueError(f"rep ({i},{j}): group line in triangle (key {k})")
-            if k in seen_keys:
-                raise OrbitCollisionError(
-                    f"rep ({i},{j}): orbit collision on key {k}")
-            seen_keys.add(k)
+    counts = orbit_cover_counts(ctx, reps)
+    for bad, error, fault in (
+            ((counts > 0) & ~exponent_universe(M, m), ValueError,
+             "group line in triangle"),
+            (counts > 1, OrbitCollisionError, "orbit collision on")):
+        if bad.any():   # name the first rep with a line on a bad residue
+            rows = gamma_table(ctx)[_rep_lines(ctx, reps)]
+            r, line = divmod(int(np.argmax(bad[rows].any(axis=2))), 3)
+            i, j = reps[r]
+            raise error(f"rep ({i},{j}): {fault} key {rows[r, line, 0]}")
 
     exp = ctx.exp_np
     blocks = []

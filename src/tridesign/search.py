@@ -8,20 +8,28 @@ the squaring automorphism: items become cy_gamma-sets, one stratum
 per 2-cyclotomic class size, and a solution is a pair list (a, b)
 whose combined sweep tiles the exponent ring.
 
+Both read their items from the field's one gamma table
+(``orbits.gamma_table``); the cy_gamma-sets and class sizes come from
+rotating residues, since doubling mod 2^n - 1 is an n-bit rotation.
+One builder, ``_candidate_triples``, produces either problem's
+candidates as an (S, 3) array of item triples with an (S, 2) array of
+witnesses, one numpy block per item, and the exact-cover instance
+holds them as arrays.  Above ``LAZY_STRATUM_THRESHOLD`` items the
+candidates are generated on demand by ``_LazySource`` instead.
+
 Both searches re-check the orbit-level partition on their own output
-before returning a certificate.
+with ``orbits.orbit_cover_counts`` before returning a certificate.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 
 import numpy as np
 
 from .gf2n import FieldCtx, build_field
-from .orbits import (FrobeniusCertificate, OrbitCertificate, cy_gamma, gamma,
-                     frobenius_reps)
+from .orbits import (FrobeniusCertificate, OrbitCertificate, exponent_universe,
+                     frobenius_reps, gamma_table, orbit_cover_counts)
 from .xcover import (CoverSolution, LimitExceeded, Unsatisfiable,
                      XCoverInstance, check_solution, dfs, solve)
 
@@ -68,23 +76,82 @@ def _solved(result: CoverSolution | Unsatisfiable | LimitExceeded, what: str
     return result
 
 
+# -- items and candidate triples ------------------------------------------------
+
+
+def _closure_items(key: np.ndarray, inside: np.ndarray, size: int):
+    """One item per distinct ``key`` of the residues ``inside``: the keys,
+    residue -> item index (-1 outside), and each item's residues sorted,
+    as an (items, size) array."""
+    keys = np.unique(key[inside])
+    owner = np.searchsorted(keys, key[inside])
+    if (np.bincount(owner, minlength=keys.size) != size).any():
+        raise AssertionError(f"a closure set is not {size} residues")
+    item_of = np.full(key.size, -1, dtype=np.int64)
+    item_of[inside] = owner
+    members = np.flatnonzero(inside)[np.argsort(owner, kind="stable")]
+    return keys, item_of, members.reshape(-1, size)
+
+
+def _singer_items(ctx: FieldCtx, m: int):
+    """Gamma-set items off the spread exponents: keys, residue -> item, rows."""
+    return _closure_items(gamma_table(ctx)[:, 0],
+                          exponent_universe(ctx.order, m), 6)
+
+
+def _frobenius_items(ctx: FieldCtx, t: int):
+    """cy_gamma-set items of class size t: residue -> item index (-1 outside
+    the stratum), the gamma row of each item's key and its sorted members.
+
+    cy_gamma(r) is the union of gamma(2^j r) over j, so its key is the
+    least gamma key along the doubling orbit; doubling mod 2^n - 1 is an
+    n-bit rotation.  Class size is constant on a cy_gamma-set.
+    """
+    n, M = ctx.n, ctx.order
+    table = gamma_table(ctx)
+    r = np.arange(M, dtype=np.int64)
+    v = r
+    cy_key = table[:, 0].copy()
+    size = np.zeros(M, dtype=np.int64)
+    for step in range(1, n + 1):
+        v = ((v << 1) | (v >> (n - 1))) & M
+        np.minimum(cy_key, table[v, 0], out=cy_key)
+        size[(size == 0) & (v == r)] = step
+    keys, item_of, members = _closure_items(cy_key, size == t, 6 * t)
+    return item_of, table[keys], members
+
+
+def _candidate_triples(M: int, item_of: np.ndarray, first: np.ndarray,
+                       second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All item triples with a zero-sum witness, as sorted ascending (S, 3)
+    rows, with one witness (s1, s2) each.
+
+    Item a offers the residues ``first[a]`` as s1, a later item p the
+    residues ``second[p]`` as s2, and s3 = -s1 - s2 lies in item
+    ``item_of[s3]`` (-1 outside the problem).  ``first[a]`` and
+    ``second[a + 1:]`` broadcast into one (partner, x, y) block whose C
+    order is the tie-break between witnesses.  A triple a < p < c with a
+    witness from any item has one from a with partner p (permute the
+    residues, or double all three until s1 is in first[a]), and that
+    block comes first: so each triple is taken there, at its first hit.
+    """
+    N = len(first)
+    triples, tags = [np.empty((0, 3), dtype=np.int64)], [np.empty((0, 2), dtype=np.int64)]
+    for a in range(N - 1):
+        s1, s2 = np.broadcast_arrays(first[a], second[a + 1:])
+        third = item_of[(-s1 - s2) % M]
+        hit = np.flatnonzero(third > np.arange(a + 1, N).reshape(-1, 1, 1))
+        block = s1[0].size
+        p = hit // block + a + 1
+        c = third.ravel()[hit]
+        _, at = np.unique(p * N + c, return_index=True)
+        at_hit = hit[at]
+        triples.append(np.column_stack([np.full(at.size, a), p[at], c[at]]))
+        tags.append(np.column_stack([s1.ravel()[at_hit], s2.ravel()[at_hit]]))
+    return np.concatenate(triples), np.concatenate(tags)
+
+
 # -- multiplicative-group (gamma-set) problem -----------------------------------
-
-
-def _gamma_key_table(ctx: FieldCtx, g: int) -> np.ndarray:
-    """key_of[r] = min of gamma(r) for r outside the spread exponents, else -1."""
-    M = ctx.order
-    key_of = np.full(M, -1, dtype=np.int64)
-    for r in range(1, M):
-        if g > 1 and r % g == 0:
-            continue
-        if key_of[r] >= 0:
-            continue
-        gam = gamma(ctx, r)
-        key = gam[0]
-        for s in gam:
-            key_of[s] = key
-    return key_of
 
 
 def singer_problem(ctx: FieldCtx, m: int, verbose: bool = False
@@ -93,52 +160,26 @@ def singer_problem(ctx: FieldCtx, m: int, verbose: bool = False
 
     Candidate subsets are all key triples admitting a zero-sum
     representative; tags carry one witness (s1, s2) per triple for the
-    later conversion to generator reps.
+    later conversion to generator reps.  Witnesses of one triple are
+    ordered by (partner, s2, s1).
     """
-    n = ctx.n
-    M = ctx.order
-    g = M // ((1 << m) - 1) if m > 1 else 1
-    key_of = _gamma_key_table(ctx, g)
-    keys = np.unique(key_of[key_of >= 0])
-    universe = int(np.count_nonzero(key_of >= 0))
-    if keys.size * 6 != universe:
-        raise AssertionError(
-            f"degenerate closure sets in the universe: {keys.size} items "
-            f"over {universe} residues")
-    key_index = np.full(M, -1, dtype=np.int64)
-    key_index[keys] = np.arange(keys.size)
-    gammas = np.array([gamma(ctx, int(k)) for k in keys], dtype=np.int64)
-    _progress(f"gamma items: {keys.size} (universe {universe})", verbose)
-
-    found: dict[int, tuple[int, int]] = {}
-    for a_idx in range(keys.size):
-        s1 = gammas[a_idx]                      # (6,)
-        s2 = gammas[a_idx + 1:]                 # (P, 6)
-        if s2.size == 0:
-            continue
-        s3 = (-s1[None, None, :] - s2[:, :, None]) % M    # (P, 6, 6)
-        k3 = np.where(s3 > 0, key_of[s3], -1)
-        own = keys[a_idx]
-        partner = keys[a_idx + 1:][:, None, None]
-        valid = (k3 >= 0) & (k3 != own) & (k3 != partner)
-        for p, i2, i1 in zip(*np.nonzero(valid)):
-            trip = tuple(sorted((own, int(keys[a_idx + 1 + p]), int(k3[p, i2, i1]))))
-            packed = (trip[0] << 26) | (trip[1] << 13) | trip[2] if n <= 13 else trip
-            if packed not in found:
-                found[packed] = (int(s1[i1]), int(s2[p, i2]))
-    triples = sorted(found)
-    subsets = []
-    tags = []
-    for packed in triples:
-        if isinstance(packed, tuple):
-            trip = packed
-        else:
-            trip = (packed >> 26, (packed >> 13) & 0x1FFF, packed & 0x1FFF)
-        subsets.append(tuple(sorted(int(key_index[k]) for k in trip)))
-        tags.append(found[packed])
+    keys, item_of, rows = _singer_items(ctx, m)
+    _progress(f"gamma items: {keys.size} (universe {6 * keys.size})", verbose)
+    subsets, tags = _candidate_triples(ctx.order, item_of, rows[:, None, :],
+                                       rows[:, :, None])
     _progress(f"candidate triples: {len(subsets)}", verbose)
     inst = XCoverInstance(n_items=keys.size, subsets=subsets, tags=tags)
-    return inst, [int(k) for k in keys]
+    return inst, keys.tolist()
+
+
+def _check_partition(ctx: FieldCtx, reps, m: int) -> None:
+    """The reps' 18-sets must tile the exponent universe exactly."""
+    counts = orbit_cover_counts(ctx, reps)
+    bad = np.flatnonzero(counts != exponent_universe(ctx.order, m))
+    if bad.size:
+        r = int(bad[0])
+        raise AssertionError(f"orbit partition covers residue {r} "
+                             f"{counts[r]} times")
 
 
 def search_singer(n: int, m: int, node_limit: int | None = None,
@@ -152,16 +193,11 @@ def search_singer(n: int, m: int, node_limit: int | None = None,
                          "not divisible by 6, no invariant design exists")
     ctx = build_field(n)
     M = ctx.order
-    g = M // ((1 << m) - 1) if m > 1 else 1
-    kbar_size = (M - 1) - (M // g - 1 if g > 1 else 0)
-    n_items = kbar_size // 6
     what = f"search (n={n}, m={m})"
-    if n_items > LAZY_STRATUM_THRESHOLD:
-        key_of = _gamma_key_table(ctx, g)
-        keys = sorted(int(k) for k in np.unique(key_of[key_of >= 0]))
-        gammas = {k: np.array(gamma(ctx, k), dtype=np.int64) for k in keys}
-        _progress(f"gamma items: {len(keys)}, lazy search", verbose)
-        sol = _solved(dfs(_LazySource(M, keys, key_of, gammas, gammas),
+    if ((1 << n) - (1 << m)) // 6 > LAZY_STRATUM_THRESHOLD:
+        keys, item_of, rows = _singer_items(ctx, m)
+        _progress(f"gamma items: {keys.size}, lazy search", verbose)
+        sol = _solved(dfs(_LazySource(M, item_of, rows, rows),
                           node_limit=node_limit, time_limit=time_limit), what)
         witnesses = [pair for _, pair in sol.chosen]
     else:
@@ -169,27 +205,12 @@ def search_singer(n: int, m: int, node_limit: int | None = None,
         sol = _solved(solve(inst, node_limit=node_limit, time_limit=time_limit),
                       what)
         assert check_solution(inst, sol)
-        witnesses = [inst.tags[s] for s in sol.chosen]
+        witnesses = inst.tags[list(sol.chosen)].tolist()
     _progress(f"solved in {sol.nodes} nodes", verbose)
     reps = sorted((s1, (s1 + s2) % M) for s1, s2 in witnesses)
     cert = OrbitCertificate(n=n, m=m, poly=ctx.poly, reps=tuple(reps))
-    _verify_singer_partition(ctx, m, cert)
+    _check_partition(ctx, cert.reps, m)
     return cert
-
-
-def _verify_singer_partition(ctx: FieldCtx, m: int, cert: OrbitCertificate) -> None:
-    M = ctx.order
-    g = M // ((1 << m) - 1) if m > 1 else 1
-    covered: set[int] = set()
-    for i, j in cert.reps:
-        for k in (i, j, (j - i) % M):
-            gam = gamma(ctx, k)
-            if covered.intersection(gam):
-                raise AssertionError(f"orbit partition overlap at rep ({i},{j})")
-            covered.update(gam)
-    universe = {r for r in range(1, M) if g == 1 or r % g}
-    if covered != universe:
-        raise AssertionError("orbit partition does not cover the exponent universe")
 
 
 # -- multiplicative + squaring (cy_gamma) problem -------------------------------
@@ -198,32 +219,14 @@ def _verify_singer_partition(ctx: FieldCtx, m: int, cert: OrbitCertificate) -> N
 def frobenius_strata(n: int) -> dict[int, int]:
     """Number of 2-cyclotomic classes of each size t dividing n.
 
-    Counted arithmetically (no enumeration): residues whose class size
-    divides t number 2^gcd(n,t) - 1, and Moebius inversion over the
-    divisors of n isolates the exact-size counts.
+    Counted arithmetically (no enumeration): the residues whose class
+    size divides t are the 2^t - 1 of the subfield GF(2^t), and taking
+    away those of the smaller subfields leaves the exact-size counts.
     """
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    size_le = {t: (1 << math.gcd(n, t)) - 1 for t in divisors}
-
-    def moebius(x: int) -> int:
-        out, rem, p = 1, x, 2
-        while p * p <= rem:
-            if rem % p == 0:
-                rem //= p
-                if rem % p == 0:
-                    return 0
-                out = -out
-            p += 1
-        if rem > 1:
-            out = -out
-        return out
-
-    strata = {}
-    for t in divisors:
-        total = sum(moebius(t // d) * size_le[d] for d in divisors if t % d == 0)
-        if total:
-            strata[t] = total // t
-    return strata
+    exact: dict[int, int] = {}
+    for t in (d for d in range(1, n + 1) if n % d == 0):
+        exact[t] = (1 << t) - 1 - sum(c for d, c in exact.items() if t % d == 0)
+    return {t: c // t for t, c in exact.items()}
 
 
 def frobenius_problem(ctx: FieldCtx, t: int, verbose: bool = False
@@ -231,47 +234,17 @@ def frobenius_problem(ctx: FieldCtx, t: int, verbose: bool = False
     """Exact-cover instance over the cy_gamma-sets of class size t.
 
     A candidate is a key triple {K(a), K(b), K(a+b)} of pairwise
-    distinct cy_gamma-sets inside the stratum; the witness pair (a, b)
-    rides along as the tag.
+    distinct cy_gamma-sets inside the stratum, with a in the gamma-set
+    of the first key and b anywhere in the second set; the witness pair
+    (a, b) rides along as the tag.  Witnesses of one triple are ordered
+    by (partner, a, b).
     """
-    M = ctx.order
-    stratum_keys, key_of, gamma_of_key, members = _stratum_tables(ctx, t)
-    key_index = {k: i for i, k in enumerate(stratum_keys)}
-    _progress(f"stratum t={t}: {len(stratum_keys)} cy-gamma items", verbose)
-
-    found: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for ka in stratum_keys:
-        ga = gamma_of_key[ka]                              # (6,)
-        for kb in stratum_keys:
-            if kb <= ka:
-                continue
-            mb = members[kb]                               # (6t,)
-            s3 = (-ga[:, None] - mb[None, :]) % M          # (6, 6t)
-            k3 = np.where(s3 > 0, key_of[s3], -1)
-            valid = (k3 >= 0) & (k3 != ka) & (k3 != kb)
-            for i1, i2 in zip(*np.nonzero(valid)):
-                kc = int(k3[i1, i2])
-                if kc not in key_index:
-                    continue  # witness sum lands outside the stratum
-                trip = tuple(sorted((ka, kb, kc)))
-                if trip not in found:
-                    found[trip] = (int(ga[i1]), int(mb[i2]))
-    subsets, tags = [], []
-    for trip in sorted(found):
-        subsets.append(tuple(sorted(key_index[k] for k in trip)))
-        tags.append(found[trip])
+    item_of, first, members = _frobenius_items(ctx, t)
+    _progress(f"stratum t={t}: {len(first)} cy-gamma items", verbose)
+    subsets, tags = _candidate_triples(ctx.order, item_of, first[:, :, None],
+                                       members[:, None, :])
     _progress(f"stratum t={t}: {len(subsets)} candidate triples", verbose)
-    return XCoverInstance(n_items=len(stratum_keys), subsets=subsets, tags=tags)
-
-
-def _class_size(n: int, k: int) -> int:
-    M = (1 << n) - 1
-    v = (2 * k) % M
-    size = 1
-    while v != k:
-        v = (2 * v) % M
-        size += 1
-    return size
+    return XCoverInstance(n_items=len(first), subsets=subsets, tags=tags)
 
 
 # Above this many items the candidate triples are not materialized
@@ -282,87 +255,59 @@ def _class_size(n: int, k: int) -> int:
 LAZY_STRATUM_THRESHOLD = 1000
 
 
-def _stratum_tables(ctx: FieldCtx, t: int):
-    """cy_gamma keys of class size t, plus lookup tables for the solver."""
-    n, M = ctx.n, ctx.order
-    key_of = np.full(M, -1, dtype=np.int64)
-    stratum_keys: list[int] = []
-    gamma_of_key: dict[int, np.ndarray] = {}
-    members: dict[int, np.ndarray] = {}
-    for r in range(1, M):
-        if key_of[r] >= 0:
-            continue
-        cg = cy_gamma(ctx, r)
-        key = cg[0]
-        arr = np.array(cg, dtype=np.int64)
-        for s in cg:
-            key_of[s] = key
-        if _class_size(n, r) == t:
-            stratum_keys.append(key)
-            gamma_of_key[key] = np.array(gamma(ctx, key), dtype=np.int64)
-            members[key] = arr
-    stratum_keys.sort()
-    return stratum_keys, key_of, gamma_of_key, members
-
-
 class _LazySource:
     """First-fit candidate source over lazily generated triples.
 
-    The item is the smallest uncovered key; a cursor per open node
-    remembers where the scan for it stopped, since covering only ever
-    moves it forward.  Candidates for a key are produced in ascending
-    (partner, third-key) order as ``((k1, k2, k3), (a, b))``, so the
-    search is as deterministic as the materialized one.  The triple set
-    is dense enough that the first fit almost always extends;
-    backtracking handles the rare dead end.
+    Items are indexed as in ``_candidate_triples``: item a offers the
+    residues ``first[a]``, a partner p the residues ``second[p]``, and
+    ``item_of`` names the item of each residue (-1 outside the problem).
+    The item branched on is the smallest uncovered one; a cursor per
+    open node remembers where the scan for it stopped, since covering
+    only ever moves it forward.  Candidates for an item are produced in
+    ascending (partner, third item) order as ``((a, p, c), (s1, s2))``,
+    each with its least witness, so the search is as deterministic as
+    the materialized one.  The triple set is dense enough that the first
+    fit almost always extends; backtracking handles the rare dead end.
     """
 
-    def __init__(self, M: int, keys: list[int], key_of: np.ndarray,
-                 gamma_of_key: dict[int, np.ndarray],
-                 members: dict[int, np.ndarray]):
+    def __init__(self, M: int, item_of: np.ndarray, first: np.ndarray,
+                 second: np.ndarray):
         self.M = M
-        self.keys = keys
-        self.key_of = key_of
-        self.gamma_of_key = gamma_of_key
-        self.members = members
-        self.covered: set[int] = set()
+        self.item_of = item_of
+        self.first = first
+        self.second = second
+        self.covered = np.zeros(len(first), dtype=bool)
         self.cursor = [0]
 
     def next_item(self) -> int | None:
-        keys, pos = self.keys, self.cursor[-1]
-        while pos < len(keys) and keys[pos] in self.covered:
+        covered, pos = self.covered, self.cursor[-1]
+        while pos < covered.size and covered[pos]:
             pos += 1
         self.cursor[-1] = pos
-        return keys[pos] if pos < len(keys) else None
+        return pos if pos < covered.size else None
 
-    def candidates(self, k1: int):
-        M, covered, members = self.M, self.covered, self.members
-        g1 = self.gamma_of_key[k1]
-        seen: set[tuple[int, int]] = set()
-        for k2 in self.keys:
-            if k2 == k1 or k2 in covered:
+    def candidates(self, a: int):
+        covered = self.covered
+        s1 = self.first[a][:, None]
+        for p in range(a + 1, covered.size):    # items before a are covered
+            if covered[p]:
                 continue
-            mb = members[k2]
-            s3 = (-g1[:, None] - mb[None, :]) % M
-            k3s = np.where(s3 > 0, self.key_of[s3], -1)
-            hits = np.nonzero((k3s >= 0) & (k3s != k1) & (k3s != k2))
-            options = sorted(
-                {(int(k3s[i, j]), int(g1[i]), int(mb[j]))
-                 for i, j in zip(*hits)
-                 if int(k3s[i, j]) in members and int(k3s[i, j]) not in covered
-                 and int(k3s[i, j]) > k2})
-            for k3, a, b in options:
-                if (k2, k3) in seen:
-                    continue
-                seen.add((k2, k3))
-                yield (k1, k2, k3), (a, b)
+            s2 = self.second[p]
+            third = self.item_of[(-s1 - s2) % self.M]
+            hit = third > p
+            hit[hit] = ~covered[third[hit]]
+            flat = np.flatnonzero(hit)
+            cs, at = np.unique(third.ravel()[flat], return_index=True)
+            i, j = np.divmod(flat[at], s2.size)
+            for c, x, y in zip(cs.tolist(), s1[i, 0].tolist(), s2[j].tolist()):
+                yield (a, p, c), (x, y)
 
     def cover(self, cand) -> None:
-        self.covered.update(cand[0])
+        self.covered[list(cand[0])] = True
         self.cursor.append(self.cursor[-1])
 
     def uncover(self, cand) -> None:
-        self.covered.difference_update(cand[0])
+        self.covered[list(cand[0])] = False
         self.cursor.pop()
 
 
@@ -391,16 +336,13 @@ def search_frobenius(n: int, node_limit: int | None = None,
         expected = strata[t] // 18 * 3
         what = f"stratum t={t}"
         if expected > LAZY_STRATUM_THRESHOLD:
-            stratum_keys, key_of, gamma_of_key, members = _stratum_tables(ctx, t)
-            if len(stratum_keys) != expected:
+            item_of, first, members = _frobenius_items(ctx, t)
+            if len(first) != expected:
                 raise AssertionError(
-                    f"stratum t={t}: {len(stratum_keys)} items, "
-                    f"expected {expected}")
+                    f"stratum t={t}: {len(first)} items, expected {expected}")
             _progress(f"stratum t={t}: {expected} items, lazy search", verbose)
-            source = _LazySource(ctx.order, stratum_keys, key_of, gamma_of_key,
-                                 members)
-            sol = _solved(dfs(source, node_limit=node_limit,
-                              time_limit=time_limit), what)
+            sol = _solved(dfs(_LazySource(ctx.order, item_of, first, members),
+                              node_limit=node_limit, time_limit=time_limit), what)
             pairs.extend(pair for _, pair in sol.chosen)
         else:
             inst = frobenius_problem(ctx, t, verbose=verbose)
@@ -410,22 +352,9 @@ def search_frobenius(n: int, node_limit: int | None = None,
             sol = _solved(solve(inst, node_limit=node_limit,
                                 time_limit=time_limit), what)
             assert check_solution(inst, sol)
-            pairs.extend(inst.tags[s] for s in sol.chosen)
+            pairs.extend(map(tuple, inst.tags[list(sol.chosen)].tolist()))
         _progress(f"stratum t={t} solved in {sol.nodes} nodes", verbose)
     pairs.sort()
     cert = FrobeniusCertificate(n=n, poly=ctx.poly, pairs=tuple(pairs))
-    _verify_frobenius_partition(ctx, cert)
+    _check_partition(ctx, frobenius_reps(ctx, cert.pairs), 1)
     return cert
-
-
-def _verify_frobenius_partition(ctx: FieldCtx, cert: FrobeniusCertificate) -> None:
-    M = ctx.order
-    covered: set[int] = set()
-    for i, j in frobenius_reps(ctx, cert.pairs):
-        for k in (i, j, (j - i) % M):
-            gam = gamma(ctx, k)
-            if covered.intersection(gam):
-                raise AssertionError(f"orbit partition overlap at rep ({i},{j})")
-            covered.update(gam)
-    if covered != set(range(1, M)):
-        raise AssertionError("orbit partition does not cover Z_{2^n-1} minus 0")

@@ -10,11 +10,11 @@ counting, the node and time limits and the result types; a node is
 one item branched on.
 
 ``solve`` runs it over a materialized instance: items are contiguous
-indices, candidate subsets are sorted index lists of any sizes with an
-opaque tag each.  Selection is minimum remaining candidates, ties
-broken by lowest item index, subsets tried in ascending index order,
-so two runs on the same instance produce identical solutions and node
-counts.
+indices, candidate subsets are ascending index rows (one (S, k) array,
+or tuples of any sizes) with an opaque tag each.  Selection is minimum
+remaining candidates, ties broken by lowest item index, subsets tried
+in ascending index order, so two runs on the same instance produce
+identical solutions and node counts.
 """
 
 from __future__ import annotations
@@ -22,34 +22,62 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 
 @dataclass
 class XCoverInstance:
+    """``subsets`` is kept as given; ``__post_init__`` validates it and
+    holds its items as one CSR map, ``sub_items[sub_ptr[s]:sub_ptr[s + 1]]``."""
+
     n_items: int
-    subsets: list[tuple[int, ...]]
-    tags: list = field(default_factory=list)
+    subsets: Sequence
+    tags: Sequence = field(default_factory=list)
+    sub_ptr: np.ndarray = field(init=False, repr=False)
+    sub_items: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.tags:
-            self.tags = list(range(len(self.subsets)))
-        if len(self.tags) != len(self.subsets):
+        S = len(self.subsets)
+        if len(self.tags) == 0:
+            self.tags = list(range(S))
+        if len(self.tags) != S:
             raise ValueError("one tag per subset required")
-        norm = []
-        for s_idx, s in enumerate(self.subsets):
-            t = tuple(s)
-            if not t:
-                raise ValueError(f"subset {s_idx} is empty")
-            if any(i < 0 or i >= self.n_items for i in t):
-                raise ValueError(f"subset {s_idx} has out-of-range items")
-            if len(set(t)) != len(t):
-                raise ValueError(f"subset {s_idx} has duplicate items")
-            if list(t) != sorted(t):
-                raise ValueError(f"subset {s_idx} is not sorted")
-            norm.append(t)
-        self.subsets = norm
+        if isinstance(self.subsets, np.ndarray) and self.subsets.ndim == 2:
+            lens = np.full(S, self.subsets.shape[1], dtype=np.int64)
+            items = self.subsets.ravel()
+        else:
+            lens = np.fromiter(map(len, self.subsets), dtype=np.int64, count=S)
+            items = np.fromiter(itertools.chain.from_iterable(self.subsets),
+                                dtype=np.int64, count=int(lens.sum()))
+        self.sub_ptr = np.concatenate(([0], np.cumsum(lens)))
+        step = np.diff(items, prepend=0)
+        step[self.sub_ptr[:-1][lens > 0]] = 1    # a subset's first item
+
+        def first(bad_item):    # the first subset holding a flagged item
+            return (int(np.searchsorted(self.sub_ptr, np.argmax(bad_item), "right"))
+                    - 1 if bad_item.any() else S)
+
+        s_idx, _, fault = min(
+            (int(np.argmax(lens == 0)) if (lens == 0).any() else S, 0, "is empty"),
+            (first((items < 0) | (items >= self.n_items)), 1,
+             "has out-of-range items"),
+            (first(step == 0), 2, "has duplicate items"),
+            (first(step < 0), 3, "is not sorted"))
+        if s_idx < S:
+            raise ValueError(f"subset {s_idx} {fault}")
+        # int32 items halve the transient arrays of the solver's build,
+        # which sets the search's peak memory on ~1.3M-subset instances
+        self.sub_items = items.astype(np.int32)
+
+    def items_of(self, subs: np.ndarray) -> np.ndarray:
+        """The items of the subsets ``subs``, concatenated in that order."""
+        starts = self.sub_ptr[subs]
+        lens = self.sub_ptr[subs + 1] - starts
+        offsets = np.cumsum(lens) - lens
+        return self.sub_items[np.repeat(starts - offsets, lens)
+                              + np.arange(int(lens.sum()))]
 
 
 @dataclass(frozen=True)
@@ -71,13 +99,9 @@ class LimitExceeded:
 
 def check_solution(inst: XCoverInstance, sol: CoverSolution) -> bool:
     """Independent disjointness/coverage check."""
-    seen: set[int] = set()
-    for s in sol.chosen:
-        items = inst.subsets[s]
-        if seen.intersection(items):
-            return False
-        seen.update(items)
-    return seen == set(range(inst.n_items))
+    chosen = np.asarray(sol.chosen, dtype=np.int64)
+    counts = np.bincount(inst.items_of(chosen), minlength=inst.n_items)
+    return bool((counts == 1).all())
 
 
 def dfs(source, node_limit: int | None = None, time_limit: float | None = None
@@ -116,21 +140,16 @@ def dfs(source, node_limit: int | None = None, time_limit: float | None = None
 
 
 class _CsrSource:
-    """Subsets of an instance as two CSR maps: subset -> items and
-    item -> subsets (ascending), with active flags and live counts."""
+    """An instance's subset -> items map plus the inverse item -> subsets
+    map (ascending), with active flags and live counts."""
 
     def __init__(self, inst: XCoverInstance):
-        # int32 indices halve the transient arrays of this build, which
-        # sets the search's peak memory on ~1.3M-subset instances
         S, n = len(inst.subsets), inst.n_items
-        lens = np.fromiter(map(len, inst.subsets), dtype=np.int64, count=S)
-        self.sub_ptr = np.zeros(S + 1, dtype=np.int64)
-        np.cumsum(lens, out=self.sub_ptr[1:])
-        self.sub_items = np.fromiter(itertools.chain.from_iterable(inst.subsets),
-                                     dtype=np.int32, count=int(self.sub_ptr[-1]))
-        owner = np.repeat(np.arange(S, dtype=np.int32), lens)
-        del lens
+        self.inst = inst
+        self.sub_ptr, self.sub_items = inst.sub_ptr, inst.sub_items
+        owner = np.repeat(np.arange(S, dtype=np.int32), np.diff(self.sub_ptr))
         self.item_subs = owner[np.argsort(self.sub_items, kind="stable")]
+        del owner
         self.count = np.bincount(self.sub_items, minlength=n)
         self.item_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.count, out=self.item_ptr[1:])
@@ -144,13 +163,6 @@ class _CsrSource:
 
     def _subs(self, item: int) -> np.ndarray:
         return self.item_subs[self.item_ptr[item]:self.item_ptr[item + 1]]
-
-    def _items_of_all(self, subs: np.ndarray) -> np.ndarray:
-        starts = self.sub_ptr[subs]
-        lens = self.sub_ptr[subs + 1] - starts
-        offsets = np.cumsum(lens) - lens
-        return self.sub_items[np.repeat(starts - offsets, lens)
-                              + np.arange(int(lens.sum()))]
 
     def next_item(self) -> int | None:
         if self.covered.all():
@@ -167,14 +179,14 @@ class _CsrSource:
         touched = np.unique(np.concatenate([self._subs(i) for i in items.tolist()]))
         deact = touched[self.active[touched]]
         self.active[deact] = False
-        self.count -= np.bincount(self._items_of_all(deact), minlength=self.n_items)
+        self.count -= np.bincount(self.inst.items_of(deact), minlength=self.n_items)
         self.covered[items] = True
         self.trail.append(deact)
 
     def uncover(self, s: int) -> None:
         deact = self.trail.pop()
         self.covered[self._items(s)] = False
-        self.count += np.bincount(self._items_of_all(deact), minlength=self.n_items)
+        self.count += np.bincount(self.inst.items_of(deact), minlength=self.n_items)
         self.active[deact] = True
 
 

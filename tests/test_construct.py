@@ -9,6 +9,7 @@ from tridesign.construct import (ConstructionError, GddStream,
 from tridesign.designs import (Design, charge_ledger, verify_balanced,
                                verify_design, verify_gdd)
 from tridesign.designs import _line_keys
+from tridesign.gf2n import build_field
 from tridesign.lines import Spread
 
 
@@ -136,6 +137,14 @@ def test_balanced_extension_rejects_broken_input(frob7_design):
     broken = Design(n=7, poly=frob7_design.poly, tri=frob7_design.tri[:-1])
     with pytest.raises(ConstructionError, match="verify"):
         balanced_extension(broken)
+
+
+def test_balanced_extension_size_guard_runs_first():
+    # 13 + 6 would be ~15.3e9 triangles: refused before the input is checked
+    empty = Design(n=13, poly=build_field(13).poly,
+                   tri=np.empty((0, 3), dtype=np.int64))
+    with pytest.raises(ConstructionError, match="too large"):
+        balanced_extension(empty)
 
 
 def test_gdd_tower_k1():

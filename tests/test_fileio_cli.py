@@ -94,6 +94,31 @@ def test_cli_gamma_json(capsys):
     assert len(payload["cy_gamma"]) == 42
 
 
+def test_cli_gamma_builds_no_table(capsys):
+    from tridesign.gf2n import build_field
+    assert run_cli("gamma", "--n", "11", "--k", "5") == 0
+    assert "gamma" not in build_field(11)._np_cache
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"n": 7, "poly": "0x83", "pairs": [[1, 9]]}, "no 'kind' entry"),
+    ({"kind": "frobenius", "n": 7, "poly": "0x83"}, "no 'pairs' entry"),
+    ([{"kind": "frobenius", "n": 7, "poly": "0x83", "pairs": [[1, 9]]}],
+     "JSON object, not a list"),
+    ({"kind": "frobenius", "n": 7, "poly": "0x83", "pairs": [1, 9]},
+     "malformed certificate entry"),
+    ({"kind": "singer", "n": 7, "poly": [131], "reps": [[1, 9]]},
+     "malformed certificate entry"),
+])
+def test_cli_expand_refuses_malformed_certificate(payload, message, tmp_path,
+                                                  capsys):
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(payload))
+    assert run_cli("expand", "--cert", str(cert),
+                   "--out", str(tmp_path / "d.design")) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_pipeline_and_schema(tmp_path, capsys):
     cert = tmp_path / "c.json"
     design = tmp_path / "d.design"
@@ -234,6 +259,48 @@ def test_out_of_range_vector_rejected(tmp_path):
                  "poly: 0xb\ncount: 1\ntriangles:\n1 2 ff\n")
     with pytest.raises(ValueError, match="range"):
         read_design(str(p))
+
+
+def _gdd_header_variant(text: str, **fields) -> str:
+    """``text`` with the header lines named in ``fields`` given new values."""
+    keys = [line.partition(":")[0] for line in text.split("\n")]
+    return "\n".join(f"{key}: {fields[key]}" if key in fields else line
+                     for key, line in zip(keys, text.split("\n")))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"m": "0"}, "m = 0 is not a divisor of n = 6"),
+    ({"m": "7"}, "m = 7 is not a divisor of n = 6"),
+    ({"m": "4"}, "m = 4 is not a divisor of n = 6"),
+    ({"groups": " ".join(map(str, range(20)))}, "20 exponents, expected 21"),
+    ({"groups": " ".join(map(str, range(1, 22)))}, "expected 21 in 0..20"),
+    ({"groups": "-1 " + " ".join(map(str, range(1, 21)))}, "expected 21 in 0..20"),
+])
+def test_gdd_header_checked_before_field(fields, message, gdd6_2, tmp_path,
+                                         capsys):
+    from tridesign.gf2n import _build_field_cached
+    p = tmp_path / "g.design"
+    write_design(gdd6_2, str(p))
+    p.write_text(_gdd_header_variant(p.read_text(), **fields))
+    before = _build_field_cached.cache_info().currsize
+    with pytest.raises(ValueError, match=message):
+        read_design(str(p))
+    assert run_cli("verify", "--in", str(p)) == 2
+    assert message in capsys.readouterr().err
+    assert _build_field_cached.cache_info().currsize == before
+
+
+def test_gdd_header_of_huge_field_refused_without_tables(tmp_path):
+    # 2^28 - 1 residues would take gigabytes of Python tables; the group
+    # count check refuses the file first
+    from tridesign.gf2n import DEFAULT_POLYS, _build_field_cached
+    p = tmp_path / "g.design"
+    p.write_text(f"tridesign-design v1\nkind: gdd\nn: 28\nm: 2\n"
+                 f"poly: {hex(DEFAULT_POLYS[28])}\ncount: 0\ngroups: 0\n"
+                 "triangles:\n")
+    before = _build_field_cached.cache_info().currsize
+    assert run_cli("verify", "--in", str(p)) == 2
+    assert _build_field_cached.cache_info().currsize == before
 
 
 _SMALL_DESIGN = ("tridesign-design v1\nkind: design\nn: 3\nm: 1\n"

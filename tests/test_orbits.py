@@ -5,11 +5,12 @@ from tridesign.datasets import as_certificate, load_dataset
 from tridesign.designs import verify_design
 from tridesign.gf2n import _build_field_cached, build_field
 from tridesign.lines import canonical_line
-from tridesign.orbits import (OrbitCertificate,
+from tridesign.orbits import (FrobeniusCertificate, OrbitCertificate,
                               OrbitCollisionError, certificate_from_json_dict,
                               cy_gamma, cyclotomic_class, expand_certificate,
-                              frobenius_reps, gamma, gamma_key,
-                              is_triangle_orbit, orbit_key_of_line)
+                              frobenius_reps, gamma, gamma_key, gamma_table,
+                              is_triangle_orbit, orbit_cover_counts,
+                              orbit_key_of_line)
 
 
 def gamma_oracle(ctx, k):
@@ -196,3 +197,99 @@ def test_orbit_key_degenerate_line(f6):
     key = orbit_key_of_line(f6, line)
     assert key == 21
     assert gamma(f6, key) == (21, 42)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 12, 13])
+def test_gamma_table_matches_scalar_gamma(n):
+    ctx = build_field(n)
+    table = gamma_table(ctx)
+    assert table.shape == (ctx.order, 6)
+    assert not table[0].any()   # sentinel row
+    degenerate = 0
+    for k in range(1, ctx.order):
+        row = tuple(table[k].tolist())
+        if 3 * k % ctx.order:
+            assert row == gamma(ctx, k)
+        else:   # {k, -k}, each three times
+            degenerate += 1
+            assert row == tuple(sorted(gamma(ctx, k) * 3))
+    assert degenerate == (2 if n % 2 == 0 else 0)
+    assert gamma_table(ctx) is table   # cached with the field
+
+
+def _set_verdict(ctx, reps, universe):
+    """Independent set-based partition check with the scalar gamma."""
+    M = ctx.order
+    covered = set()
+    for i, j in reps:
+        if i % M == 0 or j % M == 0 or (j - i) % M == 0:
+            return "zero"
+        for k in (i, j, j - i):
+            gam = set(gamma(ctx, k))
+            if covered & gam:
+                return "overlap"
+            covered |= gam
+    if covered - universe:
+        return "outside"
+    return "exact" if covered == universe else "short"
+
+
+def _count_verdict(ctx, reps, universe):
+    try:
+        counts = orbit_cover_counts(ctx, reps)
+    except ValueError:
+        return "zero"
+    inside = np.zeros(ctx.order, dtype=bool)
+    inside[list(universe)] = True
+    if counts.max() > 1:
+        return "overlap"
+    if counts[~inside].any():
+        return "outside"
+    return "exact" if counts[inside].all() else "short"
+
+
+@pytest.mark.parametrize("name", ["frob7", "frob13", "gdd12-6"])
+def test_orbit_cover_counts_agree_with_set_reference(name):
+    cert = as_certificate(load_dataset(name))
+    ctx = build_field(cert.n, cert.poly)
+    M = ctx.order
+    if isinstance(cert, FrobeniusCertificate):
+        reps = frobenius_reps(ctx, cert.pairs)
+        universe = set(range(1, M))
+    else:
+        reps = list(cert.reps)
+        g = M // ((1 << cert.m) - 1)
+        universe = {r for r in range(1, M) if r % g}
+    i0, j0 = reps[0]
+    mutants = {
+        "intact": reps,
+        "dropped": reps[1:],
+        "duplicated": reps + [reps[0]],
+        "zero_i": [(0, j0)] + reps[1:],
+        "i_equals_j": [(i0, i0)] + reps[1:],
+        "degenerate": [(1, ctx.zech(1))] + reps[1:],
+    }
+    if isinstance(cert, OrbitCertificate):
+        mutants["group_line"] = [(g, j0)] + reps[1:]
+        # a triangle inside one group: three distinct group-line orbits
+        q = (1 << cert.m) - 1
+        inner = next((g * a, g * b) for a in range(1, q) for b in range(1, q)
+                     if (b - a) % q and len({gamma_key(ctx, g * a),
+                                              gamma_key(ctx, g * b),
+                                              gamma_key(ctx, g * (b - a))}) == 3)
+        mutants["group_triangle"] = reps[1:] + [inner]
+    verdicts = {kind: _set_verdict(ctx, r, universe)
+                for kind, r in mutants.items()}
+    assert verdicts["intact"] == "exact"
+    assert verdicts["dropped"] == "short"
+    assert verdicts["duplicated"] == "overlap"
+    assert verdicts["zero_i"] == verdicts["i_equals_j"] == "zero"
+    assert verdicts.get("group_triangle", "outside") == "outside"
+    for kind, r in mutants.items():
+        assert _count_verdict(ctx, r, universe) == verdicts[kind], kind
+
+
+def test_expand_refuses_repeated_corner(f7):
+    cert = OrbitCertificate(n=7, m=1, poly=f7.poly, reps=((1, 9), (5, 5)))
+    with pytest.raises(ValueError, match=r"rep \(5,5\).*residue 0"):
+        expand_certificate(cert)

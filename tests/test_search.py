@@ -1,13 +1,18 @@
+import hashlib
 import itertools
 import sys
+
+import numpy as np
 
 import pytest
 
 from tridesign.designs import verify_design, verify_gdd
+from tridesign.gf2n import build_field
 from tridesign.orbits import (cy_gamma_key, expand_certificate, gamma_key,
                               is_triangle_orbit)
-from tridesign.search import (InfeasibleStratumError, frobenius_strata,
-                              search_frobenius, search_singer, singer_problem)
+from tridesign.search import (InfeasibleStratumError, frobenius_problem,
+                              frobenius_strata, search_frobenius, search_singer,
+                              singer_problem)
 
 
 def test_frobenius_strata_counts():
@@ -190,3 +195,36 @@ def test_time_limit_zero_stops_at_once(monkeypatch, threshold):
     with pytest.raises(S.SearchLimitExceeded, match="time limit") as exc:
         S.search_frobenius(13, time_limit=0)
     assert exc.value.result.nodes == 1
+
+
+def _sha(values):
+    arr = np.ascontiguousarray(np.asarray(values, dtype=np.int64))
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+# sha256 of the candidate subsets and witness tags as int64 rows; tags
+# feed the certificates, so a new tie-break between witnesses shows here
+PINNED_PROBLEMS = {
+    (7, 1): (910,
+             "de0b1c81cbfea6576803a4bf61103b505fe1820d79cf8c2bfa2af5082016dc40",
+             "1aa836ba55084dc3623eb05361b25df0402a5d7b36b82e0205d4e9a47a35207e"),
+    (8, 2): (4472,
+             "271e2ab0c67e608d09efea362b3d22852dc915fa242d02b53ccebcbf07299b43",
+             "e73c281d073bbc1500eef84c52b2994372fc1904f7e9a4f51d40fcb114a9afb4"),
+    (12, 6): (1321094,
+              "bb8d9aae1a32f78bb7476fb03853519a9c0091d153c4b361c2c67ee81bbcda82",
+              "9d53e30d1e1af25abc759907ad518b7f5eafeae3264f6a395438aa34b6801484"),
+    13: (168015,
+         "9df6f87ba023a437a567bdbcd679bcb0f52a962b479dde0dd2dc3f7e24cce4c8",
+         "e60a2b5934b2cbeafbbe1e45a2563d7b499da37a4ec2c4ab6ad2640c5bd74a22"),
+}
+
+
+@pytest.mark.parametrize("problem", list(PINNED_PROBLEMS), ids=str)
+def test_problem_builders_pinned(problem):
+    if isinstance(problem, tuple):
+        inst, _ = singer_problem(build_field(problem[0]), problem[1])
+    else:
+        inst = frobenius_problem(build_field(problem), problem)
+    assert (len(inst.subsets), _sha(inst.subsets),
+            _sha(inst.tags)) == PINNED_PROBLEMS[problem]
