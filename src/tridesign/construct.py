@@ -40,14 +40,14 @@ from typing import Iterator
 import numpy as np
 
 from .datasets import as_certificate, expand_special, load_dataset, multiplier_table
-from .designs import (MAX_MATERIALIZED_TRIANGLES, Design, Gdd, charge_ledger,
-                      expected_triangle_count, verify_balanced, verify_design,
-                      verify_gdd)
+from .designs import (MAX_MATERIALIZED_TRIANGLES, Design, Gdd, _line_keys,
+                      charge_ledger, expected_triangle_count, verify_balanced,
+                      verify_design, verify_gdd)
 from .gf2n import FieldCtx, build_field, embed_subfield
 from .orbits import expand_certificate
-from .lines import (PlaneBasis, Spread, canonical_plane_basis, desarguesian_spread,
-                    enumerate_ext_planes, ext_plane_count, line_count, line_rows,
-                    validate_spread)
+from .lines import (PlaneBasis, Spread, desarguesian_spread, enumerate_ext_planes,
+                    ext_plane_count, line_count, line_rows, plane_bases, span_grids,
+                    subfield_tables, validate_spread)
 
 
 class ConstructionError(ValueError):
@@ -281,31 +281,32 @@ def balanced_extension(tm: Design, return_trace: bool = False):
 
 
 def _gdd12_coordinates() -> tuple[np.ndarray, np.ndarray, Gdd]:
-    """Subfield coordinates (alpha, beta) of the (12,6) design's corners
-    with respect to the basis (1, xi) over the order-64 subfield."""
+    """The (12,6) design in subfield coordinates over the basis (1, xi).
+
+    Returns (table, idx, gdd12): ``table[a << 6 | b]`` is the 12-bit
+    vector a + b*xi for a, b in the order-64 subfield, and ``idx`` holds
+    each corner of gdd12 as its coordinate index a << 6 | b.
+    """
     g12 = expand_certificate(as_certificate(load_dataset("gdd12-6")))
     f12 = build_field(12)
-    f6 = build_field(6)
-    emb12 = embed_subfield(f6, f12)
-    alpha_of = np.full(1 << 12, -1, dtype=np.int64)
-    beta_of = np.full(1 << 12, -1, dtype=np.int64)
-    xi = f12.exp_table[1]
-    for a6 in range(64):
-        ea = emb12[a6]
-        for b6 in range(64):
-            w = ea ^ f12.mul(emb12[b6], xi)
-            alpha_of[w] = a6
-            beta_of[w] = b6
-    return alpha_of[g12.tri], beta_of[g12.tri], g12
+    emb12 = np.asarray(embed_subfield(build_field(6), f12), dtype=np.int64)
+    table = span_grids(f12, emb12, [1], [f12.exp_table[1]])[0]
+    index = np.empty(1 << 12, dtype=np.intp)
+    index[table] = np.arange(1 << 12)
+    return table, index[g12.tri], g12
 
 
 def _plane_copy(ctx: FieldCtx, emb: tuple[int, ...], plane: PlaneBasis,
-                alpha6: np.ndarray, beta6: np.ndarray) -> np.ndarray:
+                idx: np.ndarray) -> np.ndarray:
     """The (12,6) design carried into ``plane``: the corner with subfield
-    coordinates (alpha, beta) goes to alpha*u + beta*v.  Rows unsorted."""
-    cu = np.array([ctx.mul(e, plane.u) for e in emb], dtype=np.int64)
-    cv = np.array([ctx.mul(e, plane.v) for e in emb], dtype=np.int64)
-    return cu[alpha6] ^ cv[beta6]
+    coordinates (a, b) goes to a*u + b*v, read from the plane's
+    4096-point table in one gather.  Rows unsorted."""
+    table = span_grids(ctx, np.asarray(emb, dtype=np.int64), [plane.u], [plane.v])[0]
+    return table.take(idx)
+
+
+# Sampled lines are drawn one at a time and checked in batches of this many.
+_SAMPLE_BATCH = 4000
 
 
 class GddStream:
@@ -327,13 +328,10 @@ class GddStream:
         self.poly = self.ctx.poly
         self.f6 = build_field(6)
         self.emb = embed_subfield(self.f6, self.ctx)
-        self.alpha6, self.beta6, self.gdd12 = _gdd12_coordinates()
+        self.coords12, self.idx, self.gdd12 = _gdd12_coordinates()
         self.per_plane = self.gdd12.tri.shape[0]
         self.plane_count = ext_plane_count(6, k)
         self._gdd12_keys: np.ndarray | None = None
-        self._emb_inv = {e: i for i, e in enumerate(self.emb)}
-        self._f12 = build_field(12)
-        self._emb12 = embed_subfield(self.f6, self._f12)
 
     @property
     def groups(self) -> Spread:
@@ -343,7 +341,7 @@ class GddStream:
         return enumerate_ext_planes(self.ctx, 6)
 
     def plane_triangles(self, plane: PlaneBasis, canonical: bool = True) -> np.ndarray:
-        tri = _plane_copy(self.ctx, self.emb, plane, self.alpha6, self.beta6)
+        tri = _plane_copy(self.ctx, self.emb, plane, self.idx)
         return np.sort(tri, axis=1) if canonical else tri
 
     def stream_count(self, progress: bool = False) -> int:
@@ -359,65 +357,57 @@ class GddStream:
 
     def _keys12(self) -> np.ndarray:
         if self._gdd12_keys is None:
-            from .designs import _line_keys
             self._gdd12_keys = np.sort(_line_keys(self.gdd12.tri, 12))
         return self._gdd12_keys
 
-    def _coords_in_plane(self, w: int, plane: PlaneBasis) -> tuple[int, int]:
-        ctx = self.ctx
-        gq = ctx.order // 63
-        logv = ctx.log(plane.v)
-        for a6 in range(64):
-            resid = w ^ ctx.mul(self.emb[a6], plane.u)
-            if resid == 0:
-                return a6, 0
-            ln = (ctx.log(resid) - logv) % ctx.order
-            if ln % gq == 0:
-                b_big = ctx.exp_table[ln]
-                b6 = self._emb_inv[b_big]
-                return a6, b6
-        raise ConstructionError(f"vector {w} is not in the given plane")
+    def _pulled_keys(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Key, in the (12,6) design, of each non-group line {x, y}
+        pulled back from its plane.
 
-    def line_covered_once(self, x: int, y: int) -> bool:
-        """Pull a non-group line back to the (12,6) design and look it up."""
-        plane = canonical_plane_basis(self.ctx, self.emb, x, y)
-        f12, emb12 = self._f12, self._emb12
-        xi12 = f12.exp_table[1]
-        pulled = []
-        for w in (x, y):
-            a6, b6 = self._coords_in_plane(w, plane)
-            pulled.append(emb12[a6] ^ f12.mul(emb12[b6], xi12))
-        p, q = pulled
+        (u, v) = M (x, y) for the 2x2 subfield matrix M of the canonical
+        basis, so the coordinates of x and y over (u, v) are the rows of
+        M^-1 = det^-1 [[b_v, b_u], [a_v, a_u]].
+        """
+        _, mul, inv = subfield_tables(self.ctx, self.emb)
+        _, _, coef = plane_bases(self.ctx, self.emb, x, y)
+        au, bu, av, bv = coef.T
+        d = inv[mul[au, bv] ^ mul[bu, av]]
+        p = self.coords12[mul[d, bv] << 6 | mul[d, bu]]
+        q = self.coords12[mul[d, av] << 6 | mul[d, au]]
         z = p ^ q
-        lo, _, hi = sorted((p, q, z))
-        mid = lo ^ hi
-        key = (lo << 12) | mid
-        keys = self._keys12()
-        i = int(np.searchsorted(keys, key))
-        hitcount = 0
-        while i + hitcount < keys.size and keys[i + hitcount] == key:
-            hitcount += 1
-        return hitcount == 1
+        lo = np.minimum(np.minimum(p, q), z)
+        hi = np.maximum(np.maximum(p, q), z)
+        return (lo << 12) | (lo ^ hi)
 
     def sample_line_check(self, samples: int, seed: int = 0,
                           progress: bool = False) -> int:
         """Check ``samples`` uniformly-drawn non-group lines; returns
-        the number verified (raises on the first failure)."""
+        the number verified (raises on the first failure in draw order)."""
         rng = np.random.default_rng(seed)
-        ctx = self.ctx
-        gq = ctx.order // 63
+        log, order = self.ctx.log_table, self.ctx.order
+        gq = order // 63
         done = 0
         while done < samples:
-            x = int(rng.integers(1, ctx.order + 1))
-            y = int(rng.integers(1, ctx.order + 1))
-            if x == y or (ctx.log(x) - ctx.log(y)) % gq == 0:
-                continue  # same multiplicative ray: a group line
-            if not self.line_covered_once(x, y):
-                raise ConstructionError(
-                    f"sampled line through ({x}, {y}) not covered exactly once")
-            done += 1
-            if progress and done % 20000 == 0:
-                print(f"  sampled {done}/{samples}", file=sys.stderr, flush=True)
+            pairs = []
+            while len(pairs) < min(_SAMPLE_BATCH, samples - done):
+                x = int(rng.integers(1, order + 1))
+                y = int(rng.integers(1, order + 1))
+                if x == y or (log[x] - log[y]) % gq == 0:
+                    continue  # same multiplicative ray: a group line
+                pairs.append((x, y))
+            xs, ys = np.array(pairs, dtype=np.int64).T
+            key, keys = self._pulled_keys(xs, ys), self._keys12()
+            hits = (np.searchsorted(keys, key, side="right")
+                    - np.searchsorted(keys, key, side="left"))
+            bad = np.flatnonzero(hits != 1)
+            good = int(bad[0]) if bad.size else len(pairs)
+            if progress:
+                for mark in range(done // 20000 * 20000 + 20000, done + good + 1, 20000):
+                    print(f"  sampled {mark}/{samples}", file=sys.stderr, flush=True)
+            done += good
+            if bad.size:
+                raise ConstructionError(f"sampled line through ({pairs[good][0]}, "
+                                        f"{pairs[good][1]}) not covered exactly once")
         return done
 
 
@@ -432,11 +422,11 @@ def gdd_6k_6(k: int):
                    m=6, groups=desarguesian_spread(f6, 6),
                    provenance="tower k=1")
     if k == 2:
-        alpha6, beta6, gdd12 = _gdd12_coordinates()
+        _, idx, _ = _gdd12_coordinates()
         ctx = build_field(12)
         emb = embed_subfield(build_field(6), ctx)
         plane = next(enumerate_ext_planes(ctx, 6))
-        tri = np.sort(_plane_copy(ctx, emb, plane, alpha6, beta6), axis=1)
+        tri = np.sort(_plane_copy(ctx, emb, plane, idx), axis=1)
         return Gdd(n=12, poly=ctx.poly, tri=tri, m=6,
                    groups=desarguesian_spread(ctx, 6), provenance="tower k=2")
     return GddStream(k)

@@ -294,6 +294,7 @@ def read_certificate(path: str) -> OrbitCertificate | FrobeniusCertificate:
 
 
 def load_report_schema() -> dict:
-    """The published JSON schema for --json verification reports."""
+    """The published JSON schema for --json verification reports and
+    streamed-tower (`construct gdd6k --k 3+`) reports."""
     with resources.files("tridesign").joinpath("report_schema.json").open() as fh:
         return json.load(fh)

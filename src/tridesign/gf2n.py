@@ -141,6 +141,13 @@ class FieldCtx:
     def zech_np(self) -> np.ndarray:
         return self._np("zech")
 
+    def mul_np(self, x, y) -> np.ndarray:
+        """Elementwise (broadcast) product of two integer arrays."""
+        x, y = np.asarray(x), np.asarray(y)
+        log = self.log_np
+        prod = self.exp_np[(log[x] + log[y]) % self.order]
+        return np.where((x == 0) | (y == 0), 0, prod)
+
     def __repr__(self) -> str:
         return f"FieldCtx(n={self.n}, poly={hex(self.poly)})"
 

@@ -232,21 +232,91 @@ class PlaneBasis:
     v: int
 
 
-def _plane_elements(ctx: FieldCtx, emb: tuple[int, ...], u: int, v: int) -> np.ndarray:
-    pu = np.array([ctx.mul(e, u) for e in emb], dtype=np.int64)
-    pv = np.array([ctx.mul(e, v) for e in emb], dtype=np.int64)
-    return (pu[:, None] ^ pv[None, :]).ravel()
+# Pairs per batch of span grids: each pair's grid holds q^2 int64 points,
+# so a batch over GF(64) is at most 8 MB.
+_GRID_CELLS = 1 << 20
+
+
+def subfield_tables(ctx: FieldCtx, emb: tuple[int, ...]):
+    """The embedding as an int64 array, with the (q, q) multiplication
+    table and the inverse table of GF(2^m) on its m-bit elements.
+
+    Products come from the big field's logarithms of the embedded
+    elements, so they agree with ``emb`` whatever polynomial built it.
+    """
+    emb_arr = np.asarray(emb, dtype=np.int64)
+    q = emb_arr.size
+    logs = np.zeros(q, dtype=np.int64)
+    logs[1:] = ctx.log_np[emb_arr[1:]] // (ctx.order // (q - 1))
+    elem = np.empty(q - 1, dtype=np.int64)
+    elem[logs[1:]] = np.arange(1, q)
+    mul = elem[(logs[:, None] + logs[None, :]) % (q - 1)]
+    mul[0, :] = mul[:, 0] = 0
+    inv = np.zeros(q, dtype=np.int64)
+    inv[1:] = elem[-logs[1:] % (q - 1)]
+    return emb_arr, mul, inv
+
+
+def span_grids(ctx: FieldCtx, emb_arr: np.ndarray, x, y) -> np.ndarray:
+    """Row i lists the GF(2^m)-span of (x[i], y[i]): its cell a*q + b is
+    emb[a]*x[i] + emb[b]*y[i].  Shape (B, q*q)."""
+    rx = ctx.mul_np(emb_arr, np.asarray(x, dtype=np.int64)[:, None])
+    ry = ctx.mul_np(emb_arr, np.asarray(y, dtype=np.int64)[:, None])
+    return (rx[:, :, None] ^ ry[:, None, :]).reshape(rx.shape[0], -1)
+
+
+def plane_bases(ctx: FieldCtx, emb: tuple[int, ...], x, y):
+    """Canonical bases of the GF(2^m)-spans of the pairs (x[i], y[i]).
+
+    Returns (u, v, coef): int64 arrays u, v and the (B, 4) subfield
+    coordinates (a_u, b_u, a_v, b_v) with u = a_u*x + b_u*y and
+    v = a_v*x + b_v*y.  u is the plane's least nonzero point, found
+    with cell 0 masked; v the least point once u's ray, the cells
+    (c*a_u, c*b_u), is masked too.
+    """
+    emb_arr, mul, _ = subfield_tables(ctx, emb)
+    q = emb_arr.size
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    top = np.iinfo(np.int64).max
+    step = max(1, _GRID_CELLS // (q * q))
+    u, v = np.empty(x.size, dtype=np.int64), np.empty(x.size, dtype=np.int64)
+    coef = np.empty((x.size, 4), dtype=np.int64)
+    for lo in range(0, x.size, step):
+        grid = span_grids(ctx, emb_arr, x[lo:lo + step], y[lo:lo + step])
+        rows = np.arange(grid.shape[0])
+        grid[:, 0] = top
+        iu = grid.argmin(axis=1)
+        u[lo:lo + step] = grid[rows, iu]
+        au, bu = iu // q, iu % q
+        grid[rows[:, None], mul[au] * q + mul[bu]] = top
+        iv = grid.argmin(axis=1)
+        v[lo:lo + step] = grid[rows, iv]
+        coef[lo:lo + step] = np.column_stack([au, bu, iv // q, iv % q])
+    if (u == 0).any():
+        i = int(np.flatnonzero(u == 0)[0])
+        raise ValueError(f"generators {x[i]}, {y[i]} are not independent "
+                         f"over GF(2^{q.bit_length() - 1})")
+    return u, v, coef
 
 
 def canonical_plane_basis(ctx: FieldCtx, emb: tuple[int, ...], x: int, y: int) -> PlaneBasis:
     """Canonical basis of the GF(2^m)-span of independent x, y."""
-    grid = _plane_elements(ctx, emb, x, y)
-    nz = grid[grid > 0]
-    u = int(nz.min())
-    ray = {ctx.mul(e, u) for e in emb}
-    outside = nz[~np.isin(nz, np.fromiter(ray, dtype=np.int64))]
-    v = int(outside.min())
-    return PlaneBasis(u, v)
+    u, v, _ = plane_bases(ctx, emb, [x], [y])
+    return PlaneBasis(int(u[0]), int(v[0]))
+
+
+def _echelon_vectors(cols: np.ndarray, lead: int, free: list[int],
+                     lo: int, hi: int) -> np.ndarray:
+    """xi^lead + sum_t c_t xi^free[t] for the coefficient tuples lo..hi-1
+    in lexicographic order (first coordinate most significant);
+    ``cols[j, c]`` is c * xi^j."""
+    m = cols.shape[1].bit_length() - 1
+    i = np.arange(lo, hi, dtype=np.int64)
+    acc = np.full(i.size, cols[lead, 1], dtype=np.int64)
+    for t, c in enumerate(free):
+        acc ^= cols[c][(i >> (m * (len(free) - 1 - t))) & (cols.shape[1] - 1)]
+    return acc
 
 
 def enumerate_ext_planes(ctx: FieldCtx, m: int) -> Iterator[PlaneBasis]:
@@ -254,7 +324,8 @@ def enumerate_ext_planes(ctx: FieldCtx, m: int) -> Iterator[PlaneBasis]:
 
     Subspaces are enumerated through reduced-echelon bases over the
     subfield and emitted in canonical (minimal-vector) form; the whole
-    stream is deterministic and restartable.
+    stream is deterministic and restartable.  The bases of one first
+    row's block of second rows are computed together.
     """
     n = ctx.n
     if n % m:
@@ -262,46 +333,23 @@ def enumerate_ext_planes(ctx: FieldCtx, m: int) -> Iterator[PlaneBasis]:
     s = n // m
     if s < 2:
         raise ValueError(f"need extension degree >= 2 over GF(2^{m}), got {s}")
-    sub = build_field(m)
-    emb = embed_subfield(sub, ctx)
+    emb = embed_subfield(build_field(m), ctx)
     q = 1 << m
-    # basis of GF(2^n) over GF(2^m): powers of xi
-    xi_pow = [ctx.exp_table[i] for i in range(s)]
-
-    def to_vector(coeffs: list[int]) -> int:
-        acc = 0
-        for c, b in zip(coeffs, xi_pow):
-            if c:
-                acc ^= ctx.mul(emb[c], b)
-        return acc
-
+    # basis of GF(2^n) over GF(2^m): powers of xi; cols[j, c] = c * xi^j
+    cols = ctx.mul_np(np.asarray(emb, dtype=np.int64), ctx.exp_np[:s, None])
+    step = max(1, _GRID_CELLS // (q * q))
     for j1 in range(s):
         for j2 in range(j1 + 1, s):
             free1 = [c for c in range(j1 + 1, s) if c != j2]
-            free2 = [c for c in range(j2 + 1, s)]
-            n1, n2 = len(free1), len(free2)
-            for a_vals in _product_range(q, n1):
-                r1 = [0] * s
-                r1[j1] = 1
-                for c, val in zip(free1, a_vals):
-                    r1[c] = val
-                v1 = to_vector(r1)
-                for b_vals in _product_range(q, n2):
-                    r2 = [0] * s
-                    r2[j2] = 1
-                    for c, val in zip(free2, b_vals):
-                        r2[c] = val
-                    v2 = to_vector(r2)
-                    yield canonical_plane_basis(ctx, emb, v1, v2)
-
-
-def _product_range(q: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for head in range(q):
-        for tail in _product_range(q, k - 1):
-            yield (head,) + tail
+            free2 = list(range(j2 + 1, s))
+            for a in range(q ** len(free1)):
+                v1 = _echelon_vectors(cols, j1, free1, a, a + 1)
+                for lo in range(0, q ** len(free2), step):
+                    v2 = _echelon_vectors(cols, j2, free2, lo,
+                                          min(lo + step, q ** len(free2)))
+                    u, v, _ = plane_bases(ctx, emb, np.repeat(v1, v2.size), v2)
+                    for pu, pv in zip(u.tolist(), v.tolist()):
+                        yield PlaneBasis(pu, pv)
 
 
 def ext_plane_count(m: int, s: int) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .designs import (MAX_MATERIALIZED_TRIANGLES, Design, Gdd,
                       distinct_row_count)
-from .gf2n import FieldCtx, build_field
+from .gf2n import MAX_DEGREE, FieldCtx, build_field
 from .lines import Line, desarguesian_spread
 
 
@@ -236,6 +236,8 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
     spread group.  Violations raise rather than silently merging.
     """
     n, m = cert.n, cert.m
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree {n} out of range 1..{MAX_DEGREE}")
     if (n - m) % 6:
         raise ValueError(f"(n={n}, m={m}) rejected: n - m = {n - m} is not "
                          "divisible by 6, no such invariant design exists")

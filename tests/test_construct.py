@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from tridesign.construct import (ConstructionError, GddStream,
 from tridesign.designs import (Design, charge_ledger, verify_balanced,
                                verify_design, verify_gdd)
 from tridesign.designs import _line_keys
-from tridesign.gf2n import build_field
-from tridesign.lines import Spread
+from tridesign.gf2n import build_field, embed_subfield
+from tridesign.lines import Spread, canonical_plane_basis
 
 
 def _tri_sha(d):
@@ -176,6 +177,106 @@ def test_gdd_tower_k3_structure():
     keys = np.sort(_line_keys(tri, s.n))
     assert np.unique(keys).size == keys.size
     assert s.sample_line_check(200, seed=3) == 200
+
+
+@pytest.fixture(scope="module")
+def stream3():
+    return gdd_6k_6(3)
+
+
+# Digests recorded with the scalar two-gather transport, before the
+# tower kernels were vectorized.
+@pytest.mark.parametrize("index, basis, digest", [
+    (0, (1, 2), "761add68090ab5b1b492a460bfaca6f56aa10646902f7dd4997cd072c15b975c"),
+    (2080, (3, 116), "dac726d515dd4592aa23276a82c3e6f37e2bf1e86c1db4ba18036d0a7d0c8741"),
+    (4160, (2, 4), "e68f12099748593dbb43eca68391f9375adc1d43b30ff2b47056ccc7f524913c"),
+])
+def test_plane_triangles_pinned(stream3, index, basis, digest):
+    plane = next(itertools.islice(stream3.planes(), index, None))
+    assert (plane.u, plane.v) == basis
+    tri = stream3.plane_triangles(plane, canonical=False)
+    assert tri.shape == (917280, 3) and tri.dtype == np.int64
+    assert hashlib.sha256(tri.tobytes()).hexdigest() == digest
+
+
+def test_gdd_tower_k2_pinned():
+    assert _tri_sha(gdd_6k_6(2)) == \
+        "163bfaa9c2984524748b22a0256240d672172ab90f2b59ea8163918e248a005e"
+
+
+def _scalar_pulled_key(s, x, y):
+    """Reference pull-back: canonical basis, then coordinates of x and y
+    by a search over the 64 multiples of u, by direct field arithmetic."""
+    ctx, emb = s.ctx, s.emb
+    f12 = build_field(12)
+    emb12 = embed_subfield(build_field(6), f12)
+    plane = canonical_plane_basis(ctx, emb, x, y)
+    pulled = []
+    for w in (x, y):
+        for a6 in range(64):
+            resid = w ^ ctx.mul(emb[a6], plane.u)
+            b6 = [b for b in range(64) if ctx.mul(emb[b], plane.v) == resid]
+            if b6:
+                pulled.append(emb12[a6] ^ f12.mul(emb12[b6[0]], f12.exp_table[1]))
+                break
+    p, q = pulled
+    lo, _, hi = sorted((p, q, p ^ q))
+    return (lo << 12) | (lo ^ hi)
+
+
+def test_pulled_keys_match_scalar(stream3):
+    rng = np.random.default_rng(11)
+    x = rng.integers(1, stream3.ctx.order + 1, size=60)
+    y = rng.integers(1, stream3.ctx.order + 1, size=60)
+    gq = stream3.ctx.order // 63
+    keep = (stream3.ctx.log_np[x] - stream3.ctx.log_np[y]) % gq != 0
+    x, y = x[keep], y[keep]
+    ref = [_scalar_pulled_key(stream3, int(a), int(b)) for a, b in zip(x, y)]
+    assert stream3._pulled_keys(x, y).tolist() == ref
+
+
+def _corrupt(keys, drop_every=0, dup_every=0, dup_from=0):
+    out = np.delete(keys, np.arange(0, keys.size, drop_every)) if drop_every else keys
+    if dup_every:
+        out = np.sort(np.concatenate([out, keys[dup_from::dup_every]]))
+    return out
+
+
+# The (x, y) of the first failing draw, recorded with the scalar checker.
+@pytest.mark.parametrize("corruption, seed, pair", [
+    (dict(drop_every=97, dup_every=97, dup_from=50), 0, (12727, 22025)),
+    (dict(drop_every=97, dup_every=97, dup_from=50), 1, (71610, 216977)),
+    (dict(drop_every=97, dup_every=97, dup_from=50), 5, (136197, 132925)),
+    (dict(dup_every=997), 0, (11241, 122365)),
+    (dict(dup_every=997), 1, (22585, 63691)),
+    (dict(dup_every=997), 5, (80820, 23743)),
+    (dict(drop_every=997), 0, (11241, 122365)),
+    (dict(drop_every=997), 1, (22585, 63691)),
+    (dict(drop_every=997), 5, (80820, 23743)),
+])
+def test_sample_line_check_fails_on_first_bad_draw(stream3, monkeypatch,
+                                                   corruption, seed, pair):
+    # some lines uncovered (dropped keys), others covered twice (duplicates)
+    monkeypatch.setattr(stream3, "_gdd12_keys", _corrupt(stream3._keys12(), **corruption))
+    with pytest.raises(ConstructionError) as err:
+        stream3.sample_line_check(50_000, seed=seed)
+    assert str(err.value) == f"sampled line through {pair} not covered exactly once"
+
+
+def test_sample_line_check_reports_progress_before_failure(stream3, monkeypatch,
+                                                           capsys):
+    # 138 of 2.75M keys dropped: the first bad draw comes after 20,000 good ones
+    monkeypatch.setattr(stream3, "_gdd12_keys",
+                        _corrupt(stream3._keys12(), drop_every=20011))
+    with pytest.raises(ConstructionError,
+                       match=r"^sampled line through \(193423, 100725\) not covered"):
+        stream3.sample_line_check(50_000, seed=0, progress=True)
+    assert capsys.readouterr().err == "  sampled 20000/50000\n"
+
+
+def test_sample_line_check_progress_lines(stream3, capsys):
+    assert stream3.sample_line_check(40_000, seed=2, progress=True) == 40_000
+    assert capsys.readouterr().err == "  sampled 20000/40000\n  sampled 40000/40000\n"
 
 
 def test_gdd_tower_bad_k():

@@ -119,6 +119,16 @@ def test_cli_expand_refuses_malformed_certificate(payload, message, tmp_path,
     assert message in capsys.readouterr().err
 
 
+def test_cli_expand_refuses_huge_degree(tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"kind": "singer", "n": 60_000_001, "m": 1,
+                                "poly": "0x7", "reps": [[1, 2]]}))
+    assert run_cli("expand", "--cert", str(cert),
+                   "--out", str(tmp_path / "d.design")) == 2
+    assert "degree 60000001 out of range 1..28" in capsys.readouterr().err
+    assert not (tmp_path / "d.design").exists()
+
+
 def test_cli_pipeline_and_schema(tmp_path, capsys):
     cert = tmp_path / "c.json"
     design = tmp_path / "d.design"
@@ -231,6 +241,15 @@ def test_cli_gdd6k_usage_checked_before_work(argv, monkeypatch, tmp_path, capsys
     assert run_cli("construct", "gdd6k", *argv) == 2
     assert "--count/--sample" in capsys.readouterr().err
     assert not (tmp_path / "F").exists()
+
+
+def test_cli_gdd6k_k3_sample_json(capsys):
+    assert run_cli("--json", "construct", "gdd6k", "--k", "3",
+                   "--sample", "2000") == 0
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, load_report_schema())
+    assert payload == {"ok": True, "k": 3, "planes": 4161, "per_plane": 917280,
+                       "sampled_lines_ok": 2000}
 
 
 def test_cli_gdd6k_k1(tmp_path, capsys):

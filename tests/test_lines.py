@@ -1,13 +1,18 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tridesign.gf2n import build_field, embed_subfield
-from tridesign.lines import (Spread, canonical_line, desarguesian_spread,
+from tridesign.lines import (PlaneBasis, Spread, canonical_line,
+                             canonical_plane_basis, desarguesian_spread,
                              enumerate_ext_planes, enumerate_line_keys_np,
                              enumerate_lines, ext_plane_count, is_triangle,
-                             line_count, validate_spread, TriangleV)
+                             line_count, plane_bases, subfield_tables,
+                             validate_spread, TriangleV)
 
 
 def test_canonical_line_examples():
@@ -223,3 +228,106 @@ def test_enumerate_ext_planes_restartable(f6):
     first = [(p.u, p.v) for p in enumerate_ext_planes(f6, 2)]
     second = [(p.u, p.v) for p in enumerate_ext_planes(f6, 2)]
     assert first == second
+
+
+# -- batched canonical bases against the scalar formula -------------------------
+
+
+def _scalar_basis(ctx, emb, x, y):
+    """Reference: u the least nonzero point of the span, v the least point
+    off u's ray, by direct field arithmetic."""
+    pu = np.array([ctx.mul(e, x) for e in emb], dtype=np.int64)
+    pv = np.array([ctx.mul(e, y) for e in emb], dtype=np.int64)
+    grid = (pu[:, None] ^ pv[None, :]).ravel()
+    nz = grid[grid > 0]
+    u = int(nz.min())
+    ray = np.array([ctx.mul(e, u) for e in emb], dtype=np.int64)
+    return PlaneBasis(u, int(nz[~np.isin(nz, ray)].min()))
+
+
+def _scalar_planes(ctx, m):
+    """Reference enumerator: reduced-echelon bases over GF(2^m), one pair
+    at a time, in the library's order."""
+    s, q = ctx.n // m, 1 << m
+    emb = embed_subfield(build_field(m), ctx)
+    xi_pow = [ctx.exp_table[i] for i in range(s)]
+
+    def to_vector(coeffs):
+        acc = 0
+        for c, b in zip(coeffs, xi_pow):
+            if c:
+                acc ^= ctx.mul(emb[c], b)
+        return acc
+
+    for j1 in range(s):
+        for j2 in range(j1 + 1, s):
+            free1 = [c for c in range(j1 + 1, s) if c != j2]
+            free2 = list(range(j2 + 1, s))
+            for a_vals in itertools.product(range(q), repeat=len(free1)):
+                r1 = [0] * s
+                r1[j1] = 1
+                for c, val in zip(free1, a_vals):
+                    r1[c] = val
+                for b_vals in itertools.product(range(q), repeat=len(free2)):
+                    r2 = [0] * s
+                    r2[j2] = 1
+                    for c, val in zip(free2, b_vals):
+                        r2[c] = val
+                    yield _scalar_basis(ctx, emb, to_vector(r1), to_vector(r2))
+
+
+@pytest.mark.parametrize("n, m", [(6, 2), (12, 4), (12, 6)])
+def test_enumerate_ext_planes_matches_scalar(n, m):
+    ctx = build_field(n)
+    assert list(enumerate_ext_planes(ctx, m)) == list(_scalar_planes(ctx, m))
+
+
+def test_enumerate_ext_planes_k3_pinned():
+    # sha256 of the int64 (u, v) list, recorded with the scalar enumerator
+    planes = [(p.u, p.v) for p in enumerate_ext_planes(build_field(18), 6)]
+    assert len(planes) == 4161
+    digest = hashlib.sha256(np.array(planes, dtype=np.int64).tobytes()).hexdigest()
+    assert digest == "63e271c149d01c7fe6dbfaa9836dd150ec2b2da5fcdfa70d08a62945399a7fa0"
+
+
+_F18 = build_field(18)
+_EMB18 = embed_subfield(build_field(6), _F18)
+
+
+def _independent(x, y):
+    return x != y and (_F18.log(x) - _F18.log(y)) % (_F18.order // 63) != 0
+
+
+_POINT18 = st.integers(1, _F18.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_POINT18, _POINT18).filter(lambda p: _independent(*p)),
+                min_size=1, max_size=40))
+def test_plane_bases_match_scalar_n18(pairs):
+    x, y = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+    u, v, coef = plane_bases(_F18, _EMB18, x, y)
+    ref = [_scalar_basis(_F18, _EMB18, a, b) for a, b in pairs]
+    assert [PlaneBasis(a, b) for a, b in zip(u.tolist(), v.tolist())] == ref
+    assert canonical_plane_basis(_F18, _EMB18, *pairs[0]) == ref[0]
+    # the coordinates rebuild u and v from x and y
+    emb = np.array(_EMB18, dtype=np.int64)
+    for col, target in ((0, u), (2, v)):
+        rebuilt = _F18.mul_np(emb[coef[:, col]], x) ^ _F18.mul_np(emb[coef[:, col + 1]], y)
+        assert np.array_equal(rebuilt, target)
+
+
+def test_plane_bases_refuse_dependent_pair():
+    x = 5
+    with pytest.raises(ValueError, match="not independent"):
+        canonical_plane_basis(_F18, _EMB18, x, _F18.mul(_EMB18[7], x))
+
+
+def test_subfield_tables_match_field_arithmetic(f6):
+    emb = embed_subfield(f6, _F18)
+    emb_arr, mul, inv = subfield_tables(_F18, emb)
+    assert emb_arr.tolist() == list(emb)
+    for a in range(64):
+        assert mul[a].tolist() == [f6.mul(a, b) for b in range(64)]
+        if a:
+            assert inv[a] == f6.inv(a)

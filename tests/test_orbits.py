@@ -146,6 +146,15 @@ def test_expand_size_guard_runs_before_field_tables():
     assert _build_field_cached.cache_info().currsize == before
 
 
+@pytest.mark.parametrize("n", [0, -5, 29, 60_000_001])
+def test_expand_refuses_degree_out_of_range(n):
+    # checked before 2^n - 1 is formed: at n = 60,000,001 that integer
+    # alone is 7.5 MB, and the size guard's message could not print it
+    cert = OrbitCertificate(n=n, m=1, poly=0b111, reps=((1, 2),))
+    with pytest.raises(ValueError, match=f"degree {n} out of range 1..28"):
+        expand_certificate(cert)
+
+
 def test_expand_rejects_bad_dimension_gap():
     cert = OrbitCertificate(n=8, m=1, poly=build_field(8).poly, reps=((1, 5),))
     with pytest.raises(ValueError, match="divisible by 6"):
