@@ -13,7 +13,7 @@ from .datasets import (EmbeddedDataset, as_certificate, dataset_names,
 from .designs import (BalanceReport, ChargeLedger, CoverReport, Design, Gdd,
                       charge_ledger, coverage_counts, expected_triangle_count,
                       verify_balanced, verify_design, verify_gdd)
-from .gf2n import DEFAULT_POLYS, FieldCtx, build_field, embed_subfield, zech
+from .gf2n import DEFAULT_POLYS, FieldCtx, build_field, embed_subfield
 from .lines import (Line, PlaneBasis, Spread, TriangleV, canonical_line,
                     desarguesian_spread, enumerate_ext_planes, enumerate_lines,
                     ext_plane_count, is_triangle, line_count, validate_spread)

@@ -45,9 +45,9 @@ from .designs import (MAX_MATERIALIZED_TRIANGLES, Design, Gdd, _line_keys,
                       verify_design, verify_gdd)
 from .gf2n import FieldCtx, build_field, embed_subfield
 from .orbits import expand_certificate
-from .lines import (PlaneBasis, Spread, desarguesian_spread, enumerate_ext_planes,
-                    ext_plane_count, line_count, line_rows, plane_bases, span_grids,
-                    subfield_tables, validate_spread)
+from .lines import (PlaneBasis, Spread, coset_exponents, desarguesian_spread,
+                    enumerate_ext_planes, ext_plane_count, line_count, line_rows,
+                    plane_bases, span_grids, subfield_tables, validate_spread)
 
 
 class ConstructionError(ValueError):
@@ -289,19 +289,18 @@ def _gdd12_coordinates() -> tuple[np.ndarray, np.ndarray, Gdd]:
     """
     g12 = expand_certificate(as_certificate(load_dataset("gdd12-6")))
     f12 = build_field(12)
-    emb12 = np.asarray(embed_subfield(build_field(6), f12), dtype=np.int64)
-    table = span_grids(f12, emb12, [1], [f12.exp_table[1]])[0]
+    table = span_grids(f12, embed_subfield(build_field(6), f12), [1], [f12.exp(1)])[0]
     index = np.empty(1 << 12, dtype=np.intp)
     index[table] = np.arange(1 << 12)
     return table, index[g12.tri], g12
 
 
-def _plane_copy(ctx: FieldCtx, emb: tuple[int, ...], plane: PlaneBasis,
+def _plane_copy(ctx: FieldCtx, emb: np.ndarray, plane: PlaneBasis,
                 idx: np.ndarray) -> np.ndarray:
     """The (12,6) design carried into ``plane``: the corner with subfield
     coordinates (a, b) goes to a*u + b*v, read from the plane's
     4096-point table in one gather.  Rows unsorted."""
-    table = span_grids(ctx, np.asarray(emb, dtype=np.int64), [plane.u], [plane.v])[0]
+    table = span_grids(ctx, emb, [plane.u], [plane.v])[0]
     return table.take(idx)
 
 
@@ -368,7 +367,7 @@ class GddStream:
         basis, so the coordinates of x and y over (u, v) are the rows of
         M^-1 = det^-1 [[b_v, b_u], [a_v, a_u]].
         """
-        _, mul, inv = subfield_tables(self.ctx, self.emb)
+        mul, inv = subfield_tables(self.ctx, self.emb)
         _, _, coef = plane_bases(self.ctx, self.emb, x, y)
         au, bu, av, bv = coef.T
         d = inv[mul[au, bv] ^ mul[bu, av]]
@@ -384,7 +383,7 @@ class GddStream:
         """Check ``samples`` uniformly-drawn non-group lines; returns
         the number verified (raises on the first failure in draw order)."""
         rng = np.random.default_rng(seed)
-        log, order = self.ctx.log_table, self.ctx.order
+        log, order = self.ctx.log, self.ctx.order
         gq = order // 63
         done = 0
         while done < samples:
@@ -392,7 +391,7 @@ class GddStream:
             while len(pairs) < min(_SAMPLE_BATCH, samples - done):
                 x = int(rng.integers(1, order + 1))
                 y = int(rng.integers(1, order + 1))
-                if x == y or (log[x] - log[y]) % gq == 0:
+                if x == y or (log(x) - log(y)) % gq == 0:
                     continue  # same multiplicative ray: a group line
                 pairs.append((x, y))
             xs, ys = np.array(pairs, dtype=np.int64).T
@@ -455,27 +454,15 @@ def fill_groups(g: Gdd, filler: Design):
             raise ConstructionError("filler fails design verification")
 
     ctx = build_field(g.n, g.poly)
-    sub = build_field(g.m)
-    emb = embed_subfield(sub, ctx)
-    gq = ctx.order // ((1 << g.m) - 1)
-
-    blocks = [g.tri]
-    fine_groups: list[np.ndarray] = []
-    for idx, grp in enumerate(g.groups.groups):
-        logs = np.array([ctx.log(int(v)) for v in grp], dtype=np.int64)
-        e = int(logs[0]) % gq
-        if ((logs - e) % gq).any():
-            raise ConstructionError(
-                f"group {idx} is not a multiplicative coset; cannot fill")
-        mult = ctx.exp_table[e]
-        tmap = np.array([ctx.mul(mult, emb[w]) for w in range(1 << g.m)],
-                        dtype=np.int64)
-        blocks.append(np.sort(tmap[filler.tri], axis=1))
-        if isinstance(filler, Gdd):
-            fine_groups.extend(np.sort(tmap[fg]) for fg in filler.groups.groups)
-
-    tri = np.concatenate(blocks)
+    try:
+        exps = coset_exponents(ctx, g.m, g.groups.groups)
+    except ValueError as e:
+        raise ConstructionError(f"{e}; cannot fill") from None
+    # tmaps[i, w]: the filler's vector w carried into group i, xi^e_i * emb[w]
+    tmaps = ctx.mul_np(ctx.exp_np[exps][:, None], embed_subfield(build_field(g.m), ctx))
+    tri = np.concatenate([g.tri, np.sort(tmaps[:, filler.tri], axis=-1).reshape(-1, 3)])
     if isinstance(filler, Gdd):
+        fine_groups = [np.sort(t[fg]) for t in tmaps for fg in filler.groups.groups]
         return Gdd(n=g.n, poly=g.poly, tri=tri, m=filler.m,
                    groups=Spread(filler.m, fine_groups),
                    provenance=f"fill {g.provenance or 'gdd'} with {filler.m}-gdd")

@@ -217,14 +217,11 @@ def _check_mu_semiregular(mu: np.ndarray) -> None:
 
 def _expand_gdd6_2(ds: EmbeddedDataset) -> Gdd:
     f6 = build_field(6, ds.poly)
-    exp6, ord6 = f6.exp_table, f6.order
-    rows = []
-    for (i, j, k) in ds.payload:
-        for l in range(21):
-            s = 3 * l
-            rows.append((exp6[(i + s) % ord6], exp6[(j + s) % ord6],
-                         exp6[(k + s) % ord6]))
-    g = Gdd(n=6, poly=ds.poly, tri=np.array(rows, dtype=np.int64), m=2,
+    # each representative's orbit under xi^3: all three exponents move by 3l
+    reps = np.array(ds.payload, dtype=np.int64).reshape(-1, 1, 3)
+    shift = 3 * np.arange(21, dtype=np.int64)[:, None]
+    tri = f6.exp_np[(reps + shift) % f6.order].reshape(-1, 3)
+    g = Gdd(n=6, poly=ds.poly, tri=tri, m=2,
             groups=desarguesian_spread(f6, 2), provenance="dataset gdd6-2")
     if distinct_row_count(g.tri) != g.triangle_count:
         raise DatasetError("gdd6-2 payload corrupt: repeated triangle in orbit expansion")

@@ -42,7 +42,7 @@ import numpy as np
 
 from .designs import Design, Gdd
 from .gf2n import build_field
-from .lines import Spread
+from .lines import Spread, coset_exponents, coset_groups
 from .orbits import (FrobeniusCertificate, OrbitCertificate,
                      certificate_from_json_dict)
 
@@ -80,29 +80,6 @@ def _open_write(path: str) -> io.BufferedIOBase:
     return open(path, "wb")
 
 
-def _groups_to_exponents(g: Gdd) -> list[int]:
-    ctx = build_field(g.n, g.poly)
-    gq = ctx.order // ((1 << g.m) - 1)
-    exps = []
-    for idx, grp in enumerate(g.groups.groups):
-        logs = [ctx.log(int(v)) for v in grp.tolist()]
-        e = logs[0] % gq
-        if any((l - e) % gq for l in logs):
-            raise ValueError(f"group {idx} is not a multiplicative coset; "
-                             "cannot serialize it as an exponent")
-        exps.append(e)
-    return sorted(exps)
-
-
-def _groups_from_exponents(n: int, poly: int, m: int, exps: list[int]) -> Spread:
-    ctx = build_field(n, poly)
-    gq = ctx.order // ((1 << m) - 1)
-    exp = ctx.exp_np
-    j = np.arange((1 << m) - 1, dtype=np.int64)
-    groups = [np.sort(exp[(e + gq * j) % ctx.order]) for e in exps]
-    return Spread(m, groups)
-
-
 def _encode_rows(tri: np.ndarray):
     """Yield the rows as ``f"{a:x} {b:x} {c:x}\\n"`` text, a chunk at a time.
 
@@ -135,7 +112,8 @@ def write_design(d: Design, path: str) -> None:
     if d.provenance:
         head.append(f"provenance: {d.provenance}")
     if isinstance(d, Gdd):
-        head.append("groups: " + " ".join(str(e) for e in _groups_to_exponents(d)))
+        exps = coset_exponents(build_field(d.n, d.poly), d.m, d.groups.groups)
+        head.append("groups: " + " ".join(map(str, sorted(exps.tolist()))))
     head.append("triangles:\n")
     with _open_write(path) as fh:
         fh.write("\n".join(head).encode("utf-8"))
@@ -276,7 +254,7 @@ def read_design(path: str) -> Design | Gdd:
         raise ValueError("triangle vector out of range for declared dimension")
     provenance = header.get("provenance", "")
     if kind == "gdd":
-        groups = _groups_from_exponents(n, poly, m, exps)
+        groups = Spread(m, coset_groups(build_field(n, poly), m, exps))
         return Gdd(n=n, poly=poly, tri=tri, m=m, groups=groups,
                    provenance=provenance)
     return Design(n=n, poly=poly, tri=tri, provenance=provenance)

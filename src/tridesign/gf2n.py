@@ -58,22 +58,26 @@ class FieldCtx:
     """A concrete GF(2^n): primitive polynomial plus exp/log/Zech tables.
 
     Immutable after construction; safe to share across threads.  The
-    tables are fully materialized (three arrays of length 2^n - 1), so
-    memory grows as ~3 * 2^n machine words: fine through n = 19-20,
-    workable to n ~ 24 on a 16 GB machine, hard-capped at n = 28.
+    tables are read-only int64 arrays: ``exp_np[k] = xi^k`` and
+    ``zech_np[k]`` (``zech_np[0] = -1``) over 0..2^n - 2, and
+    ``log_np[x]`` over 0..2^n - 1 (``log_np[0] = -1``).  That is 24 B
+    per element, so n = 19 takes 12.6 MB and n = 25 0.8 GB; the cap
+    is n = 28.  Scalar methods return Python ints.
     """
 
-    __slots__ = ("n", "poly", "order", "exp_table", "log_table",
-                 "zech_table", "_np_cache")
+    __slots__ = ("n", "poly", "order", "exp_np", "log_np", "zech_np",
+                 "_np_cache")
 
-    def __init__(self, n: int, poly: int, exp_table: list[int],
-                 log_table: list[int], zech_table: list[int]):
+    def __init__(self, n: int, poly: int, exp_np: np.ndarray,
+                 log_np: np.ndarray, zech_np: np.ndarray):
         self.n = n
         self.poly = poly
         self.order = (1 << n) - 1
-        self.exp_table = exp_table
-        self.log_table = log_table
-        self.zech_table = zech_table
+        for arr in (exp_np, log_np, zech_np):
+            arr.setflags(write=False)
+        self.exp_np = exp_np
+        self.log_np = log_np
+        self.zech_np = zech_np
         self._np_cache: dict[str, np.ndarray] = {}
 
     # -- element arithmetic -------------------------------------------------
@@ -84,12 +88,12 @@ class FieldCtx:
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        return self.exp_table[(self.log_table[x] + self.log_table[y]) % self.order]
+        return self.exp(int(self.log_np[x]) + int(self.log_np[y]))
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("zero element has no inverse")
-        return self.exp_table[(-self.log_table[x]) % self.order]
+        return self.exp(-int(self.log_np[x]))
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
@@ -97,22 +101,22 @@ class FieldCtx:
     def pow(self, x: int, e: int) -> int:
         if x == 0:
             return 1 if e == 0 else 0
-        return self.exp_table[(self.log_table[x] * e) % self.order]
+        return self.exp(int(self.log_np[x]) * e)
 
     def log(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("zero element has no logarithm")
-        return self.log_table[x]
+        return int(self.log_np[x])
 
     def exp(self, k: int) -> int:
-        return self.exp_table[k % self.order]
+        return int(self.exp_np[k % self.order])
 
     def zech(self, k: int) -> int:
         """Zech logarithm: the exponent z with 1 + xi^k = xi^z."""
         k %= self.order
         if k == 0:
             raise ValueError("Zech undefined at 0: 1 + xi^0 = 0")
-        return self.zech_table[k]
+        return int(self.zech_np[k])
 
     # -- bulk views ----------------------------------------------------------
 
@@ -124,22 +128,6 @@ class FieldCtx:
             arr.setflags(write=False)
             self._np_cache[name] = arr
         return arr
-
-    def _np(self, name: str) -> np.ndarray:
-        return self.cached(name, lambda ctx: np.asarray(
-            getattr(ctx, name + "_table"), dtype=np.int64))
-
-    @property
-    def exp_np(self) -> np.ndarray:
-        return self._np("exp")
-
-    @property
-    def log_np(self) -> np.ndarray:
-        return self._np("log")
-
-    @property
-    def zech_np(self) -> np.ndarray:
-        return self._np("zech")
 
     def mul_np(self, x, y) -> np.ndarray:
         """Elementwise (broadcast) product of two integer arrays."""
@@ -171,37 +159,46 @@ def build_field(n: int, poly: int | None = None) -> FieldCtx:
     return _build_field_cached(n, poly)
 
 
+def _power_basis(val: int, n: int, poly: int, count: int) -> list[int]:
+    """``count`` successive powers val, val*xi, ... of the LFSR step."""
+    out = []
+    for _ in range(count):
+        out.append(val)
+        val <<= 1
+        if val >> n:
+            val ^= poly
+    return out
+
+
 @lru_cache(maxsize=32)
 def _build_field_cached(n: int, poly: int) -> FieldCtx:
     order = (1 << n) - 1
-    high = 1 << n
-    exp_table = [0] * order
-    log_table = [-1] * (high)
-    val = 1
-    for k in range(order):
-        if log_table[val] >= 0:
-            raise ValueError(f"polynomial {hex(poly)} is not primitive "
-                             f"(power sequence repeats at step {k})")
-        exp_table[k] = val
-        log_table[val] = k
-        val <<= 1
-        if val & high:
-            val ^= poly
-    if val != 1:
-        raise ValueError(f"polynomial {hex(poly)} is not primitive")
+    exp = np.empty(order, dtype=np.int64)
+    size = min(order, 2 * n)
+    exp[:size] = _power_basis(1, n, poly, size)
+    # Doubling blocks: exp[L:L+B] = xi^L * exp[:B], and multiplication by
+    # xi^L is GF(2)-linear, the XOR of xi^(L+i) over the set bits i.
+    while size < order:
+        block = min(size, order - size)
+        basis = _power_basis(int(exp[size - 1]), n, poly, n + 1)[1:]
+        src, out = exp[:block], exp[size:size + block]
+        out[:] = 0
+        for i, b in enumerate(basis):
+            out ^= ((src >> i) & 1) * b
+        size += block
+    if np.bincount(exp, minlength=order + 1).max() > 1:
+        k = int(np.flatnonzero(exp[1:] == 1)[0]) + 1
+        raise ValueError(f"polynomial {hex(poly)} is not primitive "
+                         f"(power sequence repeats at step {k})")
+    log = np.full(order + 1, -1, dtype=np.int64)
+    log[exp] = np.arange(order, dtype=np.int64)
     # 1 XOR xi^k is nonzero for every k != 0, so Zech is total on 1..order-1.
-    zech_table = [-1] * order
-    for k in range(1, order):
-        zech_table[k] = log_table[1 ^ exp_table[k]]
-    return FieldCtx(n, poly, exp_table, log_table, zech_table)
-
-
-def zech(ctx: FieldCtx, k: int) -> int:
-    return ctx.zech(k)
+    zech = log[1 ^ exp]
+    return FieldCtx(n, poly, exp, log, zech)
 
 
 @lru_cache(maxsize=32)
-def _embed_subfield_cached(sub_key: tuple[int, int], big_key: tuple[int, int]) -> tuple[int, ...]:
+def _embed_subfield_cached(sub_key: tuple[int, int], big_key: tuple[int, int]) -> np.ndarray:
     sub = _build_field_cached(*sub_key)
     big = _build_field_cached(*big_key)
     m, n = sub.n, big.n
@@ -209,44 +206,35 @@ def _embed_subfield_cached(sub_key: tuple[int, int], big_key: tuple[int, int]) -
         raise ValueError(f"no subfield of degree {m} in GF(2^{n})")
     # A field embedding sends the degree-m generator to a root of its
     # own polynomial inside the big field; roots live among the
-    # elements of multiplicative order dividing 2^m - 1.
+    # elements of multiplicative order dividing 2^m - 1, xi^(g*j).
     g = big.order // sub.order
-    root = None
-    for j in range(1, sub.order):
-        cand = big.exp_table[(g * j) % big.order]
-        acc = 0
-        p = sub.poly
-        i = 0
-        while p:
-            if p & 1:
-                acc ^= big.pow(cand, i)
-            p >>= 1
-            i += 1
-        if acc == 0:
-            if root is None or cand < root:
-                root = cand
-    if root is None:
+    j = np.arange(sub.order, dtype=np.int64)
+    acc = np.zeros(j.size, dtype=np.int64)
+    for i in range(m + 1):
+        if sub.poly >> i & 1:
+            acc ^= big.exp_np[(g * j * i) % big.order]
+    roots = big.exp_np[(g * j[acc == 0]) % big.order]
+    if roots.size == 0:
         raise ValueError("no root of subfield polynomial found; fields incompatible")
-    table = [0] * (1 << m)
-    e0 = big.log_table[root]
-    for k in range(sub.order):
-        table[sub.exp_table[k]] = big.exp_table[(e0 * k) % big.order]
+    table = np.zeros(1 << m, dtype=np.int64)
+    e0 = big.log(int(roots.min()))
+    table[sub.exp_np] = big.exp_np[(e0 * np.arange(sub.order)) % big.order]
     # sending generator -> same-minimal-polynomial root makes the map a
     # ring hom; spot-check additivity anyway (cheap for small m).
     if m <= 8:
-        for x in range(1 << m):
-            tx = table[x]
-            for y in range(x, 1 << m):
-                if table[x ^ y] != tx ^ table[y]:
-                    raise AssertionError("subfield embedding is not additive")
-    return tuple(table)
+        x = np.arange(1 << m)
+        if (table[x[:, None] ^ x] != table[:, None] ^ table).any():
+            raise AssertionError("subfield embedding is not additive")
+    table.setflags(write=False)
+    return table
 
 
-def embed_subfield(sub: FieldCtx, big: FieldCtx) -> tuple[int, ...]:
+def embed_subfield(sub: FieldCtx, big: FieldCtx) -> np.ndarray:
     """Field embedding GF(2^m) -> GF(2^n), m | n, as a lookup table.
 
-    ``table[x]`` is the image of the m-bit vector x; the map is a ring
-    homomorphism onto the unique subfield of order 2^m, deterministic
-    (smallest root of the sub polynomial is chosen).
+    ``table[x]`` is the image of the m-bit vector x, a read-only int64
+    array; the map is a ring homomorphism onto the unique subfield of
+    order 2^m, deterministic (smallest root of the sub polynomial is
+    chosen).
     """
     return _embed_subfield_cached((sub.n, sub.poly), (big.n, big.poly))

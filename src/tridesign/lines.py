@@ -204,17 +204,40 @@ def validate_spread(spread: Spread, n: int) -> None:
 
 def desarguesian_spread(ctx: FieldCtx, m: int) -> Spread:
     """Multiplicative cosets of the order-2^m subfield of GF(2^n)."""
-    n = ctx.n
-    if n % m:
-        raise ValueError(f"group dimension {m} does not divide {n}")
+    if ctx.n % m:
+        raise ValueError(f"group dimension {m} does not divide {ctx.n}")
+    return Spread(m, coset_groups(ctx, m, np.arange(ctx.order // ((1 << m) - 1))))
+
+
+def coset_groups(ctx: FieldCtx, m: int, exps) -> list[np.ndarray]:
+    """The cosets xi^e * GF(2^m)^* for the exponents e, each a sorted
+    int64 array: xi^(e + g*j) for g = (2^n - 1)/(2^m - 1), j < 2^m - 1."""
     g = ctx.order // ((1 << m) - 1)
-    exp = ctx.exp_np
     j = np.arange((1 << m) - 1, dtype=np.int64)
-    groups = []
-    for i in range(g):
-        coset = exp[(i + g * j) % ctx.order]
-        groups.append(np.sort(coset))
-    return Spread(m, groups)
+    e = np.asarray(exps, dtype=np.int64).reshape(-1, 1)
+    return list(np.sort(ctx.exp_np[(e + g * j) % ctx.order], axis=1))
+
+
+def coset_exponents(ctx: FieldCtx, m: int, groups) -> np.ndarray:
+    """The exponent e mod (2^n - 1)/(2^m - 1) of each group, read as the
+    coset xi^e * GF(2^m)^*: the logarithms of a group's vectors must all
+    agree with e mod that modulus.  Raises ValueError naming the first
+    group that does not hold 2^m - 1 vectors, holds one outside
+    1..2^n - 1 or whose logarithms disagree."""
+    q = (1 << m) - 1
+    g = ctx.order // q
+    sizes = np.array([len(grp) for grp in groups], dtype=np.int64)
+    flat = np.concatenate([np.asarray(grp, dtype=np.int64).ravel() for grp in groups]
+                          + [np.empty(0, dtype=np.int64)])
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    inside = (flat >= 1) & (flat <= ctx.order)
+    res = ctx.log_np[np.where(inside, flat, 1)] % g
+    start = np.cumsum(sizes) - sizes
+    bad = np.concatenate([np.flatnonzero(sizes != q),
+                          owner[~inside | (res != res[start[owner]])]])
+    if bad.size:
+        raise ValueError(f"group {int(bad.min())} is not a multiplicative coset")
+    return res[start]
 
 
 # -- 2-dimensional subspaces over an extension field ---------------------------
@@ -237,35 +260,34 @@ class PlaneBasis:
 _GRID_CELLS = 1 << 20
 
 
-def subfield_tables(ctx: FieldCtx, emb: tuple[int, ...]):
-    """The embedding as an int64 array, with the (q, q) multiplication
-    table and the inverse table of GF(2^m) on its m-bit elements.
+def subfield_tables(ctx: FieldCtx, emb: np.ndarray):
+    """The (q, q) multiplication table and the inverse table of GF(2^m)
+    on the m-bit elements of the embedding ``emb``.
 
     Products come from the big field's logarithms of the embedded
     elements, so they agree with ``emb`` whatever polynomial built it.
     """
-    emb_arr = np.asarray(emb, dtype=np.int64)
-    q = emb_arr.size
+    q = emb.size
     logs = np.zeros(q, dtype=np.int64)
-    logs[1:] = ctx.log_np[emb_arr[1:]] // (ctx.order // (q - 1))
+    logs[1:] = ctx.log_np[emb[1:]] // (ctx.order // (q - 1))
     elem = np.empty(q - 1, dtype=np.int64)
     elem[logs[1:]] = np.arange(1, q)
     mul = elem[(logs[:, None] + logs[None, :]) % (q - 1)]
     mul[0, :] = mul[:, 0] = 0
     inv = np.zeros(q, dtype=np.int64)
     inv[1:] = elem[-logs[1:] % (q - 1)]
-    return emb_arr, mul, inv
+    return mul, inv
 
 
-def span_grids(ctx: FieldCtx, emb_arr: np.ndarray, x, y) -> np.ndarray:
+def span_grids(ctx: FieldCtx, emb: np.ndarray, x, y) -> np.ndarray:
     """Row i lists the GF(2^m)-span of (x[i], y[i]): its cell a*q + b is
     emb[a]*x[i] + emb[b]*y[i].  Shape (B, q*q)."""
-    rx = ctx.mul_np(emb_arr, np.asarray(x, dtype=np.int64)[:, None])
-    ry = ctx.mul_np(emb_arr, np.asarray(y, dtype=np.int64)[:, None])
+    rx = ctx.mul_np(emb, np.asarray(x, dtype=np.int64)[:, None])
+    ry = ctx.mul_np(emb, np.asarray(y, dtype=np.int64)[:, None])
     return (rx[:, :, None] ^ ry[:, None, :]).reshape(rx.shape[0], -1)
 
 
-def plane_bases(ctx: FieldCtx, emb: tuple[int, ...], x, y):
+def plane_bases(ctx: FieldCtx, emb: np.ndarray, x, y):
     """Canonical bases of the GF(2^m)-spans of the pairs (x[i], y[i]).
 
     Returns (u, v, coef): int64 arrays u, v and the (B, 4) subfield
@@ -274,8 +296,8 @@ def plane_bases(ctx: FieldCtx, emb: tuple[int, ...], x, y):
     with cell 0 masked; v the least point once u's ray, the cells
     (c*a_u, c*b_u), is masked too.
     """
-    emb_arr, mul, _ = subfield_tables(ctx, emb)
-    q = emb_arr.size
+    mul, _ = subfield_tables(ctx, emb)
+    q = emb.size
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     top = np.iinfo(np.int64).max
@@ -283,7 +305,7 @@ def plane_bases(ctx: FieldCtx, emb: tuple[int, ...], x, y):
     u, v = np.empty(x.size, dtype=np.int64), np.empty(x.size, dtype=np.int64)
     coef = np.empty((x.size, 4), dtype=np.int64)
     for lo in range(0, x.size, step):
-        grid = span_grids(ctx, emb_arr, x[lo:lo + step], y[lo:lo + step])
+        grid = span_grids(ctx, emb, x[lo:lo + step], y[lo:lo + step])
         rows = np.arange(grid.shape[0])
         grid[:, 0] = top
         iu = grid.argmin(axis=1)
@@ -300,7 +322,7 @@ def plane_bases(ctx: FieldCtx, emb: tuple[int, ...], x, y):
     return u, v, coef
 
 
-def canonical_plane_basis(ctx: FieldCtx, emb: tuple[int, ...], x: int, y: int) -> PlaneBasis:
+def canonical_plane_basis(ctx: FieldCtx, emb: np.ndarray, x: int, y: int) -> PlaneBasis:
     """Canonical basis of the GF(2^m)-span of independent x, y."""
     u, v, _ = plane_bases(ctx, emb, [x], [y])
     return PlaneBasis(int(u[0]), int(v[0]))
@@ -336,7 +358,7 @@ def enumerate_ext_planes(ctx: FieldCtx, m: int) -> Iterator[PlaneBasis]:
     emb = embed_subfield(build_field(m), ctx)
     q = 1 << m
     # basis of GF(2^n) over GF(2^m): powers of xi; cols[j, c] = c * xi^j
-    cols = ctx.mul_np(np.asarray(emb, dtype=np.int64), ctx.exp_np[:s, None])
+    cols = ctx.mul_np(emb, ctx.exp_np[:s, None])
     step = max(1, _GRID_CELLS // (q * q))
     for j1 in range(s):
         for j2 in range(j1 + 1, s):

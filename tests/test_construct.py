@@ -7,7 +7,7 @@ import pytest
 from tridesign.construct import (ConstructionError, GddStream,
                                  balanced_extension, fill_groups, gdd_6k_6,
                                  product, product_census, trivial_design)
-from tridesign.designs import (Design, charge_ledger, verify_balanced,
+from tridesign.designs import (Design, Gdd, charge_ledger, verify_balanced,
                                verify_design, verify_gdd)
 from tridesign.designs import _line_keys
 from tridesign.gf2n import build_field, embed_subfield
@@ -217,7 +217,7 @@ def _scalar_pulled_key(s, x, y):
             resid = w ^ ctx.mul(emb[a6], plane.u)
             b6 = [b for b in range(64) if ctx.mul(emb[b], plane.v) == resid]
             if b6:
-                pulled.append(emb12[a6] ^ f12.mul(emb12[b6[0]], f12.exp_table[1]))
+                pulled.append(emb12[a6] ^ f12.mul(emb12[b6[0]], int(f12.exp_np[1])))
                 break
     p, q = pulled
     lo, _, hi = sorted((p, q, p ^ q))
@@ -314,6 +314,21 @@ def test_fill_groups_charge_per_group(gdd12_6, gdd6_2):
     for grp in gdd12_6.groups.groups[:5]:
         delta = led.counts[grp].sum() - base.counts[grp].sum()
         assert delta == 0
+
+
+def _swap_low_top_bit(v, n):
+    """The bit swap 0 <-> n - 1, a GF(2)-linear relabelling."""
+    lo, hi = v & 1, (v >> (n - 1)) & 1
+    return v ^ ((lo ^ hi) * (1 | (1 << (n - 1))))
+
+
+def test_fill_groups_refuses_non_coset_groups(gdd12_6, design6):
+    groups = Spread(6, [_swap_low_top_bit(g, 12) for g in gdd12_6.groups.groups])
+    g = Gdd(n=12, poly=gdd12_6.poly, tri=np.empty((0, 3), dtype=np.int64), m=6,
+            groups=groups)
+    with pytest.raises(ConstructionError,
+                       match="group 0 is not a multiplicative coset; cannot fill"):
+        fill_groups(g, design6)
 
 
 def test_product_explicit_spread(design6):

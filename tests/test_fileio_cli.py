@@ -87,6 +87,25 @@ def test_cli_field(capsys):
     assert "zech: 7" in out
 
 
+def test_cli_field_json_scalars(capsys):
+    assert run_cli("--json", "field", "--n", "7", "--zech", "1", "--exp", "200",
+                   "--log", "3") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["zech"], payload["exp"], payload["log"]) == (7, 91, 7)
+
+
+def test_write_design_refuses_non_coset_groups(tmp_path):
+    from tridesign.gf2n import build_field
+    from tridesign.lines import Spread, desarguesian_spread
+    # the bit swap 0 <-> 5 moves the GF(4) cosets off the multiplicative cosets
+    cosets = desarguesian_spread(build_field(6), 2).groups
+    groups = Spread(2, [g ^ (((g & 1) ^ ((g >> 5) & 1)) * 0b100001) for g in cosets])
+    g = Gdd(n=6, poly=build_field(6).poly, tri=np.empty((0, 3), dtype=np.int64),
+            m=2, groups=groups)
+    with pytest.raises(ValueError, match="group 0 is not a multiplicative coset"):
+        write_design(g, str(tmp_path / "g.txt"))
+
+
 def test_cli_gamma_json(capsys):
     assert run_cli("--json", "gamma", "--n", "7", "--k", "1", "--cy") == 0
     payload = json.loads(capsys.readouterr().out)

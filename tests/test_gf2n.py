@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tridesign import gf2n
 from tridesign.gf2n import build_field, embed_subfield
 
 
@@ -23,39 +26,112 @@ def clmul_mod(a, b, poly, n):
 def test_defaults_build_through_20():
     for n in range(1, 21):
         ctx = build_field(n)
-        assert ctx.exp_table[0] == 1
-        assert len(ctx.exp_table) == ctx.order == (1 << n) - 1
+        assert ctx.exp_np[0] == 1
+        assert len(ctx.exp_np) == ctx.order == (1 << n) - 1
 
 
 def test_exp_log_roundtrip_exhaustive_small():
     for n in (1, 2, 3, 4, 6, 7):
         ctx = build_field(n)
         for k in range(ctx.order):
-            assert ctx.log_table[ctx.exp_table[k]] == k
-        vals = sorted(ctx.exp_table)
+            assert ctx.log_np[ctx.exp_np[k]] == k
+        vals = sorted(ctx.exp_np.tolist())
         assert vals == list(range(1, 1 << n))
 
 
 def test_exp_log_roundtrip_sampled_13(f13):
     rng = np.random.default_rng(1)
     for v in rng.integers(1, 1 << 13, size=500).tolist():
-        assert f13.exp_table[f13.log_table[v]] == v
+        assert f13.exp_np[f13.log_np[v]] == v
 
 
 def test_defining_relation_n7(f7):
     # xi^7 = xi + 1 is forced by the default polynomial
-    assert f7.exp_table[7] == 0b11
+    assert f7.exp_np[7] == 0b11
 
 
 def test_build_field_13_order():
     ctx = build_field(13)
     assert ctx.order == 8191
-    assert len(ctx.exp_table) == 8191
+    assert len(ctx.exp_np) == 8191
 
 
 def test_non_primitive_rejected():
     with pytest.raises(ValueError, match="not primitive"):
         build_field(3, poly=0b1111)  # divisible by x + 1
+
+
+@pytest.mark.parametrize("n, poly, step", [
+    (4, 0b11111, 5),      # x^4 + x^3 + x^2 + x + 1: irreducible, xi^5 = 1
+    (6, 0b1001001, 9),    # x^6 + x^3 + 1: irreducible, xi^9 = 1
+])
+def test_irreducible_non_primitive_rejected(n, poly, step):
+    # xi^(2^n - 1) = 1 holds for both; only the repeat gives them away
+    with pytest.raises(ValueError,
+                       match=rf"not primitive \(power sequence repeats at step {step}\)"):
+        build_field(n, poly=poly)
+
+
+# sha256 of the int64 exp, log and Zech tables, recorded with the list-based
+# builder the array tables replaced
+_TABLE_SHA256 = {
+    7: ("d9a58fef65a6c2c7a1fca8b9a2480fe91aae7a7e3d2c7048948f662026cbd50e",
+        "d500c03f2dd7e7445d085f8eb46bed2148da436f9d98cb607da63c40d1dbf025",
+        "a0c9425fcf5d975e80db353896cff598c515475bb8cc175cce51d52b9aa26934"),
+    13: ("477fdc440a1507e30fe56d4a10d6a874285f684148ab9da13fc55944acb1d7f1",
+         "5cf43db45c3c9a08b576f4e2b12c24c2b8741986540289aced0e9c83bd40c583",
+         "0ec76ca6f16012a5f39f5874ae75875bf4c63a5148bdc1145b1bc04b73b9b4f0"),
+    19: ("e52c3d168e85a237a61b24c09b503ef508c4128ed03600173aa423c341e73dfd",
+         "ed2047018c5253aa63af780868051b17254bcdeae8234b65b6d287e8ead41055",
+         "56d046d89da1fc58ce4ccb94bc2d47602a5332327ecfeb4fd86ff845322ef370"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_TABLE_SHA256))
+def test_tables_pinned(n):
+    ctx = build_field(n)
+    tables = (ctx.exp_np, ctx.log_np, ctx.zech_np)
+    assert all(t.dtype == np.int64 and not t.flags.writeable for t in tables)
+    assert tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables) == _TABLE_SHA256[n]
+
+
+def test_exp_matches_polynomial_powers_through_16():
+    for n in range(1, 17):
+        ctx = build_field(n)
+        powers = [1]
+        for _ in range(ctx.order - 1):
+            powers.append(clmul_mod(powers[-1], 2, ctx.poly, n))
+        assert ctx.exp_np.tolist() == powers
+
+
+def test_scalar_methods_return_python_int(f7):
+    assert type(f7.zech(1)) is int
+    assert type(f7.exp(200)) is int
+    assert type(f7.log(3)) is int
+    assert type(f7.mul(3, 5)) is int
+    x = 0b1011001
+    power = 1
+    for _ in range(10**30 % 127):
+        power = clmul_mod(power, x, f7.poly, 7)
+    assert f7.pow(x, 10**30) == power
+
+
+def test_cache_clear_rebuilds_field_and_embedding():
+    # perfbench clears these caches so each pass rebuilds the tables
+    f13 = build_field(13)
+    emb = embed_subfield(build_field(6), build_field(12))
+    gf2n._build_field_cached.cache_clear()
+    gf2n._embed_subfield_cached.cache_clear()
+    fresh = build_field(13)
+    assert fresh is not f13 and np.array_equal(fresh.exp_np, f13.exp_np)
+    fresh_emb = embed_subfield(build_field(6), build_field(12))
+    assert fresh_emb is not emb and np.array_equal(fresh_emb, emb)
+
+
+def test_embed_prime_subfield():
+    # GF(2) sits in every field as {0, 1}
+    for n in (1, 7, 13):
+        assert embed_subfield(build_field(1), build_field(n)).tolist() == [0, 1]
 
 
 def test_degree_out_of_range():
@@ -95,7 +171,7 @@ def test_zero_element_errors(f7):
 def test_pow(f7):
     assert f7.pow(0, 5) == 0
     assert f7.pow(0, 0) == 1
-    x = f7.exp_table[3]
+    x = int(f7.exp_np[3])
     assert f7.pow(x, 127) == 1   # group order
     assert f7.pow(x, 128) == x   # exponent reduced mod the group order
 

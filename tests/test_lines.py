@@ -250,7 +250,7 @@ def _scalar_planes(ctx, m):
     at a time, in the library's order."""
     s, q = ctx.n // m, 1 << m
     emb = embed_subfield(build_field(m), ctx)
-    xi_pow = [ctx.exp_table[i] for i in range(s)]
+    xi_pow = [int(ctx.exp_np[i]) for i in range(s)]
 
     def to_vector(coeffs):
         acc = 0
@@ -325,8 +325,8 @@ def test_plane_bases_refuse_dependent_pair():
 
 def test_subfield_tables_match_field_arithmetic(f6):
     emb = embed_subfield(f6, _F18)
-    emb_arr, mul, inv = subfield_tables(_F18, emb)
-    assert emb_arr.tolist() == list(emb)
+    mul, inv = subfield_tables(_F18, emb)
+    assert emb.dtype == np.int64 and not emb.flags.writeable
     for a in range(64):
         assert mul[a].tolist() == [f6.mul(a, b) for b in range(64)]
         if a:

@@ -70,11 +70,11 @@ def test_cy_gamma_covers_everything_n7(f7):
 
 
 def test_orbit_key_of_line(f7, f12):
-    assert orbit_key_of_line(f7, canonical_line(1, f7.exp_table[1])) == 1
-    scaled = canonical_line(f7.exp_table[2], f7.exp_table[3])
+    assert orbit_key_of_line(f7, canonical_line(1, int(f7.exp_np[1]))) == 1
+    scaled = canonical_line(int(f7.exp_np[2]), int(f7.exp_np[3]))
     assert orbit_key_of_line(f7, scaled) == 1  # same orbit
     # a line inside the order-64 subfield has a key divisible by 65
-    sub = [f12.exp_table[65 * j] for j in (1, 2)]
+    sub = [int(f12.exp_np[65 * j]) for j in (1, 2)]
     key = orbit_key_of_line(f12, canonical_line(*sub))
     assert key % 65 == 0
 
@@ -202,7 +202,7 @@ def test_expansion_determinism(f7):
 def test_orbit_key_degenerate_line(f6):
     # the line fixed by the order-3 multiplier lives inside the GF(4)
     # subfield; its closure set has size 2
-    line = canonical_line(1, f6.exp_table[21])
+    line = canonical_line(1, int(f6.exp_np[21]))
     key = orbit_key_of_line(f6, line)
     assert key == 21
     assert gamma(f6, key) == (21, 42)
