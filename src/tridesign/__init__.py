@@ -14,12 +14,10 @@ from .designs import (BalanceReport, ChargeLedger, CoverReport, Design, Gdd,
                       charge_ledger, coverage_counts, expected_triangle_count,
                       verify_balanced, verify_design, verify_gdd)
 from .gf2n import DEFAULT_POLYS, FieldCtx, build_field, embed_subfield
-from .lines import (Line, PlaneBasis, Spread, TriangleV, canonical_line,
-                    desarguesian_spread, enumerate_ext_planes, enumerate_lines,
-                    ext_plane_count, is_triangle, line_count, validate_spread)
+from .lines import (PlaneBasis, Spread, desarguesian_spread, enumerate_ext_planes,
+                    ext_plane_count, line_count, validate_spread)
 from .orbits import (FrobeniusCertificate, OrbitCertificate, cy_gamma,
-                     cyclotomic_class, expand_certificate, gamma, gamma_key,
-                     is_triangle_orbit, orbit_key_of_line)
+                     cyclotomic_class, expand_certificate, gamma)
 from .search import (InfeasibleStratumError, SearchLimitExceeded,
                      SearchUnsatisfiable, frobenius_strata, search_frobenius,
                      search_singer)

@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     cg.add_argument("--k", type=int, required=True)
     cg.add_argument("--out")
     cg.add_argument("--count", action="store_true",
-                    help="stream and count all triangles (k >= 3)")
+                    help="count all triangles from the checked plane "
+                         "enumeration (k >= 3)")
     cg.add_argument("--sample", type=int, default=0,
                     help="verify this many sampled non-group lines (k >= 3)")
     cg.add_argument("--seed", type=int, default=0)

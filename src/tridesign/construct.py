@@ -46,8 +46,8 @@ from .designs import (MAX_MATERIALIZED_TRIANGLES, Design, Gdd, _line_keys,
 from .gf2n import FieldCtx, build_field, embed_subfield
 from .orbits import expand_certificate
 from .lines import (PlaneBasis, Spread, coset_exponents, desarguesian_spread,
-                    enumerate_ext_planes, ext_plane_count, line_count, line_rows,
-                    plane_bases, span_grids, subfield_tables, validate_spread)
+                    enumerate_ext_planes, ext_plane_count, line_count, line_keys,
+                    line_rows, plane_bases, span_grids, subfield_tables, validate_spread)
 
 
 class ConstructionError(ValueError):
@@ -344,13 +344,22 @@ class GddStream:
         return np.sort(tri, axis=1) if canonical else tri
 
     def stream_count(self, progress: bool = False) -> int:
-        total = 0
-        for idx, plane in enumerate(self.planes()):
-            total += int(self.plane_triangles(plane, canonical=False).shape[0])
-            if progress and (idx + 1) % 500 == 0:
-                print(f"  plane {idx + 1}/{self.plane_count}", file=sys.stderr,
-                      flush=True)
-        return total
+        """Triangles in the stream, ``plane_count * per_plane``, once the
+        enumerated planes are checked to be exactly ``plane_count``
+        distinct ones (by their canonical bases); builds no triangle."""
+        def plane_keys():
+            for idx, plane in enumerate(self.planes()):
+                yield (plane.u << self.n) | plane.v
+                if progress and (idx + 1) % 500 == 0:
+                    print(f"  plane {idx + 1}/{self.plane_count}", file=sys.stderr,
+                          flush=True)
+
+        keys = np.fromiter(plane_keys(), dtype=np.int64)
+        distinct = np.unique(keys).size
+        if keys.size != self.plane_count or distinct != keys.size:
+            raise ConstructionError(f"{keys.size} planes enumerated, {distinct} "
+                                    f"distinct; expected {self.plane_count}")
+        return self.plane_count * self.per_plane
 
     # -- plane-local lookup -------------------------------------------------
 
@@ -373,10 +382,7 @@ class GddStream:
         d = inv[mul[au, bv] ^ mul[bu, av]]
         p = self.coords12[mul[d, bv] << 6 | mul[d, bu]]
         q = self.coords12[mul[d, av] << 6 | mul[d, au]]
-        z = p ^ q
-        lo = np.minimum(np.minimum(p, q), z)
-        hi = np.maximum(np.maximum(p, q), z)
-        return (lo << 12) | (lo ^ hi)
+        return line_keys(p, q, 12)
 
     def sample_line_check(self, samples: int, seed: int = 0,
                           progress: bool = False) -> int:

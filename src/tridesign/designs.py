@@ -26,13 +26,12 @@ lines not inside a group.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lines import (Spread, TriangleV, line_count, enumerate_line_keys_np,
-                    validate_spread)
+from .lines import (Spread, enumerate_line_keys_np, key_rows, line_count,
+                    line_keys, validate_spread)
 
 MAX_WITNESSES = 10
 # Largest triangle count a construction or an expansion builds in memory
@@ -110,10 +109,6 @@ class Design:
     def triangle_count(self) -> int:
         return int(self.tri.shape[0])
 
-    def triangles(self):
-        for a, b, c in self.tri.tolist():
-            yield TriangleV((a, b, c))
-
     @property
     def kind(self) -> str:
         return "design"
@@ -148,26 +143,21 @@ def _structural_check(tri: np.ndarray, n: int) -> None:
         raise ValueError(f"malformed triangle at row {i}: {tuple(tri[i].tolist())}")
 
 
+# The corner pairs spanning a triangle's lines <a,b>, <b,c>, <a,c>: line
+# s of triangle t has index 3t + s among the 3T line keys.
+_SIDES = ((0, 1), (1, 2), (0, 2))
+
+
 def _line_keys(tri: np.ndarray, n: int) -> np.ndarray:
-    """Key of each of the 3T lines: two smallest points packed as (lo << n) | mid."""
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    """Line key of each of the 3T lines, in ``_SIDES`` order per triangle."""
     keys = np.empty(3 * tri.shape[0], dtype=np.int64)
-    for idx, (p, q) in enumerate(((a, b), (b, c), (a, c))):
-        z = p ^ q
-        lo = np.minimum(np.minimum(p, q), z)
-        hi = np.maximum(np.maximum(p, q), z)
-        mid = lo ^ hi  # p ^ q ^ z = 0
-        keys[idx::3] = (lo << n) | mid
+    for s, (i, j) in enumerate(_SIDES):
+        keys[s::3] = line_keys(tri[:, i], tri[:, j], n)
     return keys
 
 
-def _key_to_line(key: int, n: int) -> tuple[int, int, int]:
-    lo, mid = key >> n, key & ((1 << n) - 1)
-    return (lo, mid, lo ^ mid)
-
-
 def _describe_keys(keys: np.ndarray, n: int) -> list[tuple[int, int, int]]:
-    return [_key_to_line(int(k), n) for k in keys[:MAX_WITNESSES]]
+    return [tuple(r) for r in key_rows(keys[:MAX_WITNESSES], n).tolist()]
 
 
 @dataclass
@@ -217,9 +207,6 @@ class CoverReport:
                              + ", ".join(str(w) for w in wit))
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 @dataclass
 class BalanceReport:
@@ -253,9 +240,6 @@ class BalanceReport:
         hist = ", ".join(f"{k}x{v}" for k, v in sorted(self.histogram.items()))
         return f"unbalanced; coverage histogram: {hist}"
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _chunked_line_keys(tri: np.ndarray, n: int, chunk: int = 1 << 20) -> np.ndarray:
     if tri.shape[0] <= chunk:
@@ -277,31 +261,56 @@ def _absent_keys(wanted: np.ndarray, have: np.ndarray) -> np.ndarray:
     return wanted[have[pos] != wanted]
 
 
-def verify_design(d: Design) -> CoverReport:
-    """Check that the triangles cover every line of GF(2)^n exactly once."""
-    _structural_check(d.tri, d.n)
-    total = line_count(d.n)
-    expected = expected_triangle_count(d.n, 1)
-    keys = np.sort(_chunked_line_keys(d.tri, d.n))
+def _verify_cover(d: Design, m: int, gid: np.ndarray | None,
+                  internal: int) -> CoverReport:
+    """Exact cover of the lines of GF(2)^n outside the groups of the
+    vector -> group table ``gid``, ``internal`` lines lying inside them.
+
+    ``gid`` None is the plain design: every vector its own group, so no
+    line lies inside one and no group lookup is made.
+    """
+    n = d.n
+    keys = _chunked_line_keys(d.tri, n)
+    hits = np.empty(0, dtype=np.int64)
+    if gid is not None:
+        # a line lies inside a group iff two of its points do
+        g = gid[d.tri]
+        inside = np.column_stack([g[:, i] == g[:, j] for i, j in _SIDES])
+        hits = np.unique(keys[inside.ravel()])
+    keys.sort()
     dup_mask = np.zeros(keys.shape, dtype=bool)
     if keys.size:
         dup_mask[1:] = keys[1:] == keys[:-1]
     dups = np.unique(keys[dup_mask])
     distinct = keys.size - int(dup_mask.sum())
+    outside_total = line_count(n) - internal
     uncovered: list = []
-    if distinct != total:
-        # At most ``distinct`` of the smallest line keys are covered, so the
-        # first MAX_WITNESSES uncovered ones lie in this prefix.
-        wanted = enumerate_line_keys_np(d.n, distinct + MAX_WITNESSES)
-        uncovered = _describe_keys(_absent_keys(wanted, keys), d.n)
-    ok = (dups.size == 0 and distinct == total
-          and d.triangle_count == expected)
-    return CoverReport(ok=ok, kind="design", n=d.n, m=1,
+    if distinct != outside_total or hits.size:
+        # At most ``distinct`` of the smallest outside lines are covered, so
+        # the first MAX_WITNESSES uncovered ones lie in this prefix, which
+        # also makes room for every group line it may hold.
+        wanted = enumerate_line_keys_np(n, distinct + internal + MAX_WITNESSES)
+        absent = _absent_keys(wanted, keys)
+        if gid is not None:  # drop the group lines among them
+            rows = key_rows(absent, n)
+            absent = absent[gid[rows[:, 0]] != gid[rows[:, 1]]]
+        uncovered = _describe_keys(absent, n)
+    expected = expected_triangle_count(n, m)
+    ok = (hits.size == 0 and dups.size == 0 and distinct == outside_total
+          and not uncovered and d.triangle_count == expected)
+    return CoverReport(ok=ok, kind="design" if gid is None else "gdd", n=n, m=m,
                        triangle_count=d.triangle_count,
                        expected_triangles=expected,
-                       line_total=total, lines_seen=distinct,
+                       line_total=outside_total, lines_seen=distinct,
                        uncovered=uncovered,
-                       multiply_covered=_describe_keys(dups, d.n))
+                       multiply_covered=_describe_keys(dups, n),
+                       group_line_hits=_describe_keys(hits, n))
+
+
+def verify_design(d: Design) -> CoverReport:
+    """Check that the triangles cover every line of GF(2)^n exactly once."""
+    _structural_check(d.tri, d.n)
+    return _verify_cover(d, 1, None, 0)
 
 
 def verify_gdd(g: Gdd) -> CoverReport:
@@ -317,53 +326,23 @@ def verify_gdd(g: Gdd) -> CoverReport:
     validate_spread(g.groups, g.n)
     if g.groups.dim_m != g.m:
         raise ValueError(f"spread dimension {g.groups.dim_m} != declared m={g.m}")
-    gid = g.groups.group_id_table(g.n)
-    total = line_count(g.n)
-    internal = g.groups.internal_line_count()
-    expected = expected_triangle_count(g.n, g.m)
+    return _verify_cover(g, g.m, g.groups.group_id_table(g.n),
+                         g.groups.internal_line_count())
 
-    keys = _chunked_line_keys(g.tri, g.n)
-    mask_n = (1 << g.n) - 1
-    lo = keys >> g.n
-    mid = keys & mask_n
-    in_group = gid[lo] == gid[mid]
-    group_hits = np.unique(keys[in_group])
 
-    keys = np.sort(keys)
-    dup_mask = np.zeros(keys.shape, dtype=bool)
-    if keys.size:
-        dup_mask[1:] = keys[1:] == keys[:-1]
-    dups = np.unique(keys[dup_mask])
-    distinct = keys.size - int(dup_mask.sum())
-    outside_total = total - internal
-    uncovered: list = []
-    if distinct != outside_total or group_hits.size:
-        # the prefix also makes room for every group line it may hold
-        all_keys = enumerate_line_keys_np(g.n, distinct + internal + MAX_WITNESSES)
-        alo = all_keys >> g.n
-        amid = all_keys & mask_n
-        outside_keys = all_keys[gid[alo] != gid[amid]]
-        uncovered = _describe_keys(_absent_keys(outside_keys, keys), g.n)
-    ok = (group_hits.size == 0 and dups.size == 0
-          and distinct == outside_total and not uncovered
-          and g.triangle_count == expected)
-    return CoverReport(ok=ok, kind="gdd", n=g.n, m=g.m,
-                       triangle_count=g.triangle_count,
-                       expected_triangles=expected,
-                       line_total=outside_total, lines_seen=distinct,
-                       uncovered=uncovered,
-                       multiply_covered=_describe_keys(dups, g.n),
-                       group_line_hits=_describe_keys(group_hits, g.n))
+def _incidence_counts(tri: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vector counts of corner and of non-corner appearances."""
+    tri = np.asarray(tri, dtype=np.int64)
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    corner = np.bincount(tri.ravel(), minlength=1 << n)
+    noncorner = np.bincount(np.concatenate([a ^ b, b ^ c, a ^ c]), minlength=1 << n)
+    return corner, noncorner
 
 
 def coverage_counts(tri: np.ndarray, n: int) -> np.ndarray:
     """Per-vector count of triangles covering it (index = vector)."""
-    tri = np.asarray(tri, dtype=np.int64)
-    if tri.shape[0] == 0:
-        return np.zeros(1 << n, dtype=np.int64)
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    pts = np.concatenate([a, b, c, a ^ b, b ^ c, a ^ c])
-    return np.bincount(pts, minlength=1 << n).astype(np.int64)
+    corner, noncorner = _incidence_counts(tri, n)
+    return corner + noncorner
 
 
 def verify_balanced(t: Design) -> BalanceReport:
@@ -421,11 +400,5 @@ def charge_ledger(tri: np.ndarray, n: int) -> ChargeLedger:
     2*corners + noncorners at a vector is the number of lines through
     it, a constant.
     """
-    tri = np.asarray(tri, dtype=np.int64)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    if tri.shape[0]:
-        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-        plus = np.bincount(np.concatenate([a, b, c]), minlength=1 << n)
-        minus = np.bincount(np.concatenate([a ^ b, b ^ c, a ^ c]), minlength=1 << n)
-        counts = (plus - minus).astype(np.int64)
-    return ChargeLedger(n, counts)
+    corner, noncorner = _incidence_counts(tri, n)
+    return ChargeLedger(n, corner - noncorner)

@@ -95,9 +95,6 @@ class FieldCtx:
             raise ZeroDivisionError("zero element has no inverse")
         return self.exp(-int(self.log_np[x]))
 
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
     def pow(self, x: int, e: int) -> int:
         if x == 0:
             return 1 if e == 0 else 0

@@ -1,12 +1,14 @@
-"""Lines (2-dimensional GF(2)-subspaces), triangles, spreads and
-extension-field planes.
+"""Lines (2-dimensional GF(2)-subspaces), spreads and extension-field
+planes.
 
-A 2-dimensional subspace {0, x, y, x^y} is stored as the sorted triple
-of its nonzero vectors (a projective line).  A triangle is three lines
-pairwise meeting in one nonzero vector with trivial triple
-intersection; equivalently the lines <a,b>, <b,c>, <c,a> spanned by
-three independent vectors, which is how we store it: the sorted corner
-triple (a, b, c).
+A 2-dimensional subspace {0, x, y, x^y} is a projective line, the
+three nonzero vectors lo < mid < lo ^ mid.  This module owns its two
+array forms: the int64 key (lo << n) | mid, whose order is the order
+of the sorted rows, and the (L, 3) row (lo, mid, lo ^ mid).
+``line_keys`` packs the line through each pair of points and
+``key_rows`` unpacks keys into rows; no other module reads the key
+layout.  A triangle is stored elsewhere as its sorted corner triple
+(a, b, c), the lines <a,b>, <b,c>, <a,c>.
 """
 
 from __future__ import annotations
@@ -19,52 +21,9 @@ import numpy as np
 from .gf2n import FieldCtx, build_field, embed_subfield
 
 
-@dataclass(frozen=True)
-class Line:
-    """Canonical projective line: sorted triple with x ^ y ^ z = 0."""
-
-    pts: tuple[int, int, int]
-
-    @property
-    def x(self) -> int:
-        return self.pts[0]
-
-    @property
-    def y(self) -> int:
-        return self.pts[1]
-
-    @property
-    def z(self) -> int:
-        return self.pts[2]
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.pts
-
-    def key(self, n: int) -> int:
-        return (self.pts[0] << n) | self.pts[1]
-
-
-def canonical_line(x: int, y: int) -> Line:
-    """The line through x and y in canonical (sorted) form."""
-    if x == 0 or y == 0 or x == y:
-        raise ValueError(f"degenerate line: generators {x}, {y}")
-    z = x ^ y
-    a, b, c = sorted((x, y, z))
-    return Line((a, b, c))
-
-
 def line_count(n: int) -> int:
     N = (1 << n) - 1
     return N * (N - 1) // 6
-
-
-def enumerate_lines(n: int) -> Iterator[Line]:
-    """All canonical lines of GF(2)^n, ascending by (x, y)."""
-    top = 1 << n
-    for x in range(1, top):
-        for y in range(x + 1, top):
-            if x ^ y > y:
-                yield Line((x, y, x ^ y))
 
 
 def enumerate_line_keys_np(n: int, limit: int | None = None) -> np.ndarray:
@@ -93,55 +52,26 @@ def enumerate_line_keys_np(n: int, limit: int | None = None) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
 
+def line_keys(p, q, n: int) -> np.ndarray:
+    """Key (lo << n) | mid of the line through each pair of distinct
+    nonzero points (p[i], q[i]): lo < mid are the two smallest of p, q
+    and p ^ q."""
+    z = p ^ q
+    lo = np.minimum(np.minimum(p, q), z)
+    hi = np.maximum(np.maximum(p, q), z)
+    return (lo << n) | (lo ^ hi)  # mid, since lo ^ mid ^ hi = 0
+
+
+def key_rows(keys, n: int) -> np.ndarray:
+    """(K, 3) int64 rows (lo, mid, lo ^ mid) of the line keys."""
+    keys = np.asarray(keys, dtype=np.int64)
+    lo, mid = keys >> n, keys & ((1 << n) - 1)
+    return np.column_stack([lo, mid, lo ^ mid])
+
+
 def line_rows(n: int) -> np.ndarray:
-    """All canonical lines of GF(2)^n as an (L, 3) int64 array of sorted
-    points (x, y, x ^ y), in ascending key order."""
-    keys = enumerate_line_keys_np(n)
-    x, y = keys >> n, keys & ((1 << n) - 1)
-    return np.column_stack([x, y, x ^ y])
-
-
-@dataclass(frozen=True)
-class TriangleV:
-    """A triangle at the vector level, canonically the sorted corner triple."""
-
-    gens: tuple[int, int, int]
-
-    @staticmethod
-    def from_gens(a: int, b: int, c: int) -> "TriangleV":
-        if a == 0 or b == 0 or c == 0 or len({a, b, c}) != 3 or a ^ b ^ c == 0:
-            raise ValueError(f"generators ({a}, {b}, {c}) are not independent")
-        x, y, z = sorted((a, b, c))
-        return TriangleV((x, y, z))
-
-    @property
-    def corners(self) -> tuple[int, int, int]:
-        return self.gens
-
-    @property
-    def noncorners(self) -> tuple[int, int, int]:
-        a, b, c = self.gens
-        return (a ^ b, b ^ c, c ^ a)
-
-    @property
-    def lines(self) -> tuple[Line, Line, Line]:
-        a, b, c = self.gens
-        return (canonical_line(a, b), canonical_line(b, c), canonical_line(c, a))
-
-
-def is_triangle(l1: Line, l2: Line, l3: Line) -> bool:
-    """True iff the three lines form a triangle.
-
-    Pairwise intersections must be single distinct vectors; the
-    triple intersection is then automatically trivial.
-    """
-    s1, s2, s3 = set(l1.pts), set(l2.pts), set(l3.pts)
-    if s1 == s2 or s2 == s3 or s1 == s3:
-        return False
-    p12, p23, p31 = s1 & s2, s2 & s3, s3 & s1
-    if len(p12) != 1 or len(p23) != 1 or len(p31) != 1:
-        return False
-    return len(p12 | p23 | p31) == 3
+    """All lines of GF(2)^n as (L, 3) rows, in ascending key order."""
+    return key_rows(enumerate_line_keys_np(n), n)
 
 
 # -- spreads ------------------------------------------------------------------

