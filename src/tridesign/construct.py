@@ -332,10 +332,6 @@ class GddStream:
         self.plane_count = ext_plane_count(6, k)
         self._gdd12_keys: np.ndarray | None = None
 
-    @property
-    def groups(self) -> Spread:
-        return desarguesian_spread(self.ctx, 6)
-
     def planes(self) -> Iterator[PlaneBasis]:
         return enumerate_ext_planes(self.ctx, 6)
 
@@ -427,13 +423,11 @@ def gdd_6k_6(k: int):
                    m=6, groups=desarguesian_spread(f6, 6),
                    provenance="tower k=1")
     if k == 2:
-        _, idx, _ = _gdd12_coordinates()
-        ctx = build_field(12)
-        emb = embed_subfield(build_field(6), ctx)
-        plane = next(enumerate_ext_planes(ctx, 6))
-        tri = np.sort(_plane_copy(ctx, emb, plane, idx), axis=1)
-        return Gdd(n=12, poly=ctx.poly, tri=tri, m=6,
-                   groups=desarguesian_spread(ctx, 6), provenance="tower k=2")
+        # GF(2^12) is its own only GF(64)-plane, and its canonical basis
+        # (1, xi) is the one the (12,6) design is written over
+        g12 = expand_certificate(as_certificate(load_dataset("gdd12-6")))
+        g12.provenance = "tower k=2"
+        return g12
     return GddStream(k)
 
 

@@ -148,11 +148,17 @@ def _structural_check(tri: np.ndarray, n: int) -> None:
 _SIDES = ((0, 1), (1, 2), (0, 2))
 
 
+_KEY_CHUNK = 1 << 20    # triangles per block: bounds the temporaries
+
+
 def _line_keys(tri: np.ndarray, n: int) -> np.ndarray:
     """Line key of each of the 3T lines, in ``_SIDES`` order per triangle."""
     keys = np.empty(3 * tri.shape[0], dtype=np.int64)
-    for s, (i, j) in enumerate(_SIDES):
-        keys[s::3] = line_keys(tri[:, i], tri[:, j], n)
+    for lo in range(0, tri.shape[0], _KEY_CHUNK):
+        block = tri[lo:lo + _KEY_CHUNK]
+        out = keys[3 * lo:3 * (lo + block.shape[0])]
+        for s, (i, j) in enumerate(_SIDES):
+            out[s::3] = line_keys(block[:, i], block[:, j], n)
     return keys
 
 
@@ -241,13 +247,6 @@ class BalanceReport:
         return f"unbalanced; coverage histogram: {hist}"
 
 
-def _chunked_line_keys(tri: np.ndarray, n: int, chunk: int = 1 << 20) -> np.ndarray:
-    if tri.shape[0] <= chunk:
-        return _line_keys(tri, n)
-    parts = [_line_keys(tri[i:i + chunk], n) for i in range(0, tri.shape[0], chunk)]
-    return np.concatenate(parts)
-
-
 def _absent_keys(wanted: np.ndarray, have: np.ndarray) -> np.ndarray:
     """Keys of ascending ``wanted`` that do not occur in sorted ``have``.
 
@@ -270,7 +269,7 @@ def _verify_cover(d: Design, m: int, gid: np.ndarray | None,
     line lies inside one and no group lookup is made.
     """
     n = d.n
-    keys = _chunked_line_keys(d.tri, n)
+    keys = _line_keys(d.tri, n)
     hits = np.empty(0, dtype=np.int64)
     if gid is not None:
         # a line lies inside a group iff two of its points do

@@ -188,9 +188,9 @@ def orbit_cover_counts(ctx: FieldCtx, reps) -> np.ndarray:
     return np.bincount(rows.ravel(), minlength=ctx.order)
 
 
-def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
-                       with_groups: bool | None = None) -> Design | Gdd:
-    """Expand a certificate into the full design / GDD it encodes.
+def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate) -> Design | Gdd:
+    """Expand a certificate into the full design it encodes, a GDD over
+    the spread of m-dimensional groups when m > 1.
 
     Every generator triangle is scaled through all 2^n - 1 field
     elements; each orbit must contribute exactly that many distinct
@@ -200,6 +200,8 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
     n, m = cert.n, cert.m
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree {n} out of range 1..{MAX_DEGREE}")
+    if m < 1 or n % m:
+        raise ValueError(f"group dimension {m} must divide {n}")
     if (n - m) % 6:
         raise ValueError(f"(n={n}, m={m}) rejected: n - m = {n - m} is not "
                          "divisible by 6, no such invariant design exists")
@@ -240,9 +242,7 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate,
     tri = np.concatenate(blocks) if blocks else np.empty((0, 3), dtype=np.int64)
     del blocks  # would double the footprint while the rows are sorted
 
-    if with_groups is None:
-        with_groups = m > 1
-    if with_groups:
+    if m > 1:
         d = Gdd(n=n, poly=ctx.poly, tri=tri, m=m,
                 groups=desarguesian_spread(ctx, m), provenance=provenance)
     else:

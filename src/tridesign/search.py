@@ -11,11 +11,11 @@ whose combined sweep tiles the exponent ring.
 Both read their items from the field's one gamma table
 (``orbits.gamma_table``); the cy_gamma-sets and class sizes come from
 rotating residues, since doubling mod 2^n - 1 is an n-bit rotation.
-One builder, ``_candidate_triples``, produces either problem's
-candidates as an (S, 3) array of item triples with an (S, 2) array of
-witnesses, one numpy block per item, and the exact-cover instance
-holds them as arrays.  Above ``LAZY_STRATUM_THRESHOLD`` items the
-candidates are generated on demand by ``_LazySource`` instead.
+One kernel, ``_item_triples``, gives an item's triples over a run of
+partners, each with its first witness.  ``_candidate_triples`` calls it
+over all later partners to build an exact-cover instance; above
+``LAZY_STRATUM_THRESHOLD`` items ``_LazySource`` calls it on demand over
+the uncovered ones, offering the same candidates in the same order.
 
 Both searches re-check the orbit-level partition on their own output
 with ``orbits.orbit_cover_counts`` before returning a certificate.
@@ -30,8 +30,8 @@ import numpy as np
 from .gf2n import FieldCtx, build_field
 from .orbits import (FrobeniusCertificate, OrbitCertificate, exponent_universe,
                      frobenius_reps, gamma_table, orbit_cover_counts)
-from .xcover import (CoverSolution, LimitExceeded, Unsatisfiable,
-                     XCoverInstance, check_solution, dfs, solve)
+from .xcover import (LimitExceeded, Unsatisfiable, XCoverInstance,
+                     check_solution, dfs, solve)
 
 
 class SearchUnsatisfiable(RuntimeError):
@@ -64,18 +64,6 @@ def _progress(msg: str, verbose: bool) -> None:
         print(msg, file=sys.stderr, flush=True)
 
 
-def _solved(result: CoverSolution | Unsatisfiable | LimitExceeded, what: str
-            ) -> CoverSolution:
-    """The solution of an exact-cover run, or the search error for its failure."""
-    if isinstance(result, Unsatisfiable):
-        raise SearchUnsatisfiable(
-            f"{what}: no exact cover after {result.nodes} nodes", result)
-    if isinstance(result, LimitExceeded):
-        raise SearchLimitExceeded(
-            f"{what} stopped: {result.reason} after {result.nodes} nodes", result)
-    return result
-
-
 # -- items and candidate triples ------------------------------------------------
 
 
@@ -94,14 +82,19 @@ def _closure_items(key: np.ndarray, inside: np.ndarray, size: int):
 
 
 def _singer_items(ctx: FieldCtx, m: int):
-    """Gamma-set items off the spread exponents: keys, residue -> item, rows."""
-    return _closure_items(gamma_table(ctx)[:, 0],
-                          exponent_universe(ctx.order, m), 6)
+    """Gamma-set items off the spread exponents: keys, residue -> item, and
+    the sorted residues as ``first`` (items, 1, 6) and ``second`` (items,
+    6, 1), so witnesses are ordered by (partner, s2, s1)."""
+    keys, item_of, rows = _closure_items(gamma_table(ctx)[:, 0],
+                                         exponent_universe(ctx.order, m), 6)
+    return keys, item_of, rows[:, None, :], rows[:, :, None]
 
 
 def _frobenius_items(ctx: FieldCtx, t: int):
     """cy_gamma-set items of class size t: residue -> item index (-1 outside
-    the stratum), the gamma row of each item's key and its sorted members.
+    the stratum), the gamma row of each item's key as ``first`` (items,
+    6, 1) and its sorted members as ``second`` (items, 1, 6t), so the
+    witnesses of a triple are ordered by (partner, a, b).
 
     cy_gamma(r) is the union of gamma(2^j r) over j, so its key is the
     least gamma key along the doubling orbit; doubling mod 2^n - 1 is an
@@ -118,7 +111,29 @@ def _frobenius_items(ctx: FieldCtx, t: int):
         np.minimum(cy_key, table[v, 0], out=cy_key)
         size[(size == 0) & (v == r)] = step
     keys, item_of, members = _closure_items(cy_key, size == t, 6 * t)
-    return item_of, table[keys], members
+    return item_of, table[keys][:, :, None], members[:, None, :]
+
+
+def _item_triples(M: int, item_of: np.ndarray, first: np.ndarray,
+                  second: np.ndarray, a: int, partners: np.ndarray):
+    """Item a's triples (a, p, c), p from the ascending ``partners`` and
+    c > p, in (p, c) order, as arrays p, c, s1, s2 with (s1, s2) the
+    first witness in the (partner, x, y) C order of the block where
+    ``first[a]`` (s1) and ``second[partners]`` (s2) broadcast; s3 =
+    -s1 - s2 lies in item ``item_of[s3]`` (-1 outside the problem).
+    """
+    s1, s2 = first[a], second[partners]
+    third = item_of[(-s1 - s2) % M]
+    block = third[0].size
+    hit = np.flatnonzero(third > partners[:, None, None])
+    p = partners[hit // block]
+    c = third.ravel()[hit]
+    _, at = np.unique(p * len(first) + c, return_index=True)
+    hit = hit[at]
+    # s1 and s2 spread over the cells; s1 repeats with every partner
+    x = (s1 + 0 * s2[0]).ravel()[hit % block]
+    y = (s2 + 0 * s1).ravel()[hit]
+    return p[at], c[at], x, y
 
 
 def _candidate_triples(M: int, item_of: np.ndarray, first: np.ndarray,
@@ -126,29 +141,111 @@ def _candidate_triples(M: int, item_of: np.ndarray, first: np.ndarray,
     """All item triples with a zero-sum witness, as sorted ascending (S, 3)
     rows, with one witness (s1, s2) each.
 
-    Item a offers the residues ``first[a]`` as s1, a later item p the
-    residues ``second[p]`` as s2, and s3 = -s1 - s2 lies in item
-    ``item_of[s3]`` (-1 outside the problem).  ``first[a]`` and
-    ``second[a + 1:]`` broadcast into one (partner, x, y) block whose C
-    order is the tie-break between witnesses.  A triple a < p < c with a
-    witness from any item has one from a with partner p (permute the
-    residues, or double all three until s1 is in first[a]), and that
-    block comes first: so each triple is taken there, at its first hit.
+    A triple a < p < c with a witness from any item has one from a with
+    partner p (permute the residues, or double all three until s1 is in
+    first[a]), and that block comes first: so each triple is taken
+    there, with its first witness in item a's kernel block.
     """
     N = len(first)
     triples, tags = [np.empty((0, 3), dtype=np.int64)], [np.empty((0, 2), dtype=np.int64)]
     for a in range(N - 1):
-        s1, s2 = np.broadcast_arrays(first[a], second[a + 1:])
-        third = item_of[(-s1 - s2) % M]
-        hit = np.flatnonzero(third > np.arange(a + 1, N).reshape(-1, 1, 1))
-        block = s1[0].size
-        p = hit // block + a + 1
-        c = third.ravel()[hit]
-        _, at = np.unique(p * N + c, return_index=True)
-        at_hit = hit[at]
-        triples.append(np.column_stack([np.full(at.size, a), p[at], c[at]]))
-        tags.append(np.column_stack([s1.ravel()[at_hit], s2.ravel()[at_hit]]))
+        p, c, s1, s2 = _item_triples(M, item_of, first, second, a,
+                                     np.arange(a + 1, N))
+        triples.append(np.column_stack([np.full(p.size, a), p, c]))
+        tags.append(np.column_stack([s1, s2]))
     return np.concatenate(triples), np.concatenate(tags)
+
+
+# Above this many items the candidate triples are not materialized
+# (the triple set is ~90% dense: gigabytes at n=19); the same DFS runs
+# first-fit over candidates generated on demand instead.  All
+# acceptance-scale problems (up to 672 items) stay on the materialized
+# source.
+LAZY_STRATUM_THRESHOLD = 1000
+
+# Residue pairs per kernel call of the lazy source: its partners are
+# scanned in batches of about this many cells.
+_LAZY_CELLS = 1 << 10
+
+
+class _LazySource:
+    """First-fit candidate source over lazily generated triples.
+
+    The candidates ``((a, p, c), (s1, s2))`` of item a are the triples
+    of a from ``_candidate_triples``, in order and with their witnesses,
+    less those touching a covered item; they are generated one batch of
+    uncovered partners at a time.  The item branched on is the smallest
+    uncovered one; a cursor per open node remembers where the scan for
+    it stopped, since covering only ever moves it forward.  The triple
+    set is dense enough that the first fit almost always extends;
+    backtracking handles the rare dead end.
+    """
+
+    def __init__(self, M: int, item_of: np.ndarray, first: np.ndarray,
+                 second: np.ndarray):
+        self.M = M
+        self.item_of = item_of
+        self.live_of = item_of.copy()   # -1 also on the residues of covered items
+        self.first = first
+        self.second = second
+        self.n_items = len(first)
+        self.batch = max(1, _LAZY_CELLS // (first[0].size * second[0].size))
+        self.covered = np.zeros(self.n_items, dtype=bool)
+        self.cursor = [0]
+
+    def next_item(self) -> int | None:
+        covered, pos = self.covered, self.cursor[-1]
+        while pos < covered.size and covered[pos]:
+            pos += 1
+        self.cursor[-1] = pos
+        return pos if pos < covered.size else None
+
+    def candidates(self, a: int):
+        # the generator only runs while this node's own state is applied,
+        # so the flags read here stay valid across its batches
+        free = np.flatnonzero(~self.covered[a + 1:]) + (a + 1)  # items before a are covered
+        for lo in range(0, free.size, self.batch):
+            p, c, s1, s2 = _item_triples(self.M, self.live_of, self.first,
+                                         self.second, a, free[lo:lo + self.batch])
+            for i in range(p.size):     # first fit mostly takes the first
+                yield (a, int(p[i]), int(c[i])), (int(s1[i]), int(s2[i]))
+
+    def cover(self, cand) -> None:
+        items = list(cand[0])
+        self.covered[items] = True
+        self.live_of[self.second[items]] = -1
+        self.cursor.append(self.cursor[-1])
+
+    def uncover(self, cand) -> None:
+        items = list(cand[0])
+        self.covered[items] = False
+        residues = self.second[items]
+        self.live_of[residues] = self.item_of[residues]
+        self.cursor.pop()
+
+
+def _witnesses(problem: XCoverInstance | _LazySource, what: str,
+               node_limit: int | None, time_limit: float | None,
+               verbose: bool) -> list[tuple[int, int]]:
+    """The witness (s1, s2) of each triple of the first exact cover of a
+    materialized instance (its solution re-checked) or a lazy source, or
+    the search error for a failed run."""
+    if isinstance(problem, XCoverInstance):
+        result = solve(problem, node_limit=node_limit, time_limit=time_limit)
+    else:
+        _progress(f"{what}: {problem.n_items} items, lazy search", verbose)
+        result = dfs(problem, node_limit=node_limit, time_limit=time_limit)
+    if isinstance(result, Unsatisfiable):
+        raise SearchUnsatisfiable(
+            f"{what}: no exact cover after {result.nodes} nodes", result)
+    if isinstance(result, LimitExceeded):
+        raise SearchLimitExceeded(
+            f"{what} stopped: {result.reason} after {result.nodes} nodes", result)
+    _progress(f"{what} solved in {result.nodes} nodes", verbose)
+    if isinstance(problem, _LazySource):
+        return [pair for _, pair in result.chosen]
+    assert check_solution(problem, result)
+    return list(map(tuple, problem.tags[list(result.chosen)].tolist()))
 
 
 # -- multiplicative-group (gamma-set) problem -----------------------------------
@@ -163,10 +260,9 @@ def singer_problem(ctx: FieldCtx, m: int, verbose: bool = False
     later conversion to generator reps.  Witnesses of one triple are
     ordered by (partner, s2, s1).
     """
-    keys, item_of, rows = _singer_items(ctx, m)
+    keys, item_of, first, second = _singer_items(ctx, m)
     _progress(f"gamma items: {keys.size} (universe {6 * keys.size})", verbose)
-    subsets, tags = _candidate_triples(ctx.order, item_of, rows[:, None, :],
-                                       rows[:, :, None])
+    subsets, tags = _candidate_triples(ctx.order, item_of, first, second)
     _progress(f"candidate triples: {len(subsets)}", verbose)
     inst = XCoverInstance(n_items=keys.size, subsets=subsets, tags=tags)
     return inst, keys.tolist()
@@ -192,22 +288,13 @@ def search_singer(n: int, m: int, node_limit: int | None = None,
         raise ValueError(f"(n={n}, m={m}) rejected: n - m = {n - m} "
                          "not divisible by 6, no invariant design exists")
     ctx = build_field(n)
-    M = ctx.order
-    what = f"search (n={n}, m={m})"
     if ((1 << n) - (1 << m)) // 6 > LAZY_STRATUM_THRESHOLD:
-        keys, item_of, rows = _singer_items(ctx, m)
-        _progress(f"gamma items: {keys.size}, lazy search", verbose)
-        sol = _solved(dfs(_LazySource(M, item_of, rows, rows),
-                          node_limit=node_limit, time_limit=time_limit), what)
-        witnesses = [pair for _, pair in sol.chosen]
+        problem = _LazySource(ctx.order, *_singer_items(ctx, m)[1:])
     else:
-        inst, _ = singer_problem(ctx, m, verbose=verbose)
-        sol = _solved(solve(inst, node_limit=node_limit, time_limit=time_limit),
-                      what)
-        assert check_solution(inst, sol)
-        witnesses = inst.tags[list(sol.chosen)].tolist()
-    _progress(f"solved in {sol.nodes} nodes", verbose)
-    reps = sorted((s1, (s1 + s2) % M) for s1, s2 in witnesses)
+        problem, _ = singer_problem(ctx, m, verbose=verbose)
+    witnesses = _witnesses(problem, f"search (n={n}, m={m})", node_limit,
+                           time_limit, verbose)
+    reps = sorted((s1, (s1 + s2) % ctx.order) for s1, s2 in witnesses)
     cert = OrbitCertificate(n=n, m=m, poly=ctx.poly, reps=tuple(reps))
     _check_partition(ctx, cert.reps, m)
     return cert
@@ -239,76 +326,11 @@ def frobenius_problem(ctx: FieldCtx, t: int, verbose: bool = False
     (a, b) rides along as the tag.  Witnesses of one triple are ordered
     by (partner, a, b).
     """
-    item_of, first, members = _frobenius_items(ctx, t)
+    item_of, first, second = _frobenius_items(ctx, t)
     _progress(f"stratum t={t}: {len(first)} cy-gamma items", verbose)
-    subsets, tags = _candidate_triples(ctx.order, item_of, first[:, :, None],
-                                       members[:, None, :])
+    subsets, tags = _candidate_triples(ctx.order, item_of, first, second)
     _progress(f"stratum t={t}: {len(subsets)} candidate triples", verbose)
     return XCoverInstance(n_items=len(first), subsets=subsets, tags=tags)
-
-
-# Above this many items the candidate triples are not materialized
-# (the triple set is ~90% dense: gigabytes at n=19); the same DFS runs
-# first-fit over candidates generated on demand instead.  All
-# acceptance-scale problems (up to 672 items) stay on the materialized
-# source.
-LAZY_STRATUM_THRESHOLD = 1000
-
-
-class _LazySource:
-    """First-fit candidate source over lazily generated triples.
-
-    Items are indexed as in ``_candidate_triples``: item a offers the
-    residues ``first[a]``, a partner p the residues ``second[p]``, and
-    ``item_of`` names the item of each residue (-1 outside the problem).
-    The item branched on is the smallest uncovered one; a cursor per
-    open node remembers where the scan for it stopped, since covering
-    only ever moves it forward.  Candidates for an item are produced in
-    ascending (partner, third item) order as ``((a, p, c), (s1, s2))``,
-    each with its least witness, so the search is as deterministic as
-    the materialized one.  The triple set is dense enough that the first
-    fit almost always extends; backtracking handles the rare dead end.
-    """
-
-    def __init__(self, M: int, item_of: np.ndarray, first: np.ndarray,
-                 second: np.ndarray):
-        self.M = M
-        self.item_of = item_of
-        self.first = first
-        self.second = second
-        self.covered = np.zeros(len(first), dtype=bool)
-        self.cursor = [0]
-
-    def next_item(self) -> int | None:
-        covered, pos = self.covered, self.cursor[-1]
-        while pos < covered.size and covered[pos]:
-            pos += 1
-        self.cursor[-1] = pos
-        return pos if pos < covered.size else None
-
-    def candidates(self, a: int):
-        covered = self.covered
-        s1 = self.first[a][:, None]
-        for p in range(a + 1, covered.size):    # items before a are covered
-            if covered[p]:
-                continue
-            s2 = self.second[p]
-            third = self.item_of[(-s1 - s2) % self.M]
-            hit = third > p
-            hit[hit] = ~covered[third[hit]]
-            flat = np.flatnonzero(hit)
-            cs, at = np.unique(third.ravel()[flat], return_index=True)
-            i, j = np.divmod(flat[at], s2.size)
-            for c, x, y in zip(cs.tolist(), s1[i, 0].tolist(), s2[j].tolist()):
-                yield (a, p, c), (x, y)
-
-    def cover(self, cand) -> None:
-        self.covered[list(cand[0])] = True
-        self.cursor.append(self.cursor[-1])
-
-    def uncover(self, cand) -> None:
-        self.covered[list(cand[0])] = False
-        self.cursor.pop()
 
 
 def search_frobenius(n: int, node_limit: int | None = None,
@@ -334,26 +356,15 @@ def search_frobenius(n: int, node_limit: int | None = None,
         if t == 1:
             continue  # only k = 0 fixed by squaring
         expected = strata[t] // 18 * 3
-        what = f"stratum t={t}"
         if expected > LAZY_STRATUM_THRESHOLD:
-            item_of, first, members = _frobenius_items(ctx, t)
-            if len(first) != expected:
-                raise AssertionError(
-                    f"stratum t={t}: {len(first)} items, expected {expected}")
-            _progress(f"stratum t={t}: {expected} items, lazy search", verbose)
-            sol = _solved(dfs(_LazySource(ctx.order, item_of, first, members),
-                              node_limit=node_limit, time_limit=time_limit), what)
-            pairs.extend(pair for _, pair in sol.chosen)
+            problem = _LazySource(ctx.order, *_frobenius_items(ctx, t))
         else:
-            inst = frobenius_problem(ctx, t, verbose=verbose)
-            if inst.n_items != expected:
-                raise AssertionError(
-                    f"stratum t={t}: {inst.n_items} items, expected {expected}")
-            sol = _solved(solve(inst, node_limit=node_limit,
-                                time_limit=time_limit), what)
-            assert check_solution(inst, sol)
-            pairs.extend(map(tuple, inst.tags[list(sol.chosen)].tolist()))
-        _progress(f"stratum t={t} solved in {sol.nodes} nodes", verbose)
+            problem = frobenius_problem(ctx, t, verbose=verbose)
+        if problem.n_items != expected:
+            raise AssertionError(
+                f"stratum t={t}: {problem.n_items} items, expected {expected}")
+        pairs.extend(_witnesses(problem, f"stratum t={t}", node_limit,
+                                time_limit, verbose))
     pairs.sort()
     cert = FrobeniusCertificate(n=n, poly=ctx.poly, pairs=tuple(pairs))
     _check_partition(ctx, frobenius_reps(ctx, cert.pairs), 1)

@@ -10,8 +10,8 @@ counting, the node and time limits and the result types; a node is
 one item branched on.
 
 ``solve`` runs it over a materialized instance: items are contiguous
-indices, candidate subsets are ascending index rows (one (S, k) array,
-or tuples of any sizes) with an opaque tag each.  Selection is minimum
+indices, candidate subsets are the rows of one (S, k) array of
+ascending item indices, with an opaque tag each.  Selection is minimum
 remaining candidates, ties broken by lowest item index, subsets tried
 in ascending index order, so two runs on the same instance produce
 identical solutions and node counts.
@@ -19,7 +19,6 @@ identical solutions and node counts.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -27,57 +26,49 @@ from typing import Sequence
 import numpy as np
 
 
+def _first_row(bad: np.ndarray) -> int:
+    """Index of the first row of ``bad`` with a flagged entry, or its length."""
+    flat = bad.ravel()
+    return int(np.argmax(flat)) // bad.shape[1] if flat.any() else len(bad)
+
+
 @dataclass
 class XCoverInstance:
-    """``subsets`` is kept as given; ``__post_init__`` validates it and
-    holds its items as one CSR map, ``sub_items[sub_ptr[s]:sub_ptr[s + 1]]``."""
+    """``__post_init__`` validates ``subsets`` and holds it as one
+    read-only (S, k) int32 array, row s the items of subset s."""
 
     n_items: int
     subsets: Sequence
     tags: Sequence = field(default_factory=list)
-    sub_ptr: np.ndarray = field(init=False, repr=False)
-    sub_items: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        S = len(self.subsets)
+        try:
+            rows = np.asarray(self.subsets)
+        except ValueError:
+            rows = None
+        if rows is not None and rows.size == 0 and rows.ndim == 1:
+            rows = rows.reshape(0, 0)
+        if rows is None or rows.ndim != 2:
+            raise ValueError("subsets must all have one size: an (S, k) array")
+        S, k = rows.shape
         if len(self.tags) == 0:
             self.tags = list(range(S))
         if len(self.tags) != S:
             raise ValueError("one tag per subset required")
-        if isinstance(self.subsets, np.ndarray) and self.subsets.ndim == 2:
-            lens = np.full(S, self.subsets.shape[1], dtype=np.int64)
-            items = self.subsets.ravel()
-        else:
-            lens = np.fromiter(map(len, self.subsets), dtype=np.int64, count=S)
-            items = np.fromiter(itertools.chain.from_iterable(self.subsets),
-                                dtype=np.int64, count=int(lens.sum()))
-        self.sub_ptr = np.concatenate(([0], np.cumsum(lens)))
-        step = np.diff(items, prepend=0)
-        step[self.sub_ptr[:-1][lens > 0]] = 1    # a subset's first item
-
-        def first(bad_item):    # the first subset holding a flagged item
-            return (int(np.searchsorted(self.sub_ptr, np.argmax(bad_item), "right"))
-                    - 1 if bad_item.any() else S)
-
+        out_of_range = _first_row((rows < 0) | (rows >= self.n_items))
+        # int32 items halve the transient arrays of the solver's build,
+        # which sets the search's peak memory on ~1.3M-subset instances;
+        # the rows before the first out-of-range one convert exactly
+        self.subsets = rows.astype(np.int32)
+        self.subsets.flags.writeable = False
+        step = np.diff(self.subsets, axis=1)
         s_idx, _, fault = min(
-            (int(np.argmax(lens == 0)) if (lens == 0).any() else S, 0, "is empty"),
-            (first((items < 0) | (items >= self.n_items)), 1,
-             "has out-of-range items"),
-            (first(step == 0), 2, "has duplicate items"),
-            (first(step < 0), 3, "is not sorted"))
+            (0 if k == 0 else S, 0, "is empty"),
+            (out_of_range, 1, "has out-of-range items"),
+            (_first_row(step == 0), 2, "has duplicate items"),
+            (_first_row(step < 0), 3, "is not sorted"))
         if s_idx < S:
             raise ValueError(f"subset {s_idx} {fault}")
-        # int32 items halve the transient arrays of the solver's build,
-        # which sets the search's peak memory on ~1.3M-subset instances
-        self.sub_items = items.astype(np.int32)
-
-    def items_of(self, subs: np.ndarray) -> np.ndarray:
-        """The items of the subsets ``subs``, concatenated in that order."""
-        starts = self.sub_ptr[subs]
-        lens = self.sub_ptr[subs + 1] - starts
-        offsets = np.cumsum(lens) - lens
-        return self.sub_items[np.repeat(starts - offsets, lens)
-                              + np.arange(int(lens.sum()))]
 
 
 @dataclass(frozen=True)
@@ -100,7 +91,7 @@ class LimitExceeded:
 def check_solution(inst: XCoverInstance, sol: CoverSolution) -> bool:
     """Independent disjointness/coverage check."""
     chosen = np.asarray(sol.chosen, dtype=np.int64)
-    counts = np.bincount(inst.items_of(chosen), minlength=inst.n_items)
+    counts = np.bincount(inst.subsets[chosen].ravel(), minlength=inst.n_items)
     return bool((counts == 1).all())
 
 
@@ -140,26 +131,24 @@ def dfs(source, node_limit: int | None = None, time_limit: float | None = None
 
 
 class _CsrSource:
-    """An instance's subset -> items map plus the inverse item -> subsets
-    map (ascending), with active flags and live counts."""
+    """An instance's subset -> items rows plus the inverse item -> subsets
+    map (CSR, ascending), with active flags and live counts."""
 
     def __init__(self, inst: XCoverInstance):
-        S, n = len(inst.subsets), inst.n_items
-        self.inst = inst
-        self.sub_ptr, self.sub_items = inst.sub_ptr, inst.sub_items
-        owner = np.repeat(np.arange(S, dtype=np.int32), np.diff(self.sub_ptr))
-        self.item_subs = owner[np.argsort(self.sub_items, kind="stable")]
+        rows = inst.subsets
+        S, k = rows.shape
+        n = inst.n_items
+        self.rows = rows
+        owner = np.repeat(np.arange(S, dtype=np.int32), k)
+        self.item_subs = owner[np.argsort(rows.ravel(), kind="stable")]
         del owner
-        self.count = np.bincount(self.sub_items, minlength=n)
+        self.count = np.bincount(rows.ravel(), minlength=n)
         self.item_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.count, out=self.item_ptr[1:])
         self.n_items = n
         self.active = np.ones(S, dtype=bool)
         self.covered = np.zeros(n, dtype=bool)
         self.trail: list[np.ndarray] = []
-
-    def _items(self, s: int) -> np.ndarray:
-        return self.sub_items[self.sub_ptr[s]:self.sub_ptr[s + 1]]
 
     def _subs(self, item: int) -> np.ndarray:
         return self.item_subs[self.item_ptr[item]:self.item_ptr[item + 1]]
@@ -175,18 +164,18 @@ class _CsrSource:
         return subs[self.active[subs]].tolist()
 
     def cover(self, s: int) -> None:
-        items = self._items(s)
+        items = self.rows[s]
         touched = np.unique(np.concatenate([self._subs(i) for i in items.tolist()]))
         deact = touched[self.active[touched]]
         self.active[deact] = False
-        self.count -= np.bincount(self.inst.items_of(deact), minlength=self.n_items)
+        self.count -= np.bincount(self.rows[deact].ravel(), minlength=self.n_items)
         self.covered[items] = True
         self.trail.append(deact)
 
     def uncover(self, s: int) -> None:
         deact = self.trail.pop()
-        self.covered[self._items(s)] = False
-        self.count += np.bincount(self.inst.items_of(deact), minlength=self.n_items)
+        self.covered[self.rows[s]] = False
+        self.count += np.bincount(self.rows[deact].ravel(), minlength=self.n_items)
         self.active[deact] = True
 
 

@@ -150,12 +150,12 @@ def test_verify_empty_trivial_design():
     assert rep.ok and rep.line_total == 0 and rep.triangle_count == 0
 
 
-def test_line_keys_shard_independent(design6):
-    # verification shards by chunk; results must not depend on the cut
-    from tridesign.designs import _chunked_line_keys
-    full = np.sort(_chunked_line_keys(design6.tri, 6, chunk=1 << 20))
-    tiny = np.sort(_chunked_line_keys(design6.tri, 6, chunk=7))
-    assert np.array_equal(full, tiny)
+def test_line_keys_shard_independent(design6, monkeypatch):
+    # line keys are computed block by block; they must not depend on the cut
+    import tridesign.designs as D
+    full = D._line_keys(design6.tri, 6)
+    monkeypatch.setattr(D, "_KEY_CHUNK", 7)
+    assert np.array_equal(D._line_keys(design6.tri, 6), full)
 
 
 def _lexsort_reference(tri):

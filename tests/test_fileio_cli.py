@@ -128,6 +128,10 @@ def test_cli_gamma_builds_no_table(capsys):
      "malformed certificate entry"),
     ({"kind": "singer", "n": 7, "poly": [131], "reps": [[1, 9]]},
      "malformed certificate entry"),
+    ({"kind": "singer", "n": 12, "m": 0, "poly": "0x10eb", "reps": [[1, 9]]},
+     "group dimension 0 must divide 12"),
+    ({"kind": "singer", "n": 13, "m": 7, "poly": "0x201b", "reps": [[1, 9]]},
+     "group dimension 7 must divide 13"),
 ])
 def test_cli_expand_refuses_malformed_certificate(payload, message, tmp_path,
                                                   capsys):

@@ -182,15 +182,6 @@ def test_gamma_key(f7):
     assert gamma_key(f7, 9) == min(gamma(f7, 9))
 
 
-def test_expand_with_groups_flag(f12):
-    from tridesign.datasets import as_certificate, load_dataset
-    from tridesign.designs import Design, Gdd
-    cert = as_certificate(load_dataset("gdd12-6"))
-    plain = expand_certificate(cert, with_groups=False)
-    assert type(plain) is Design
-    assert plain.triangle_count == 917280
-
-
 def test_expansion_determinism(f7):
     from tridesign.datasets import as_certificate, load_dataset
     cert = as_certificate(load_dataset("frob7"))

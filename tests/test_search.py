@@ -153,6 +153,28 @@ def test_lazy_stratum_path_matches_contract(monkeypatch):
     assert verify_design(d).ok
 
 
+@pytest.mark.parametrize("cells", [None, 1])
+@pytest.mark.parametrize("problem", [(8, 2), 13], ids=str)
+def test_lazy_candidates_match_materialized(monkeypatch, problem, cells):
+    # with nothing covered, the lazy source offers each item exactly the
+    # materialized triples of that item, in order and with the same
+    # witnesses, whatever the batch of partners per kernel call
+    import tridesign.search as S
+    if cells is not None:
+        monkeypatch.setattr(S, "_LAZY_CELLS", cells)
+    if isinstance(problem, tuple):
+        ctx = build_field(problem[0])
+        _, item_of, first, second = S._singer_items(ctx, problem[1])
+    else:
+        ctx = build_field(problem)
+        item_of, first, second = S._frobenius_items(ctx, problem)
+    triples, tags = S._candidate_triples(ctx.order, item_of, first, second)
+    source = S._LazySource(ctx.order, item_of, first, second)
+    lazy = [cand for a in range(source.n_items) for cand in source.candidates(a)]
+    assert [trip for trip, _ in lazy] == list(map(tuple, triples.tolist()))
+    assert [pair for _, pair in lazy] == list(map(tuple, tags.tolist()))
+
+
 def test_lazy_stratum_respects_limits(monkeypatch):
     import tridesign.search as S
     monkeypatch.setattr(S, "LAZY_STRATUM_THRESHOLD", 10)

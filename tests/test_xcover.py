@@ -10,11 +10,13 @@ from tridesign.xcover import (CoverSolution, LimitExceeded, Unsatisfiable,
 
 
 def test_basic_solution():
-    inst = XCoverInstance(3, [(0, 1), (2,), (0, 2)])
+    inst = XCoverInstance(4, [(0, 1), (2, 3), (0, 2)])
+    assert inst.subsets.shape == (3, 2) and not inst.subsets.flags.writeable
     r = solve(inst)
     assert isinstance(r, CoverSolution)
     assert check_solution(inst, r)
-    assert sorted(inst.subsets[s] for s in r.chosen) == [(0, 1), (2,)]
+    assert sorted(tuple(inst.subsets[s].tolist()) for s in r.chosen) == \
+        [(0, 1), (2, 3)]
 
 
 def test_unsatisfiable():
@@ -32,23 +34,25 @@ def test_empty_instance():
     assert isinstance(solve(XCoverInstance(2, [])), Unsatisfiable)
 
 
+# Knuth's example, its two pairs padded with the fresh items 7 and 8 so
+# that every subset is a triple; the unique cover is unchanged
+KNUTH = [(2, 4, 5), (0, 3, 6), (1, 2, 5), (0, 3, 7), (1, 6, 8), (3, 4, 6)]
+
+
 def test_knuth_example():
-    rows = [(2, 4, 5), (0, 3, 6), (1, 2, 5), (0, 3), (1, 6), (3, 4, 6)]
-    inst = XCoverInstance(7, rows)
+    inst = XCoverInstance(9, KNUTH)
     r = solve(inst)
     assert sorted(r.chosen) == [0, 3, 4]
 
 
 def test_determinism():
-    rows = [(2, 4, 5), (0, 3, 6), (1, 2, 5), (0, 3), (1, 6), (3, 4, 6)]
-    inst = XCoverInstance(7, rows)
+    inst = XCoverInstance(9, KNUTH)
     r1, r2 = solve(inst), solve(inst)
     assert r1 == r2  # identical solution and node count
 
 
 def test_limits():
-    rows = [(2, 4, 5), (0, 3, 6), (1, 2, 5), (0, 3), (1, 6), (3, 4, 6)]
-    inst = XCoverInstance(7, rows)
+    inst = XCoverInstance(9, KNUTH)
     r = solve(inst, node_limit=1)
     assert isinstance(r, LimitExceeded) and r.reason == "node limit"
     assert r.nodes >= 1
@@ -65,6 +69,16 @@ def test_instance_validation():
         XCoverInstance(3, [(2, 0)])
     with pytest.raises(ValueError, match="tag"):
         XCoverInstance(2, [(0,), (1,)], tags=["only-one"])
+    # the first offending subset is reported, whatever its fault
+    with pytest.raises(ValueError, match="subset 1 is not sorted"):
+        XCoverInstance(3, [(0, 1), (2, 1), (1, 1), (0, 5)])
+    with pytest.raises(ValueError, match="subset 1 has out-of-range items"):
+        XCoverInstance(3, [(0, 1), (5, 0)])
+
+
+def test_ragged_subsets_refused():
+    with pytest.raises(ValueError, match="one size"):
+        XCoverInstance(3, [(0, 1), (2,), (0, 2)])
 
 
 def _brute_force_satisfiable(n_items, subsets):
@@ -89,9 +103,9 @@ def _brute_force_satisfiable(n_items, subsets):
 def test_against_brute_force(data):
     n_items = data.draw(st.integers(min_value=1, max_value=9))
     n_subs = data.draw(st.integers(min_value=1, max_value=7))
+    size = data.draw(st.integers(min_value=1, max_value=n_items))
     subsets = []
     for _ in range(n_subs):
-        size = data.draw(st.integers(min_value=1, max_value=n_items))
         items = data.draw(st.sets(st.integers(0, n_items - 1),
                                   min_size=size, max_size=size))
         subsets.append(tuple(sorted(items)))
