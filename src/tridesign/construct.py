@@ -378,7 +378,7 @@ class GddStream:
         d = inv[mul[au, bv] ^ mul[bu, av]]
         p = self.coords12[mul[d, bv] << 6 | mul[d, bu]]
         q = self.coords12[mul[d, av] << 6 | mul[d, au]]
-        return line_keys(p, q, 12)
+        return line_keys(np.minimum(p, q), np.maximum(p, q), 12)
 
     def sample_line_check(self, samples: int, seed: int = 0,
                           progress: bool = False) -> int:

@@ -1,22 +1,30 @@
 """Triangle designs, group-divisible triangle designs, and their
 construction-agnostic verifiers.
 
-A design is stored as an (T, 3) array of corner triples (each row
-sorted ascending; rows sorted lexicographically).  That order comes
-from one sort of packed int64 row keys (``_normalize_triangles``), and
-it is the only whole-design sort: repeated triangles are then adjacent
-rows (``distinct_row_count``), which is how expansions test that their
-orbits are distinct.
+A design is stored as an (T, 3) C-contiguous int64 array of corner
+triples (each row sorted ascending; rows sorted lexicographically).
+That order comes from one sort of packed int64 row keys
+(``_normalize_triangles``), and it is the only whole-design sort:
+repeated triangles are then adjacent rows (``distinct_row_count``),
+which is how expansions test that their orbits are distinct.
+
+The hot kernels do not work on the strided columns of that array.
+They copy the three columns once into one contiguous (3, T) block in
+the narrowest dtype that holds the values, and make every later pass
+over its rows.  For the verifiers that dtype is the line-key dtype
+``key_dtype(n)``: int32 while a key fits (2n <= 31), int64 above.  The
+block is released as soon as the keys are built.
 
 Verifiers never trust construction metadata: they recompute every
 line key from the corner vectors, sort the 3T keys once, and check
-exact coverage.  Multiply covered lines are adjacent equal keys;
-uncovered lines are found by binary search of the ascending list of
-lines in the sorted keys, so refusing a design costs about as much as
-accepting one.  That list stops as soon as it must hold the first
-MAX_WITNESSES uncovered lines, so it never outgrows the design.  Each
-witness list holds the first MAX_WITNESSES lines in ascending key
-order.
+exact coverage.  The keys are laid out side-major: key s*T + t is side
+s of triangle t, the sides in ``_SIDES`` order.  Multiply covered
+lines are adjacent equal keys; uncovered lines are found by binary
+search of the ascending list of lines in the sorted keys, so refusing
+a design costs about as much as accepting one.  That list stops as
+soon as it must hold the first MAX_WITNESSES uncovered lines, so it
+never outgrows the design.  Each witness list holds the first
+MAX_WITNESSES lines in ascending key order.
 
 The counting identities enforced here: a design over GF(2)^n has
 (2^n-1)(2^n-2)/18 triangles covering the (2^n-1)(2^n-2)/6 lines; an
@@ -30,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lines import (Spread, enumerate_line_keys_np, key_rows, line_count,
-                    line_keys, validate_spread)
+from .lines import (Spread, enumerate_line_keys_np, key_dtype, key_rows,
+                    line_count, line_keys, validate_spread)
 
 MAX_WITNESSES = 10
 # Largest triangle count a construction or an expansion builds in memory
@@ -39,39 +47,63 @@ MAX_WITNESSES = 10
 MAX_MATERIALIZED_TRIANGLES = 50_000_000
 
 
+def _sort_rows(cols: np.ndarray) -> None:
+    """Sort each column of a (3, T) block in place: afterwards
+    cols[0] <= cols[1] <= cols[2] elementwise.  A three-element min/max
+    network with one spare row, so no element is copied."""
+    a, b, c = cols
+    t = np.minimum(a, b)
+    np.maximum(a, b, out=b)
+    np.minimum(b, c, out=a)
+    np.maximum(b, c, out=c)     # the largest
+    np.maximum(t, a, out=b)     # the median
+    np.minimum(t, a, out=a)     # the smallest
+
+
 def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
     """Canonical form of a (T, 3) corner array: each row ascending, rows
-    in lexicographic order.
+    in lexicographic order, as a new C-contiguous int64 array.
 
-    When every value fits in w <= 21 bits, a row (a, b, c) packs into
-    one int64 key (a << 2w) | (b << w) | c whose order is the row order,
-    so one in-place sort of T keys replaces a three-column lexsort and
-    its gather; the keys are unpacked back into the row-sorted copy.
-    Keys that already ascend, as in a design file read back, skip the
-    sort and the unpacking.  Wider, negative and empty inputs take the
-    lexsort path.  All paths return the same array.
+    The columns are copied once into a (3, T) block, int32 when every
+    value lies in [0, 2^31), and each row is sorted there.  When every
+    value fits in w <= 21 bits, a row (a, b, c) packs into one int64
+    key (a << 2w) | (b << w) | c whose order is the row order, so one
+    in-place sort of T keys replaces a three-column lexsort and its
+    gather; the block is released and the keys are unpacked into the
+    output.  Keys that already ascend, as in a design file read back,
+    skip the sort.  Wider, negative and empty inputs take the lexsort
+    path.  All paths return the same array.
     """
-    tri = np.asarray(tri, dtype=np.int64)
+    tri = np.asarray(tri)
     if tri.ndim != 2 or tri.shape[1] != 3:
         raise ValueError("triangle array must have shape (T, 3)")
-    tri = np.sort(tri, axis=1)
-    bits = int(tri[:, 2].max()).bit_length() if tri.shape[0] else 0
-    if tri.shape[0] == 0 or 3 * bits > 63 or tri[:, 0].min() < 0:
-        order = np.lexsort((tri[:, 2], tri[:, 1], tri[:, 0]))
-        return tri[order]
-    key = tri[:, 0] << (2 * bits)
-    key |= tri[:, 1] << bits
-    key |= tri[:, 2]
-    if (key[1:] >= key[:-1]).all():
-        return tri
-    key.sort()
+    if not np.can_cast(tri.dtype, np.int64):
+        tri = tri.astype(np.int64)
+    T = tri.shape[0]
+    lo, hi = (int(tri.min()), int(tri.max())) if T else (0, 0)
+    cols = np.empty((3, T), dtype=np.int32 if 0 <= lo and hi < 1 << 31 else np.int64)
+    cols[...] = tri.T
+    _sort_rows(cols)
+    bits = hi.bit_length()
+    if T == 0 or 3 * bits > 63 or lo < 0:
+        order = np.lexsort(cols[::-1])
+        return np.ascontiguousarray(cols[:, order].T, dtype=np.int64)
+    key = cols[0].astype(np.int64)
+    key <<= bits
+    key |= cols[1]
+    key <<= bits
+    key |= cols[2]
+    del cols
+    if not (key[1:] >= key[:-1]).all():
+        key.sort()
+    out = np.empty((T, 3), dtype=np.int64)
     mask = (1 << bits) - 1
-    np.bitwise_and(key, mask, out=tri[:, 2])
+    np.bitwise_and(key, mask, out=out[:, 2])
     key >>= bits
-    np.bitwise_and(key, mask, out=tri[:, 1])
+    np.bitwise_and(key, mask, out=out[:, 1])
     key >>= bits
-    tri[:, 0] = key
-    return tri
+    out[:, 0] = key
+    return out
 
 
 def distinct_row_count(tri: np.ndarray) -> int:
@@ -132,33 +164,46 @@ def expected_triangle_count(n: int, m: int = 1) -> int:
     return N * ((1 << n) - (1 << m)) // 18
 
 
-def _structural_check(tri: np.ndarray, n: int) -> None:
-    if tri.shape[0] == 0:
-        return
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    bad = (a <= 0) | (b <= 0) | (c <= 0) | (a == b) | (b == c) | (a == c) \
-        | ((a ^ b ^ c) == 0) | (c >= (1 << n))
+def _triangle_columns(tri: np.ndarray, n: int) -> np.ndarray:
+    """The rows of a design's ``tri`` as one (3, T) block in
+    ``key_dtype(n)``, once every row is checked to be a triangle of
+    GF(2)^n; raises ValueError naming the first row that is not.
+
+    Rows ascend (a <= b <= c), so a row is malformed iff a <= 0, a == b,
+    b == c, a ^ b ^ c == 0 or c >= 2^n.  Values outside [1, 2^n) would
+    not survive the narrowing copy, so they are found on ``tri`` itself.
+    """
+    cols = np.empty((3, tri.shape[0]), dtype=key_dtype(n))
+    exact = tri.size == 0 or (tri.min() > 0 and tri.max() < 1 << n)
+    if exact:
+        cols[...] = tri.T
+    a, b, c = cols if exact else tri.T
+    bad = a <= 0
+    bad |= a == b
+    bad |= b == c
+    x = a ^ b
+    x ^= c
+    bad |= x == 0
+    bad |= c >= 1 << n
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
+        i = int(np.argmax(bad))
         raise ValueError(f"malformed triangle at row {i}: {tuple(tri[i].tolist())}")
+    return cols
 
 
-# The corner pairs spanning a triangle's lines <a,b>, <b,c>, <a,c>: line
-# s of triangle t has index 3t + s among the 3T line keys.
+# The corner pairs spanning a triangle's lines <a,b>, <b,c>, <a,c>: key
+# s*T + t of the 3T line keys is side s of triangle t.
 _SIDES = ((0, 1), (1, 2), (0, 2))
 
 
-_KEY_CHUNK = 1 << 20    # triangles per block: bounds the temporaries
-
-
 def _line_keys(tri: np.ndarray, n: int) -> np.ndarray:
-    """Line key of each of the 3T lines, in ``_SIDES`` order per triangle."""
-    keys = np.empty(3 * tri.shape[0], dtype=np.int64)
-    for lo in range(0, tri.shape[0], _KEY_CHUNK):
-        block = tri[lo:lo + _KEY_CHUNK]
-        out = keys[3 * lo:3 * (lo + block.shape[0])]
-        for s, (i, j) in enumerate(_SIDES):
-            out[s::3] = line_keys(block[:, i], block[:, j], n)
+    """Line key of each of the 3T lines of the ascending-row triangles
+    ``tri`` (any (T, 3) array, e.g. the transposed column block), side
+    by side, in ``key_dtype(n)``."""
+    T = tri.shape[0]
+    keys = np.empty(3 * T, dtype=key_dtype(n))
+    for s, (i, j) in enumerate(_SIDES):
+        line_keys(tri[:, i], tri[:, j], n, out=keys[s * T:(s + 1) * T])
     return keys
 
 
@@ -248,7 +293,8 @@ class BalanceReport:
 
 
 def _absent_keys(wanted: np.ndarray, have: np.ndarray) -> np.ndarray:
-    """Keys of ascending ``wanted`` that do not occur in sorted ``have``.
+    """Keys of ascending ``wanted`` that do not occur in sorted ``have``
+    (both of one dtype, so the search casts neither).
 
     One binary search per wanted key against the already sorted line
     keys; ascending needles keep the searches cache-friendly.
@@ -260,35 +306,44 @@ def _absent_keys(wanted: np.ndarray, have: np.ndarray) -> np.ndarray:
     return wanted[have[pos] != wanted]
 
 
-def _verify_cover(d: Design, m: int, gid: np.ndarray | None,
-                  internal: int) -> CoverReport:
+def _verify_cover(d: Design, m: int, groups: Spread | None) -> CoverReport:
     """Exact cover of the lines of GF(2)^n outside the groups of the
-    vector -> group table ``gid``, ``internal`` lines lying inside them.
+    spread ``groups``, after the structural and spread checks.
 
-    ``gid`` None is the plain design: every vector its own group, so no
-    line lies inside one and no group lookup is made.
+    ``groups`` None is the plain design: every vector its own group, so
+    no line lies inside one and no group lookup is made.
     """
     n = d.n
-    keys = _line_keys(d.tri, n)
-    hits = np.empty(0, dtype=np.int64)
-    if gid is not None:
+    cols = _triangle_columns(d.tri, n)
+    gid, internal, inside = None, 0, None
+    if groups is not None:
+        validate_spread(groups, n)
+        if groups.dim_m != m:
+            raise ValueError(f"spread dimension {groups.dim_m} != declared m={m}")
+        gid = groups.group_id_table(n)
+        internal = groups.internal_line_count()
         # a line lies inside a group iff two of its points do
-        g = gid[d.tri]
-        inside = np.column_stack([g[:, i] == g[:, j] for i, j in _SIDES])
-        hits = np.unique(keys[inside.ravel()])
+        g = [gid[col] for col in cols]
+        inside = np.concatenate([g[i] == g[j] for i, j in _SIDES])
+        del g
+    keys = _line_keys(cols.T, n)
+    del cols
+    hits = np.unique(keys[inside]) if inside is not None else keys[:0]
+    del inside
     keys.sort()
     dup_mask = np.zeros(keys.shape, dtype=bool)
-    if keys.size:
-        dup_mask[1:] = keys[1:] == keys[:-1]
+    np.equal(keys[1:], keys[:-1], out=dup_mask[1:])
     dups = np.unique(keys[dup_mask])
-    distinct = keys.size - int(dup_mask.sum())
+    distinct = keys.size - int(np.count_nonzero(dup_mask))
+    del dup_mask
     outside_total = line_count(n) - internal
     uncovered: list = []
     if distinct != outside_total or hits.size:
         # At most ``distinct`` of the smallest outside lines are covered, so
         # the first MAX_WITNESSES uncovered ones lie in this prefix, which
         # also makes room for every group line it may hold.
-        wanted = enumerate_line_keys_np(n, distinct + internal + MAX_WITNESSES)
+        wanted = enumerate_line_keys_np(n, distinct + internal + MAX_WITNESSES,
+                                        dtype=keys.dtype)
         absent = _absent_keys(wanted, keys)
         if gid is not None:  # drop the group lines among them
             rows = key_rows(absent, n)
@@ -308,8 +363,7 @@ def _verify_cover(d: Design, m: int, gid: np.ndarray | None,
 
 def verify_design(d: Design) -> CoverReport:
     """Check that the triangles cover every line of GF(2)^n exactly once."""
-    _structural_check(d.tri, d.n)
-    return _verify_cover(d, 1, None, 0)
+    return _verify_cover(d, 1, None)
 
 
 def verify_gdd(g: Gdd) -> CoverReport:
@@ -321,20 +375,22 @@ def verify_gdd(g: Gdd) -> CoverReport:
     """
     if g.m < 1:
         raise ValueError("group dimension must be >= 1")
-    _structural_check(g.tri, g.n)
-    validate_spread(g.groups, g.n)
-    if g.groups.dim_m != g.m:
-        raise ValueError(f"spread dimension {g.groups.dim_m} != declared m={g.m}")
-    return _verify_cover(g, g.m, g.groups.group_id_table(g.n),
-                         g.groups.internal_line_count())
+    return _verify_cover(g, g.m, g.groups)
 
 
 def _incidence_counts(tri: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vector counts of corner and of non-corner appearances."""
+    """Per-vector counts of corner and of non-corner appearances: one
+    ``bincount`` over all corners and one per side's XOR, summed into
+    the 2^n accumulators."""
     tri = np.asarray(tri, dtype=np.int64)
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     corner = np.bincount(tri.ravel(), minlength=1 << n)
-    noncorner = np.bincount(np.concatenate([a ^ b, b ^ c, a ^ c]), minlength=1 << n)
+    if corner.size > 1 << n:
+        raise ValueError("triangle vector out of range for declared dimension")
+    noncorner = np.zeros_like(corner)
+    side = np.empty(tri.shape[0], dtype=np.int64)
+    for i, j in _SIDES:
+        np.bitwise_xor(tri[:, i], tri[:, j], out=side)
+        noncorner += np.bincount(side, minlength=1 << n)
     return corner, noncorner
 
 

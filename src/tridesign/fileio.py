@@ -47,18 +47,20 @@ from .orbits import (FrobeniusCertificate, OrbitCertificate,
                      certificate_from_json_dict)
 
 FORMAT_HEADER = "tridesign-design v1"
-_MAX_N = 31                 # line keys pack two n-bit points into an int64
+_MAX_N = 31                 # line keys fit an int64, corners an int32
 
 _WRITE_ROWS = 1 << 18       # triangle rows encoded per chunk
 _READ_BYTES = 1 << 22       # body bytes parsed per chunk, extended to a newline
 _MAX_DIGITS = 15            # longer tokens could overflow int64
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-# byte -> nibble value; -1 for ASCII whitespace, -2 for anything else
+# byte -> nibble value as an int8; -1 for ASCII whitespace, -2 for anything
+# else.  A ``bytes.translate`` table, so the lookup is one C loop per chunk.
 _NIBBLE = np.full(256, -2, dtype=np.int8)
 _NIBBLE[list(b" \t\n\r\x0b\x0c")] = -1
 _NIBBLE[list(b"0123456789abcdef")] = np.arange(16)
 _NIBBLE[list(b"ABCDEF")] = np.arange(10, 16)
+_NIBBLE = _NIBBLE.tobytes()
 _EOL = re.compile(rb"\r\n|\r|\n")
 
 
@@ -80,14 +82,14 @@ def _open_write(path: str) -> io.BufferedIOBase:
     return open(path, "wb")
 
 
-def _encode_rows(tri: np.ndarray):
+def _encode_rows(tri: np.ndarray, top: int):
     """Yield the rows as ``f"{a:x} {b:x} {c:x}\\n"`` text, a chunk at a time.
 
     Each value is laid out right-aligned in a fixed number of hex digits
-    (enough for the largest value), then a keep-mask drops its leading
-    zeros.
+    (enough for ``top``, the largest value), then a keep-mask drops its
+    leading zeros.
     """
-    width = max(1, (int(tri.max()).bit_length() + 3) // 4) if tri.size else 1
+    width = max(1, (top.bit_length() + 3) // 4)
     cols = np.arange(width + 1)
     for lo in range(0, tri.shape[0], _WRITE_ROWS):
         v = tri[lo:lo + _WRITE_ROWS].ravel()
@@ -106,6 +108,9 @@ def write_design(d: Design, path: str) -> None:
     tri = np.asarray(d.tri, dtype=np.int64)
     if tri.size and int(tri.min()) < 0:
         raise ValueError("negative corner value; corners are vectors of GF(2)^n")
+    top = int(tri.max()) if tri.size else 0
+    if top >= 1 << d.n:     # read_design would refuse the file
+        raise ValueError("triangle vector out of range for declared dimension")
     head = [FORMAT_HEADER, f"kind: {d.kind}", f"n: {d.n}",
             f"m: {d.m if isinstance(d, Gdd) else 1}", f"poly: {hex(d.poly)}",
             f"count: {d.triangle_count}"]
@@ -117,7 +122,7 @@ def write_design(d: Design, path: str) -> None:
     head.append("triangles:\n")
     with _open_write(path) as fh:
         fh.write("\n".join(head).encode("utf-8"))
-        for block in _encode_rows(tri):
+        for block in _encode_rows(tri, top):
             fh.write(block)
 
 
@@ -159,11 +164,13 @@ def _split_header(data: bytes) -> tuple[dict[str, str], int]:
     return header, len(data)
 
 
-def _parse_chunk(c: np.ndarray, first_line: int) -> tuple[np.ndarray, int]:
+def _parse_chunk(chunk: bytes, first_line: int) -> tuple[np.ndarray, int]:
     """(R,3) rows of one body chunk that ends at a newline or at the end
     of the file, and the number of newlines in it.  ``first_line`` is the
-    1-based triangle line the chunk starts on."""
-    nib = _NIBBLE.take(c)
+    1-based triangle line the chunk starts on.  Values are int32 when no
+    token has more than 7 digits, else int64."""
+    c = np.frombuffer(chunk, dtype=np.uint8)
+    nib = np.frombuffer(chunk.translate(_NIBBLE), dtype=np.int8)
     # Tokens are the digit runs between consecutive separators (with
     # sentinels before the first byte and after the last).
     sep = np.flatnonzero(nib < 0)
@@ -210,7 +217,7 @@ def _parse_chunk(c: np.ndarray, first_line: int) -> tuple[np.ndarray, int]:
     for k in range(2, width + 1):
         at = np.maximum(stops + 1 - k, starts)
         val |= np.left_shift(digits.take(at), 4 * (k - 1), dtype=acc)
-    return val.astype(np.int64).reshape(-1, 3), int(newlines[-1])
+    return val.reshape(-1, 3), int(newlines[-1])
 
 
 def _parse_rows(data: bytes, pos: int) -> np.ndarray:
@@ -220,12 +227,11 @@ def _parse_rows(data: bytes, pos: int) -> np.ndarray:
     while pos < len(data):
         nl = data.find(b"\n", pos + _READ_BYTES - 1)
         end = nl + 1 if nl >= 0 else len(data)
-        rows, newlines = _parse_chunk(
-            np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos), line)
+        rows, newlines = _parse_chunk(data[pos:end], line)
         chunks.append(rows)
         line += newlines
         pos = end
-    return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int64)
+    return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
 
 
 def read_design(path: str) -> Design | Gdd:
@@ -246,7 +252,7 @@ def read_design(path: str) -> Design | Gdd:
         if len(exps) != per or not all(0 <= e < per for e in exps):
             raise ValueError(f"design file groups: {len(exps)} exponents, expected "
                              f"{per} in 0..{per - 1} for m = {m}, n = {n}")
-    tri = _parse_rows(data, body)
+    tri = _parse_rows(data, body)   # int32 unless a token has 8+ digits
     del data    # the text is not needed while Design sorts the rows
     if count != tri.shape[0]:
         raise ValueError(f"header count {count} != body lines {tri.shape[0]}")

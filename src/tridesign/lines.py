@@ -3,12 +3,13 @@ planes.
 
 A 2-dimensional subspace {0, x, y, x^y} is a projective line, the
 three nonzero vectors lo < mid < lo ^ mid.  This module owns its two
-array forms: the int64 key (lo << n) | mid, whose order is the order
-of the sorted rows, and the (L, 3) row (lo, mid, lo ^ mid).
-``line_keys`` packs the line through each pair of points and
-``key_rows`` unpacks keys into rows; no other module reads the key
-layout.  A triangle is stored elsewhere as its sorted corner triple
-(a, b, c), the lines <a,b>, <b,c>, <a,c>.
+array forms: the key (lo << n) | mid, whose order is the order of the
+sorted rows, and the (L, 3) int64 row (lo, mid, lo ^ mid).  A key
+takes 2n bits, so it is held in ``key_dtype(n)``: int32 while
+2n <= 31, int64 above.  ``line_keys`` packs the line through each
+pair of points and ``key_rows`` unpacks keys into rows; no other
+module reads the key layout.  A triangle is stored elsewhere as its
+sorted corner triple (a, b, c), the lines <a,b>, <b,c>, <a,c>.
 """
 
 from __future__ import annotations
@@ -26,9 +27,16 @@ def line_count(n: int) -> int:
     return N * (N - 1) // 6
 
 
-def enumerate_line_keys_np(n: int, limit: int | None = None) -> np.ndarray:
-    """Sorted int64 array of all canonical line keys ((x << n) | y), or of
-    the ``limit`` smallest.
+def key_dtype(n: int) -> np.dtype:
+    """The narrowest integer dtype that holds every line key of GF(2)^n."""
+    return np.dtype(np.int32 if 2 * n <= 31 else np.int64)
+
+
+def enumerate_line_keys_np(n: int, limit: int | None = None,
+                           dtype=np.int64) -> np.ndarray:
+    """Sorted array of all canonical line keys ((x << n) | y), or of the
+    ``limit`` smallest, in ``dtype`` (int64 unless the caller's keys are
+    narrower).
 
     x < y are the two smallest points of the line {x, y, x ^ y}.  With h
     the top bit of x, y is such a partner exactly when y >= 2^(h+1) and
@@ -42,24 +50,32 @@ def enumerate_line_keys_np(n: int, limit: int | None = None) -> np.ndarray:
         if left <= 0:
             break
         per_x = (1 << (n - 1)) - (1 << h)
-        j = np.arange(min(per_x, left), dtype=np.int64)
+        j = np.arange(min(per_x, left), dtype=dtype)
         y = (2 << h) + (((j >> h) << (h + 1)) | (j & ((1 << h) - 1)))
         x = np.arange(1 << h, (1 << h) + min(1 << h, -(-left // per_x)),
-                      dtype=np.int64)
+                      dtype=dtype)
         block = ((x[:, None] << n) | y[None, :]).ravel()[:left]
         blocks.append(block)
         left -= block.size
-    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=dtype)
 
 
-def line_keys(p, q, n: int) -> np.ndarray:
-    """Key (lo << n) | mid of the line through each pair of distinct
-    nonzero points (p[i], q[i]): lo < mid are the two smallest of p, q
-    and p ^ q."""
+def line_keys(p, q, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Key (lo << n) | mid of the line through each pair of nonzero
+    points p[i] < q[i], in ``key_dtype(n)`` or written into ``out``.
+
+    lo < mid are the two smallest of p, q and z = p ^ q; since p < q,
+    lo = min(p, z) and the largest is max(q, z).
+    """
     z = p ^ q
-    lo = np.minimum(np.minimum(p, q), z)
-    hi = np.maximum(np.maximum(p, q), z)
-    return (lo << n) | (lo ^ hi)  # mid, since lo ^ mid ^ hi = 0
+    if out is None:
+        out = np.empty(z.shape, dtype=key_dtype(n))
+    lo = np.minimum(p, z, out=out)
+    hi = np.maximum(q, z, out=z)
+    hi ^= lo  # mid, since lo ^ mid ^ hi = 0
+    lo <<= n
+    lo |= hi
+    return out
 
 
 def key_rows(keys, n: int) -> np.ndarray:

@@ -1,6 +1,14 @@
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tridesign
+from reference import canonical_line
 from tridesign.designs import (MAX_WITNESSES, Design, Gdd, _normalize_triangles,
                                charge_ledger, coverage_counts,
                                distinct_row_count, expected_triangle_count,
@@ -51,6 +59,14 @@ def test_malformed_triangle_raises(design6):
     bad2[0] = (0, 2, 4)
     with pytest.raises(ValueError, match="malformed"):
         verify_design(Design(n=6, poly=design6.poly, tri=bad2))
+    # corners that an int32 column block would wrap onto a valid triangle
+    for wide in ((1 << 32) | 4, -(1 << 32) | 1):
+        bad3 = design6.tri.copy()
+        bad3[7] = (1, 2, wide)
+        d = Design(n=6, poly=design6.poly, tri=bad3)
+        row = int(np.flatnonzero((d.tri == wide).any(axis=1))[0])
+        with pytest.raises(ValueError, match=rf"malformed triangle at row {row}: "):
+            verify_design(d)
 
 
 def test_verify_gdd_ok(gdd6_2):
@@ -150,12 +166,14 @@ def test_verify_empty_trivial_design():
     assert rep.ok and rep.line_total == 0 and rep.triangle_count == 0
 
 
-def test_line_keys_shard_independent(design6, monkeypatch):
-    # line keys are computed block by block; they must not depend on the cut
+@pytest.mark.parametrize("n", [6, 15, 16, 31])
+def test_line_keys_match_scalar_reference(design6, n):
+    # side-major keys in the key dtype: int32 up to n = 15, int64 above
     import tridesign.designs as D
-    full = D._line_keys(design6.tri, 6)
-    monkeypatch.setattr(D, "_KEY_CHUNK", 7)
-    assert np.array_equal(D._line_keys(design6.tri, 6), full)
+    keys = D._line_keys(design6.tri, n)
+    sides = [(r[i], r[j]) for i, j in D._SIDES for r in design6.tri.tolist()]
+    assert keys.dtype == (np.int32 if n <= 15 else np.int64)
+    assert keys.tolist() == [canonical_line(p, q).key(n) for p, q in sides]
 
 
 def _lexsort_reference(tri):
@@ -183,11 +201,48 @@ def test_normalize_negative_and_empty():
     rng = np.random.default_rng(7)
     tri = rng.integers(0, 64, size=(50, 3), dtype=np.int64)
     tri[3, 1] = -5
-    assert np.array_equal(_normalize_triangles(tri), _lexsort_reference(tri))
-    empty = _normalize_triangles(np.empty((0, 3), dtype=np.int32))
-    assert empty.shape == (0, 3) and empty.dtype == np.int64
+    cases = [tri, tri.astype(np.int32),
+             np.array([[3, -5, 7], [-(1 << 40), 2, 1], [0, 0, 0]], dtype=np.int64),
+             np.empty((0, 3), dtype=np.int32), np.empty((0, 3), dtype=np.int64)]
+    for case in cases:
+        out = _normalize_triangles(case)
+        assert out.dtype == np.int64 and out.flags.c_contiguous
+        assert out.shape == case.shape and not np.shares_memory(out, case)
+        assert np.array_equal(out, _lexsort_reference(case))
     with pytest.raises(ValueError, match="shape"):
         _normalize_triangles(np.zeros((4, 2), dtype=np.int64))
+
+
+def _boundary_input(dtype, top, seed=0):
+    rng = np.random.default_rng(seed)
+    tri = rng.integers(0, min(top, 1 << 20) + 1, size=(200, 3)).astype(dtype)
+    tri = np.concatenate([tri, tri[rng.integers(0, 200, size=20)]])  # repeats
+    tri[5] = (top, 1, top)
+    tri[9] = (0, top, 3)
+    return tri
+
+
+@pytest.mark.parametrize("dtype, top", [
+    (np.int32, (1 << 13) - 1),
+    (np.uint16, (1 << 16) - 1),
+    (np.int64, (1 << 21) - 1),  # widest packed key
+    (np.int64, 1 << 21),        # first value that takes the lexsort path
+    (np.int32, (1 << 31) - 1),  # widest int32 column block
+    (np.int64, (1 << 31) - 1),
+    (np.int64, 1 << 31),        # first value that needs an int64 block
+    (np.uint32, 1 << 31),
+])
+def test_normalize_dtype_boundaries(dtype, top):
+    tri = _boundary_input(dtype, top)
+    before = tri.copy()
+    out = _normalize_triangles(tri)
+    assert out.dtype == np.int64 and out.flags.c_contiguous
+    assert np.array_equal(out, _lexsort_reference(before))
+    assert not np.shares_memory(out, tri)
+    assert np.array_equal(tri, before)  # input left untouched
+    # already canonical rows skip the sort but still come back as a copy
+    again = _normalize_triangles(out)
+    assert np.array_equal(again, out) and not np.shares_memory(again, out)
 
 
 def test_distinct_row_count_finds_planted_repeat():
@@ -269,13 +324,18 @@ def test_witnesses_match_set_reference(base, kind, seed, request):
     assert rep.lines_seen == ref["lines_seen"]
 
 
-def test_group_line_witnesses_match_set_reference(gdd6_2):
-    tri = gdd6_2.tri.copy()
-    for row, grp in enumerate(gdd6_2.groups.groups[:12]):
+def _group_line_mutant(base, rows=12):
+    """``base`` with its first rows replaced by triangles on a group line."""
+    tri = base.tri.copy()
+    for row, grp in enumerate(base.groups.groups[:rows]):
         x, y = int(grp[0]), int(grp[1])
-        w = next(v for v in range(1, 64) if v not in (x, y, x ^ y))
+        w = next(v for v in range(1, 1 << base.n) if v not in (x, y, x ^ y))
         tri[row] = sorted((x, y, w))
-    d = Gdd(n=6, poly=gdd6_2.poly, tri=tri, m=2, groups=gdd6_2.groups)
+    return Gdd(n=base.n, poly=base.poly, tri=tri, m=base.m, groups=base.groups)
+
+
+def test_group_line_witnesses_match_set_reference(gdd6_2):
+    d = _group_line_mutant(gdd6_2)
     rep, ref = verify_gdd(d), _reference_witnesses(d)
     assert len(rep.group_line_hits) == MAX_WITNESSES
     assert rep.group_line_hits == ref["group_line_hits"]
@@ -319,3 +379,85 @@ def test_gdd_witnesses_among_largest_lines(gdd6_2):
     rep, ref = verify_gdd(d), _reference_witnesses(d)
     assert len(rep.uncovered) == 3
     assert rep.uncovered == ref["uncovered"]
+
+
+def _report_dicts(d):
+    cover = verify_gdd(d) if isinstance(d, Gdd) else verify_design(d)
+    return cover.to_json_dict(), verify_balanced(d).to_json_dict()
+
+
+@pytest.mark.parametrize("base", ["design6", "gdd6_2", "frob7_design", "gdd12_6"])
+def test_key_dtype_does_not_change_reports(base, request, monkeypatch):
+    # the int32 key path and the int64 one give the same reports
+    import tridesign.designs as D
+    import tridesign.lines as L
+    base = request.getfixturevalue(base)
+    inputs = [base] + [_mutant(base, kind, seed) for seed in range(2)
+                       for kind in ("replaced", "dropped", "duplicated")]
+    if isinstance(base, Gdd):
+        inputs.append(_group_line_mutant(base))
+    assert D._line_keys(base.tri, base.n).dtype == np.int32
+    narrow = [_report_dicts(d) for d in inputs]
+    assert not narrow[0][0]["witnesses"]["uncovered"] and narrow[1][0]["ok"] is False
+    for module in (D, L):
+        monkeypatch.setattr(module, "key_dtype", lambda n: np.dtype(np.int64))
+    assert D._line_keys(base.tri, base.n).dtype == np.int64
+    assert [_report_dicts(d) for d in inputs] == narrow
+
+
+def _traced_peak_mib(call, *args):
+    """Peak traced allocation of ``call(*args)`` above the level it
+    started from, in MiB (numpy reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return (tracemalloc.get_traced_memory()[1] - start) / (1 << 20)
+    finally:
+        tracemalloc.stop()
+
+
+# Peaks of these calls on frob13 (3.7M triangles) and gdd12-6 while they
+# still made their passes over the strided int64 columns of ``tri``; the
+# column-block kernels must not need more.
+@pytest.mark.parametrize("call, design, bound_mib", [
+    (_normalize_triangles, "frob13_design", 142.2),
+    (verify_design, "frob13_design", 125.3),
+    (verify_balanced, "frob13_design", 170.7),
+    (verify_gdd, "gdd12_6", 56.0),
+])
+def test_peak_memory_bounds(call, design, bound_mib, request):
+    d = request.getfixturevalue(design)
+    arg = d.tri if call is _normalize_triangles else d
+    assert _traced_peak_mib(call, arg) <= bound_mib
+
+
+_RESERVE_AFTER_FREE = """
+import os
+import numpy as np
+import tridesign
+
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+before = rss()
+a = np.ones(30 << 20, np.uint8)   # by default, slides the trim threshold to 60 MB
+del a
+arrays = [np.ones(20 << 20, np.uint8) for _ in range(5)]
+del arrays
+print(rss() - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_freed_heap_top_keeps_the_fixed_reserve():
+    """Once tridesign is imported, freeing 100 MB of kernel-sized arrays
+    leaves the fixed 64 MiB heap reserve resident.  (glibc's sliding
+    default left 40 MB here: what it keeps depends on the size of the
+    mapped blocks freed before.)"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tridesign.__file__)))
+    out = subprocess.run([sys.executable, "-c", _RESERVE_AFTER_FREE],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert abs(int(out) - tridesign._malloc.TOP_PAD) < 4 << 20

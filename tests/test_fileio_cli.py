@@ -466,12 +466,25 @@ def test_writer_matches_per_row_encoder(which, suffix, gdd12_6, frob7_design, tm
 
 
 def test_writer_width_from_largest_value(tmp_path):
-    # values wider than n still round-trip to the per-row text
+    # values of 1 to 6 hex digits in one file keep their own widths
     tri = np.array([[1, 0x2f, 0xabcdef], [3, 0x10, 0x1000]], dtype=np.int64)
-    d = Design(n=3, poly=0xb, tri=tri)
+    d = Design(n=24, poly=0x1000087, tri=tri)
     p = tmp_path / "wide.design"
     write_design(d, str(p))
     assert p.read_bytes().split(b"triangles:\n")[1] == _rows_text(d.tri)
+    assert np.array_equal(read_design(str(p)).tri, d.tri)
+
+
+def test_writer_refuses_corner_outside_dimension(tmp_path):
+    # 40 = 0x28 needs 6 bits: the file would declare n = 4 and be refused
+    # by the reader, so the writer refuses it before opening the file
+    p = tmp_path / "wide.design"
+    with pytest.raises(ValueError, match="out of range for declared dimension"):
+        write_design(Design(n=4, poly=0x13, tri=[[1, 2, 40]]), str(p))
+    assert not p.exists()
+    ok = Design(n=6, poly=0x5b, tri=[[1, 2, 40]])
+    write_design(ok, str(p))
+    assert np.array_equal(read_design(str(p)).tri, ok.tri)
 
 
 @pytest.mark.parametrize("rows, nbytes", [(1, 1), (2, 3), (5, 7), (64, 17)])
