@@ -292,18 +292,27 @@ class BalanceReport:
         return f"unbalanced; coverage histogram: {hist}"
 
 
+_ABSENT_SLICE = 1 << 20
+
+
 def _absent_keys(wanted: np.ndarray, have: np.ndarray) -> np.ndarray:
     """Keys of ascending ``wanted`` that do not occur in sorted ``have``
     (both of one dtype, so the search casts neither).
 
     One binary search per wanted key against the already sorted line
-    keys; ascending needles keep the searches cache-friendly.
+    keys; ascending needles keep the searches cache-friendly.  The keys
+    are searched in slices of ``_ABSENT_SLICE``, so the positions never
+    take more than one slice's worth of memory.
     """
     if have.size == 0:
         return wanted
-    pos = np.searchsorted(have, wanted)
-    np.minimum(pos, have.size - 1, out=pos)
-    return wanted[have[pos] != wanted]
+    absent = []
+    for lo in range(0, wanted.size, _ABSENT_SLICE):
+        part = wanted[lo:lo + _ABSENT_SLICE]
+        pos = np.searchsorted(have, part)
+        np.minimum(pos, have.size - 1, out=pos)
+        absent.append(part[have[pos] != part])
+    return np.concatenate(absent) if absent else wanted
 
 
 def _verify_cover(d: Design, m: int, groups: Spread | None) -> CoverReport:

@@ -44,9 +44,11 @@ def enumerate_line_keys_np(n: int, limit: int | None = None,
     with x in [2^h, 2^(h+1)) are one ascending outer product.  Only the
     partners a prefix needs are built.
     """
-    left = line_count(n) if limit is None else min(limit, line_count(n))
-    blocks = []
+    total = line_count(n) if limit is None else min(limit, line_count(n))
+    out = np.empty(total, dtype=dtype)
+    at = 0
     for h in range(n - 1):
+        left = total - at
         if left <= 0:
             break
         per_x = (1 << (n - 1)) - (1 << h)
@@ -55,9 +57,9 @@ def enumerate_line_keys_np(n: int, limit: int | None = None,
         x = np.arange(1 << h, (1 << h) + min(1 << h, -(-left // per_x)),
                       dtype=dtype)
         block = ((x[:, None] << n) | y[None, :]).ravel()[:left]
-        blocks.append(block)
-        left -= block.size
-    return np.concatenate(blocks) if blocks else np.empty(0, dtype=dtype)
+        out[at:at + block.size] = block
+        at += block.size
+    return out
 
 
 def line_keys(p, q, n: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -11,6 +11,8 @@ whose combined sweep tiles the exponent ring.
 Both read their items from the field's one gamma table
 (``orbits.gamma_table``); the cy_gamma-sets and class sizes come from
 rotating residues, since doubling mod 2^n - 1 is an n-bit rotation.
+An item's key is a residue, so ``_closure_items`` numbers the keys by a
+dense rank (a cumulative sum over a mark per residue) with no sort.
 One kernel, ``_item_triples``, gives an item's triples over a run of
 partners, each with its first witness.  ``_candidate_triples`` calls it
 over all later partners to build an exact-cover instance; above
@@ -31,7 +33,7 @@ from .gf2n import FieldCtx, build_field
 from .orbits import (FrobeniusCertificate, OrbitCertificate, exponent_universe,
                      frobenius_reps, gamma_table, orbit_cover_counts)
 from .xcover import (LimitExceeded, Unsatisfiable, XCoverInstance,
-                     check_solution, dfs, solve)
+                     check_solution, dfs, solve, stable_argsort)
 
 
 class SearchUnsatisfiable(RuntimeError):
@@ -71,13 +73,16 @@ def _closure_items(key: np.ndarray, inside: np.ndarray, size: int):
     """One item per distinct ``key`` of the residues ``inside``: the keys,
     residue -> item index (-1 outside), and each item's residues sorted,
     as an (items, size) array."""
-    keys = np.unique(key[inside])
-    owner = np.searchsorted(keys, key[inside])
+    # keys are residues: a dense rank over a mark array, with no sort
+    mark = np.zeros(key.size, dtype=bool)
+    mark[key[inside]] = True
+    keys = np.flatnonzero(mark)
+    owner = (np.cumsum(mark) - 1)[key[inside]]
     if (np.bincount(owner, minlength=keys.size) != size).any():
         raise AssertionError(f"a closure set is not {size} residues")
     item_of = np.full(key.size, -1, dtype=np.int64)
     item_of[inside] = owner
-    members = np.flatnonzero(inside)[np.argsort(owner, kind="stable")]
+    members = np.flatnonzero(inside)[stable_argsort(owner, keys.size)]
     return keys, item_of, members.reshape(-1, size)
 
 
@@ -147,12 +152,13 @@ def _candidate_triples(M: int, item_of: np.ndarray, first: np.ndarray,
     there, with its first witness in item a's kernel block.
     """
     N = len(first)
-    triples, tags = [np.empty((0, 3), dtype=np.int64)], [np.empty((0, 2), dtype=np.int64)]
+    # int32 halves the instance; residues lie below 2^MAX_DEGREE - 1
+    triples, tags = [np.empty((0, 3), dtype=np.int32)], [np.empty((0, 2), dtype=np.int32)]
     for a in range(N - 1):
         p, c, s1, s2 = _item_triples(M, item_of, first, second, a,
                                      np.arange(a + 1, N))
-        triples.append(np.column_stack([np.full(p.size, a), p, c]))
-        tags.append(np.column_stack([s1, s2]))
+        triples.append(np.column_stack([np.full(p.size, a), p, c]).astype(np.int32))
+        tags.append(np.column_stack([s1, s2]).astype(np.int32))
     return np.concatenate(triples), np.concatenate(tags)
 
 

@@ -15,6 +15,14 @@ ascending item indices, with an opaque tag each.  Selection is minimum
 remaining candidates, ties broken by lowest item index, subsets tried
 in ascending index order, so two runs on the same instance produce
 identical solutions and node counts.
+
+Its source, ``_CsrSource``, keeps the item -> subsets index as one CSR
+array, built by a stable argsort of the flat item rows; with at most
+2^16 items the rows are cast to uint16 first, which numpy sorts by
+radix (``stable_argsort``).  Covering a subset walks its items in turn
+and deactivates the still-active subsets of each at once, so every
+subset it removes is taken exactly once, with no hashing or sort per
+node; the removed subsets are the undo trail.
 """
 
 from __future__ import annotations
@@ -24,6 +32,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+
+def stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of integers in [0, bound): values cast to uint16,
+    which numpy sorts by radix, when they fit, else a comparison sort."""
+    return np.argsort(values.astype(np.uint16) if bound <= 1 << 16 else values,
+                      kind="stable")
 
 
 def _first_row(bad: np.ndarray) -> int:
@@ -139,9 +154,9 @@ class _CsrSource:
         S, k = rows.shape
         n = inst.n_items
         self.rows = rows
-        owner = np.repeat(np.arange(S, dtype=np.int32), k)
-        self.item_subs = owner[np.argsort(rows.ravel(), kind="stable")]
-        del owner
+        # flat positions sorted stably by item: each item's subsets ascend
+        self.item_subs = stable_argsort(rows.ravel(), n)
+        self.item_subs //= k
         self.count = np.bincount(rows.ravel(), minlength=n)
         self.item_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.count, out=self.item_ptr[1:])
@@ -165,9 +180,13 @@ class _CsrSource:
 
     def cover(self, s: int) -> None:
         items = self.rows[s]
-        touched = np.unique(np.concatenate([self._subs(i) for i in items.tolist()]))
-        deact = touched[self.active[touched]]
-        self.active[deact] = False
+        taken = []
+        for i in items.tolist():    # deactivating as we go takes each subset once
+            subs = self._subs(i)
+            subs = subs[self.active[subs]]
+            self.active[subs] = False
+            taken.append(subs)
+        deact = np.concatenate(taken)
         self.count -= np.bincount(self.rows[deact].ravel(), minlength=self.n_items)
         self.covered[items] = True
         self.trail.append(deact)

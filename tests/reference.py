@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from tridesign.gf2n import FieldCtx
 from tridesign.orbits import cy_gamma, gamma
 
@@ -138,3 +140,15 @@ def is_triangle_orbit(ctx: FieldCtx, k1: int, k2: int, k3: int) -> bool:
             if (-s1 - s2) % M in set3:
                 return True
     return False
+
+
+def closure_items(key: np.ndarray, inside: np.ndarray, size: int):
+    """Items of the residues ``inside`` by sorting their keys: the distinct
+    keys, residue -> item index (-1 outside) and each item's residues
+    ascending, as an (items, size) array."""
+    keys = np.unique(key[inside])
+    owner = np.searchsorted(keys, key[inside])
+    item_of = np.full(key.size, -1, dtype=np.int64)
+    item_of[inside] = owner
+    members = np.flatnonzero(inside)[np.argsort(owner, kind="stable")]
+    return keys, item_of, members.reshape(-1, size)

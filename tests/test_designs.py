@@ -432,6 +432,34 @@ def test_peak_memory_bounds(call, design, bound_mib, request):
     assert _traced_peak_mib(call, arg) <= bound_mib
 
 
+def test_refusal_peak_memory(frob13_design):
+    # one dropped row: the witness search runs over a prefix of 11.2M
+    # wanted line keys, in slices; the report is the one the unsliced
+    # search gave
+    d = Design(n=13, poly=frob13_design.poly, tri=frob13_design.tri[1:])
+    reports = []
+    peak = _traced_peak_mib(lambda: reports.append(verify_design(d)))
+    assert peak <= 130.0
+    assert reports[0].to_json_dict() == {
+        "report": "cover", "ok": False, "kind": "design", "n": 13, "m": 1,
+        "triangle_count": 3726904, "expected_triangles": 3726905,
+        "line_total": 11180715, "lines_seen": 11180712,
+        "witnesses": {"uncovered": [[1, 6, 7], [1, 5884, 5885], [7, 5883, 5884]],
+                      "multiply_covered": [], "group_line_hits": []}}
+
+
+@pytest.mark.parametrize("base", ["frob7_design", "gdd6_2"])
+def test_absent_key_slices_do_not_change_reports(base, request, monkeypatch):
+    # slices far smaller than the wanted prefix give the same witnesses
+    import tridesign.designs as D
+    base = request.getfixturevalue(base)
+    inputs = [_mutant(base, kind, seed) for seed in range(2)
+              for kind in ("replaced", "dropped", "halved")]
+    whole = [_report_dicts(d) for d in inputs]
+    monkeypatch.setattr(D, "_ABSENT_SLICE", 7)
+    assert [_report_dicts(d) for d in inputs] == whole
+
+
 _RESERVE_AFTER_FREE = """
 import os
 import numpy as np

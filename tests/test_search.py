@@ -6,7 +6,7 @@ import numpy as np
 
 import pytest
 
-from reference import cy_gamma_key, gamma_key, is_triangle_orbit
+from reference import closure_items, cy_gamma_key, gamma_key, is_triangle_orbit
 from tridesign.designs import verify_design, verify_gdd
 from tridesign.gf2n import build_field
 from tridesign.orbits import expand_certificate
@@ -124,13 +124,14 @@ LAZY_FROB13_PAIRS = (
 
 
 def _spy(monkeypatch, S, name):
-    """Record (instance or source, result) of every S.<name> call."""
+    """Record (*positional arguments, result) of every S.<name> call: for
+    the solvers, (instance or source, result)."""
     calls = []
     orig = getattr(S, name)
 
-    def spy(arg, **kw):
-        result = orig(arg, **kw)
-        calls.append((arg, result))
+    def spy(*args, **kw):
+        result = orig(*args, **kw)
+        calls.append((*args, result))
         return result
 
     monkeypatch.setattr(S, name, spy)
@@ -250,3 +251,20 @@ def test_problem_builders_pinned(problem):
         inst = frobenius_problem(build_field(problem), problem)
     assert (len(inst.subsets), _sha(inst.subsets),
             _sha(inst.tags)) == PINNED_PROBLEMS[problem]
+    assert inst.subsets.dtype == inst.tags.dtype == np.int32
+
+
+@pytest.mark.parametrize("problem", [(8, 2), (12, 6), 13, 19], ids=str)
+def test_closure_items_match_sorted_reference(monkeypatch, problem):
+    # the dense rank gives the items a sort of their keys gives
+    import tridesign.search as S
+    calls = _spy(monkeypatch, S, "_closure_items")
+    if isinstance(problem, tuple):
+        S._singer_items(build_field(problem[0]), problem[1])
+    else:
+        S._frobenius_items(build_field(problem), problem)
+    [(*args, got)] = calls
+    want = closure_items(*args)
+    assert want[0].size == len(got[2]) > 0
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)

@@ -1,12 +1,13 @@
 import itertools
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tridesign.xcover import (CoverSolution, LimitExceeded, Unsatisfiable,
-                              XCoverInstance, check_solution, solve)
+                              XCoverInstance, _CsrSource, check_solution, solve)
 
 
 def test_basic_solution():
@@ -30,8 +31,66 @@ def test_single_triple():
 
 
 def test_empty_instance():
-    assert isinstance(solve(XCoverInstance(0, [])), CoverSolution)
-    assert isinstance(solve(XCoverInstance(2, [])), Unsatisfiable)
+    for subsets in ([], np.empty((0, 0), dtype=np.int64),
+                    np.empty((0, 3), dtype=np.int64)):
+        assert solve(XCoverInstance(0, subsets)) == CoverSolution((), 0)
+        assert solve(XCoverInstance(3, subsets)) == Unsatisfiable(1)
+
+
+@pytest.mark.parametrize("n_items", [1 << 16, (1 << 16) + 1],
+                         ids=["radix", "comparison"])
+def test_item_index_matches_stable_argsort(n_items):
+    # each item's subsets in ascending order, as a stable int64 argsort
+    # of the flat rows gives them; the top items sit on the uint16 edge
+    rng = np.random.default_rng(n_items)
+    rows = np.sort(rng.choice(n_items, size=(40000, 3)), axis=1)
+    rows = rows[(np.diff(rows, axis=1) > 0).all(axis=1)]
+    rows[:2] = [[0, n_items - 2, n_items - 1], [1, 2, n_items - 1]]
+    src = _CsrSource(XCoverInstance(n_items, rows))
+    flat = rows.ravel().astype(np.int64)
+    ref = np.argsort(flat, kind="stable") // 3
+    assert src.item_ptr.tolist() == \
+        np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=n_items))]).tolist()
+    assert np.array_equal(src.item_subs, ref)
+    top = src.item_subs[src.item_ptr[n_items - 1]:]
+    assert top.tolist() == [0, 1] + sorted(set(np.flatnonzero(rows[2:, 2] == n_items - 1) + 2))
+
+
+def _state(src):
+    return src.count.copy(), src.active.copy(), src.covered.copy()
+
+
+def test_cover_uncover_restores_state():
+    # a seeded walk of nested covers and uncovers on the Singer (8, 2)
+    # instance: each uncover restores the state from before its cover
+    from tridesign.gf2n import build_field
+    from tridesign.search import singer_problem
+    inst, _ = singer_problem(build_field(8), 2)
+    src = _CsrSource(inst)
+    rng = np.random.default_rng(8)
+    stack = [(None, _state(src))]
+    for _ in range(400):
+        live = np.flatnonzero(src.active)
+        if live.size and (len(stack) == 1 or rng.random() < 0.6):
+            s = int(rng.choice(live))
+            src.cover(s)
+            stack.append((s, _state(src)))
+            count, active, covered = stack[-1][1]
+            # live counts are the active subsets on each item, and no
+            # active subset touches a covered item
+            assert np.array_equal(count, np.bincount(
+                inst.subsets[active].ravel(), minlength=inst.n_items))
+            assert not covered[inst.subsets[active]].any()
+        else:
+            s, _ = stack.pop()
+            src.uncover(s)
+            for got, want in zip(_state(src), stack[-1][1]):
+                assert np.array_equal(got, want)
+    while len(stack) > 1:
+        src.uncover(stack.pop()[0])
+    assert np.array_equal(src.count, np.bincount(inst.subsets.ravel(),
+                                                 minlength=inst.n_items))
+    assert src.active.all() and not src.covered.any() and not src.trail
 
 
 # Knuth's example, its two pairs padded with the fresh items 7 and 8 so
