@@ -11,9 +11,9 @@ from .construct import (GddStream, balanced_extension, fill_groups, gdd_6k_6,
                         product, product_census, trivial_design)
 from .datasets import (EmbeddedDataset, as_certificate, dataset_names,
                        expand_special, load_dataset)
-from .designs import (BalanceReport, ChargeLedger, CoverReport, Design, Gdd,
-                      charge_ledger, coverage_counts, expected_triangle_count,
-                      verify_balanced, verify_design, verify_gdd)
+from .designs import (BalanceReport, CoverReport, Design, Gdd, charge_ledger,
+                      coverage_counts, expected_triangle_count, verify_balanced,
+                      verify_design, verify_gdd)
 from .gf2n import DEFAULT_POLYS, FieldCtx, build_field, embed_subfield
 from .lines import (PlaneBasis, Spread, desarguesian_spread, enumerate_ext_planes,
                     ext_plane_count, line_count, validate_spread)

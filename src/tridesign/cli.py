@@ -164,8 +164,7 @@ def cmd_construct(args) -> int:
             msg = {"ok": True, "k": k, "planes": g.plane_count,
                    "per_plane": g.per_plane}
             if args.count:
-                total = g.stream_count(progress=args.progress)
-                msg["streamed_triangles"] = total
+                msg["triangles"] = g.stream_count(progress=args.progress)
             if args.sample:
                 checked = g.sample_line_check(args.sample, seed=args.seed,
                                               progress=args.progress)

@@ -47,7 +47,7 @@ from .gf2n import FieldCtx, build_field, embed_subfield
 from .orbits import expand_certificate
 from .lines import (PlaneBasis, Spread, coset_exponents, desarguesian_spread,
                     enumerate_ext_planes, ext_plane_count, line_count, line_keys,
-                    line_rows, plane_bases, span_grids, subfield_tables, validate_spread)
+                    line_rows, plane_bases, span_grids, subfield_tables)
 
 
 class ConstructionError(ValueError):
@@ -65,14 +65,17 @@ def _or_families(terms, census: dict[str, int] | None = None):
     R is (r, 3), shared by every row of L, or (l, r, 3), one block per
     row.  The sizes are totalled, and must equal ``census`` when it is
     given, before the output is allocated; each term is then written
-    straight into its slice of it.
+    straight into its slice of it.  The rows are int32, which the size
+    guards allow (every output has n <= 14); they stay alive while
+    ``Design`` normalizes them into int64, so half width lowers the
+    peak of that step.
     """
     sizes: dict[str, int] = {}
     for fam, left, right in terms:
         sizes[fam] = sizes.get(fam, 0) + left.shape[0] * right.shape[-2]
     if census is not None and sizes != census:
         raise ConstructionError(f"family census mismatch: {sizes} != {census}")
-    tri = np.empty((sum(sizes.values()), 3), dtype=np.int64)
+    tri = np.empty((sum(sizes.values()), 3), dtype=np.int32)
     at = 0
     for _, left, right in terms:
         shape = (left.shape[0], right.shape[-2], 3)
@@ -102,14 +105,22 @@ def product_census(tm: Design, tn: Design, spread_size: int) -> dict[str, int]:
     }
 
 
-def product(tm: Design, tn: Design, spread: Spread | None = None,
-            with_census: bool = False):
+def _refuse_oversized(what: str, n: int) -> None:
+    size = expected_triangle_count(n)
+    if size > MAX_MATERIALIZED_TRIANGLES:
+        raise ConstructionError(
+            f"{what} to n={n} ({size} triangles) is too large "
+            f"to materialize (limit {MAX_MATERIALIZED_TRIANGLES})")
+
+
+def product(tm: Design, tn: Design, with_census: bool = False):
     """Design over GF(2)^(m+n) from designs over the two factors.
 
-    One factor dimension must be even; that factor carries a spread
-    of lines (default: the GF(4)-coset spread).  The left factor
-    always occupies the high bits of the product space.  Both factors
-    must verify as designs.
+    One factor dimension must be even; that factor carries the
+    GF(4)-coset line spread, ``desarguesian_spread(build_field(n), 2)``.
+    The left factor always occupies the high bits of the product space.
+    Both factors must verify as designs, and the output must fit
+    MAX_MATERIALIZED_TRIANGLES; the size is checked first.
     """
     if tn.n % 2 == 0:
         swap = False
@@ -119,13 +130,11 @@ def product(tm: Design, tn: Design, spread: Spread | None = None,
         raise ConstructionError(
             f"factor dimensions {tm.n}, {tn.n} are both odd; "
             "the product needs an even factor to carry a line spread")
+    n_out = tm.n + tn.n
+    _refuse_oversized("product", n_out)
     a, b = (tn, tm) if swap else (tm, tn)   # b is the even/spread factor
     sa, sb = (0, tn.n) if swap else (tn.n, 0)
-    if spread is None:
-        spread = desarguesian_spread(build_field(b.n), 2)
-    if spread.dim_m != 2:
-        raise ConstructionError("spread must consist of lines (dimension 2)")
-    validate_spread(spread, b.n)
+    spread = desarguesian_spread(build_field(b.n), 2)
     for side, factor in (("left", tm), ("right", tn)):
         if not verify_design(factor).ok:
             raise ConstructionError(f"{side} factor does not verify as a design")
@@ -145,7 +154,6 @@ def product(tm: Design, tn: Design, spread: Spread | None = None,
         *_spread_terms(ya, np.array(spread.groups, dtype=np.int64) << sb),
     ], product_census(a, b, len(spread.groups)))
 
-    n_out = tm.n + tn.n
     out = Design(n=n_out, poly=build_field(n_out).poly, tri=tri,
                  provenance=f"product {tm.n}+{tn.n}")
     if with_census:
@@ -197,29 +205,16 @@ def _spread_role_orders(spread: Spread) -> tuple[np.ndarray, np.ndarray]:
     return base, np.array(special_rows, dtype=np.int64)
 
 
-def balanced_extension(tm: Design, return_trace: bool = False):
-    """Balanced design over GF(2)^(m+6) from a balanced one over GF(2)^m.
+def _extension_rows(tm: Design) -> tuple[np.ndarray, dict[str, int]]:
+    """The unnormalized rows of the +6 extension of ``tm`` with their
+    family sizes, families A-F in that order.
 
     The right factor is covered by the fixed 6-dimensional design
     (whole-space part) and the balanced (6,2) group-divisible design
     (line-grouping part); role choices in the spread-line family are
-    rotated so all charges cancel.  The result must pass the full
-    design and balance verifiers or the construction fails.
+    rotated so all charges cancel.
     """
     m = tm.n
-    if m < 7 or m % 2 == 0:
-        raise ConstructionError(f"left factor dimension {m} must be odd and >= 7")
-    size = expected_triangle_count(m + 6)
-    if size > MAX_MATERIALIZED_TRIANGLES:
-        raise ConstructionError(
-            f"balanced extension to n={m + 6} ({size} triangles) is too large "
-            f"to materialize (limit {MAX_MATERIALIZED_TRIANGLES})")
-    if not verify_design(tm).ok:
-        raise ConstructionError("left factor does not verify as a design")
-    bal = verify_balanced(tm)
-    if not bal.balanced:
-        raise ConstructionError("left factor design is unbalanced")
-
     d6 = expand_special(load_dataset("design6"))
     g62 = expand_special(load_dataset("gdd6-2"))
     mu = multiplier_table(build_field(5))
@@ -240,7 +235,7 @@ def balanced_extension(tm: Design, return_trace: bool = False):
     left, y6 = tm.tri << 6, ys << 6
     vv = np.arange(1, 64, dtype=np.int64)
     zero = np.zeros((1, 3), dtype=np.int64)
-    tri, census = _or_families([
+    return _or_families([
         ("A", left, zero),
         ("B", zero, d6.tri),
         ("C", left, line_rows(6)[:, _PERMS3].reshape(-1, 3)),
@@ -249,20 +244,32 @@ def balanced_extension(tm: Design, return_trace: bool = False):
         *_spread_terms(y6, spread_orders),
     ])
 
+
+def balanced_extension(tm: Design) -> Design:
+    """Balanced design over GF(2)^(m+6) from a balanced one over GF(2)^m.
+
+    The rows come from ``_extension_rows``.  The result must pass the
+    charge ledger and the full design and balance verifiers or the
+    construction fails.
+    """
+    m = tm.n
+    if m < 7 or m % 2 == 0:
+        raise ConstructionError(f"left factor dimension {m} must be odd and >= 7")
     n_out = m + 6
-    trace = None
-    if return_trace:
-        led = charge_ledger(tri[:tri.shape[0] - census["F"]], n_out)
-        expected_profile = np.zeros_like(led.counts)
-        expected_profile[:64] = charge_ledger(d6.tri, 6).counts
-        trace = {"ledger_after_ABCDE": led,
-                 "part_b_profile_matched": bool((led.counts == expected_profile).all())}
+    _refuse_oversized("balanced extension", n_out)
+    if not verify_design(tm).ok:
+        raise ConstructionError("left factor does not verify as a design")
+    bal = verify_balanced(tm)
+    if not bal.balanced:
+        raise ConstructionError("left factor design is unbalanced")
+
+    tri, _ = _extension_rows(tm)
     out = Design(n=n_out, poly=build_field(n_out).poly, tri=tri,
                  provenance=f"balanced extension {m}+6")
     del tri   # only the normalized copy in ``out`` is checked from here on
     led = charge_ledger(out.tri, n_out)
-    if not led.is_zero:
-        bad = dict(list(led.as_dict().items())[:10])
+    if led.any():
+        bad = {int(v): int(led[v]) for v in np.flatnonzero(led)[:10]}
         raise ConstructionError(f"charge ledger did not cancel: {bad}")
     rep = verify_design(out)
     if not rep.ok:
@@ -272,8 +279,6 @@ def balanced_extension(tm: Design, return_trace: bool = False):
     if not brep.ok:
         raise ConstructionError("balanced extension is not balanced: "
                                 + brep.to_text())
-    if return_trace:
-        return out, trace
     return out
 
 

@@ -434,35 +434,13 @@ def verify_balanced(t: Design) -> BalanceReport:
                          expected_lambda=expected, lambda_ok=lambda_ok)
 
 
-@dataclass
-class ChargeLedger:
-    """Signed corner-minus-noncorner count per vector."""
-
-    n: int
-    counts: np.ndarray
-
-    def charge(self, v: int) -> int:
-        return int(self.counts[v])
-
-    def as_dict(self) -> dict[int, int]:
-        nz = np.flatnonzero(self.counts)
-        return {int(v): int(self.counts[v]) for v in nz}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.counts.any()
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def charge_ledger(tri: np.ndarray, n: int) -> ChargeLedger:
-    """+1 per corner appearance, -1 per non-corner appearance.
+def charge_ledger(tri: np.ndarray, n: int) -> np.ndarray:
+    """Per-vector charge, as a (2^n,) int64 array: +1 per corner
+    appearance, -1 per non-corner appearance.
 
     For an exact cover, an all-zero ledger is equivalent to balance:
     2*corners + noncorners at a vector is the number of lines through
     it, a constant.
     """
     corner, noncorner = _incidence_counts(tri, n)
-    return ChargeLedger(n, corner - noncorner)
+    return corner - noncorner

@@ -257,8 +257,7 @@ def _witnesses(problem: XCoverInstance | _LazySource, what: str,
 # -- multiplicative-group (gamma-set) problem -----------------------------------
 
 
-def singer_problem(ctx: FieldCtx, m: int, verbose: bool = False
-                   ) -> tuple[XCoverInstance, list[int]]:
+def singer_problem(ctx: FieldCtx, m: int, verbose: bool = False) -> XCoverInstance:
     """Exact-cover instance over gamma-set keys outside the spread.
 
     Candidate subsets are all key triples admitting a zero-sum
@@ -270,8 +269,7 @@ def singer_problem(ctx: FieldCtx, m: int, verbose: bool = False
     _progress(f"gamma items: {keys.size} (universe {6 * keys.size})", verbose)
     subsets, tags = _candidate_triples(ctx.order, item_of, first, second)
     _progress(f"candidate triples: {len(subsets)}", verbose)
-    inst = XCoverInstance(n_items=keys.size, subsets=subsets, tags=tags)
-    return inst, keys.tolist()
+    return XCoverInstance(n_items=keys.size, subsets=subsets, tags=tags)
 
 
 def _check_partition(ctx: FieldCtx, reps, m: int) -> None:
@@ -297,7 +295,7 @@ def search_singer(n: int, m: int, node_limit: int | None = None,
     if ((1 << n) - (1 << m)) // 6 > LAZY_STRATUM_THRESHOLD:
         problem = _LazySource(ctx.order, *_singer_items(ctx, m)[1:])
     else:
-        problem, _ = singer_problem(ctx, m, verbose=verbose)
+        problem = singer_problem(ctx, m, verbose=verbose)
     witnesses = _witnesses(problem, f"search (n={n}, m={m})", node_limit,
                            time_limit, verbose)
     reps = sorted((s1, (s1 + s2) % ctx.order) for s1, s2 in witnesses)

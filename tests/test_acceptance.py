@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from reference import enumerate_lines, gamma_key, is_triangle_orbit
-from tridesign.construct import (balanced_extension, fill_groups, gdd_6k_6,
-                                 product, trivial_design)
+from tridesign.construct import (_extension_rows, balanced_extension, fill_groups,
+                                 gdd_6k_6, product, trivial_design)
 from tridesign.datasets import as_certificate, expand_special, load_dataset
-from tridesign.designs import verify_balanced, verify_design, verify_gdd
+from tridesign.designs import (charge_ledger, verify_balanced, verify_design,
+                               verify_gdd)
 from tridesign.gf2n import build_field
 from tridesign.lines import line_count
 from tridesign.orbits import (OrbitCertificate, cyclotomic_class,
@@ -165,14 +166,18 @@ def test_criterion_07_product():
 def test_criterion_08_balanced_extension():
     frob7 = expand_certificate(as_certificate(load_dataset("frob7")))
     with budget("8 (balanced +6 extension)", 900.0):
-        d13, trace = balanced_extension(frob7, return_trace=True)
+        d13 = balanced_extension(frob7)
         assert d13.triangle_count == 3726905
-        assert trace["part_b_profile_matched"]
-        led = trace["ledger_after_ABCDE"]
-        assert led.charge(32) == -31
-        assert all(led.charge(v) == 2 for v in range(1, 32))
-        assert all(led.charge(v) == -1 for v in range(33, 64))
-        assert sum(led.as_dict().values()) == 0
+        # families A-E leave exactly family B's (design6's) charge profile
+        rows, census = _extension_rows(frob7)
+        led = charge_ledger(rows[:len(rows) - census["F"]], 13)
+        del rows
+        d6 = expand_special(load_dataset("design6"))
+        assert (led[:64] == charge_ledger(d6.tri, 6)).all() and not led[64:].any()
+        assert led[32] == -31
+        assert (led[1:32] == 2).all()
+        assert (led[33:64] == -1).all()
+        assert led.sum() == 0
         # balanced_extension verifies internally; re-check independently
         assert verify_design(d13).ok
         bal = verify_balanced(d13)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tridesign.construct import (ConstructionError, GddStream,
+from tridesign.construct import (ConstructionError, GddStream, _extension_rows,
                                  balanced_extension, fill_groups, gdd_6k_6,
                                  product, product_census, trivial_design)
 from tridesign.designs import (Design, Gdd, charge_ledger, verify_balanced,
@@ -39,6 +39,12 @@ def _linear_relabel(d, seed):
     return Design(n=d.n, poly=d.poly, tri=img[d.tri], provenance="relabel")
 
 
+def _abcde_ledger(base):
+    """Charge ledger of the +6 extension rows of ``base`` before family F."""
+    rows, census = _extension_rows(base)
+    return charge_ledger(rows[:len(rows) - census["F"]], base.n + 6)
+
+
 # Triangle arrays and family censuses recorded from the per-triangle
 # family loops that the broadcast-OR builder replaced.
 _PRODUCT_PINS = {
@@ -63,14 +69,16 @@ def test_product_pinned_output(case, design6):
     (None, "a10e81955c59cbab6a5d36a5ea0858df411630e288500979d34afdbc7c37c8d8"),
     (7, "d1e96fe671a2ba888001b55b1571213afaf99652d7c3e7e25bf4c26579c04b50"),
 ])
-def test_balanced_extension_pinned_output(seed, digest, frob7_design):
+def test_balanced_extension_pinned_output(seed, digest, frob7_design, design6):
     base = frob7_design if seed is None else _linear_relabel(frob7_design, seed)
-    out, trace = balanced_extension(base, return_trace=True)
+    out = balanced_extension(base)
     assert _tri_sha(out) == digest
+    led = _abcde_ledger(base)
     expected = {**{v: 2 for v in range(1, 32)}, 32: -31,
                 **{v: -1 for v in range(33, 64)}}
-    assert trace["ledger_after_ABCDE"].as_dict() == expected
-    assert trace["part_b_profile_matched"]
+    assert {int(v): int(led[v]) for v in np.flatnonzero(led)} == expected
+    # families A-E leave exactly family B's (design6's) charge profile
+    assert (led[:64] == charge_ledger(design6.tri, 6)).all() and not led[64:].any()
 
 
 def test_product_refuses_unverified_factor(design6):
@@ -110,21 +118,27 @@ def test_product_parity_error(frob7_design):
         product(frob7_design, frob7_design)
 
 
-def test_product_bad_spread(design6):
-    bad = Spread(2, [np.array([1, 2, 3])])
-    with pytest.raises(ValueError):
-        product(design6, design6, spread=bad)
+def test_product_size_guard_runs_first(frob7_design):
+    # 7 + 12 would be ~15.3e9 triangles: refused before the factors are
+    # checked (the empty even factor does not verify) or any row is built
+    empty = Design(n=12, poly=build_field(12).poly,
+                   tri=np.empty((0, 3), dtype=np.int64))
+    for left, right in ((frob7_design, empty), (empty, frob7_design)):
+        with pytest.raises(ConstructionError,
+                           match=r"product to n=19 \(15270907449 triangles\) is too large"):
+            product(left, right)
 
 
-def test_balanced_extension_frob7(frob7_design):
-    d13, trace = balanced_extension(frob7_design, return_trace=True)
+def test_balanced_extension_frob7(frob7_design, design6):
+    d13 = balanced_extension(frob7_design)
+    assert isinstance(d13, Design)
     assert d13.n == 13
     assert d13.triangle_count == 3726905
-    assert trace["part_b_profile_matched"]
-    led = trace["ledger_after_ABCDE"]
-    assert led.charge(32) == -31
-    assert led.charge(1) == 2 and led.charge(33) == -1
-    assert charge_ledger(d13.tri, 13).is_zero
+    led = _abcde_ledger(frob7_design)
+    assert (led[:64] == charge_ledger(design6.tri, 6)).all() and not led[64:].any()
+    assert led[32] == -31
+    assert led[1] == 2 and led[33] == -1
+    assert not charge_ledger(d13.tri, 13).any()
     bal = verify_balanced(d13)
     assert bal.balanced and bal.lam == 2730
 
@@ -324,7 +338,7 @@ def test_fill_groups_charge_per_group(gdd12_6, gdd6_2):
     led = charge_ledger(filled.tri, 12)
     base = charge_ledger(gdd12_6.tri, 12)
     for grp in gdd12_6.groups.groups[:5]:
-        delta = led.counts[grp].sum() - base.counts[grp].sum()
+        delta = led[grp].sum() - base[grp].sum()
         assert delta == 0
 
 
@@ -341,11 +355,3 @@ def test_fill_groups_refuses_non_coset_groups(gdd12_6, design6):
     with pytest.raises(ConstructionError,
                        match="group 0 is not a multiplicative coset; cannot fill"):
         fill_groups(g, design6)
-
-
-def test_product_explicit_spread(design6):
-    from tridesign.gf2n import build_field
-    from tridesign.lines import desarguesian_spread
-    spread = desarguesian_spread(build_field(6), 2)
-    d7 = product(design6, trivial_design(), spread=spread)
-    assert d7.triangle_count == 889 and verify_design(d7).ok

@@ -114,30 +114,30 @@ def test_verify_balanced(design6, gdd6_2, frob7_design):
 def test_charge_ledger_single_triangle():
     tri = np.array([[1, 2, 4]])
     led = charge_ledger(tri, 3)
-    assert led.as_dict() == {1: 1, 2: 1, 4: 1, 3: -1, 6: -1, 5: -1}
-    assert led.total == 0
+    assert led.dtype == np.int64 and led.shape == (8,)
+    assert led.tolist() == [0, 1, 1, -1, 1, -1, -1, 0]
+    assert led.sum() == 0
 
 
 def test_charge_ledger_empty():
     led = charge_ledger(np.empty((0, 3), dtype=np.int64), 4)
-    assert led.is_zero
+    assert led.shape == (16,) and not led.any()
 
 
 def test_charge_ledger_design6_profile(design6):
     led = charge_ledger(design6.tri, 6)
-    prof = led.as_dict()
-    assert prof[32] == -31
-    assert all(prof[v] == 2 for v in range(1, 32))
-    assert all(prof[v] == -1 for v in range(33, 64))
-    assert led.total == 0
+    assert led[32] == -31
+    assert (led[1:32] == 2).all()
+    assert (led[33:64] == -1).all()
+    assert led.sum() == 0
 
 
 def test_charge_zero_iff_balanced(design6, frob7_design):
     # exact covers: constant coverage <=> all-zero ledger
     assert verify_balanced(frob7_design).balanced
-    assert charge_ledger(frob7_design.tri, 7).is_zero
+    assert not charge_ledger(frob7_design.tri, 7).any()
     assert not verify_balanced(design6).balanced
-    assert not charge_ledger(design6.tri, 6).is_zero
+    assert charge_ledger(design6.tri, 6).any()
 
 
 def test_coverage_counts_consistency(design6):
@@ -145,7 +145,7 @@ def test_coverage_counts_consistency(design6):
     led = charge_ledger(design6.tri, 6)
     # 2*corners + noncorners = lines through a vector = 2^(n-1) - 1
     for v in range(1, 64):
-        c = (cov[v] + led.charge(v)) / 2
+        c = (cov[v] + led[v]) / 2
         assert 2 * c + (cov[v] - c) == 31
 
 

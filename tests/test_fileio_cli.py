@@ -16,6 +16,7 @@ from tridesign.datasets import as_certificate, load_dataset
 from tridesign.designs import Design, Gdd
 from tridesign.fileio import (load_report_schema, read_certificate, read_design,
                               write_certificate, write_design)
+from tridesign.gf2n import build_field
 
 
 def _roundtrip_bytes(d, tmp_path, name):
@@ -247,6 +248,23 @@ def test_cli_construct_product_refuses_unverified_factor(design6, tmp_path, caps
     assert not out.exists()
 
 
+def test_cli_construct_product_refuses_oversized_output(frob7_design, tmp_path,
+                                                        capsys):
+    # 7 + 12 would be ~15.3e9 triangles; the empty n=12 factor would fail
+    # verification, so the size check is what refuses it
+    left, right = tmp_path / "f7.design", tmp_path / "e12.design"
+    write_design(frob7_design, str(left))
+    write_design(Design(n=12, poly=build_field(12).poly,
+                        tri=np.empty((0, 3), dtype=np.int64)), str(right))
+    out = tmp_path / "p19.design"
+    assert run_cli("construct", "product", "--left", str(left),
+                   "--right", str(right), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: product to n=19 (15270907449 triangles) is too large")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("--k", "3", "--out", "F", "--count"),
     ("--k", "2", "--out", "F", "--count"),
@@ -267,12 +285,16 @@ def test_cli_gdd6k_usage_checked_before_work(argv, monkeypatch, tmp_path, capsys
 
 
 def test_cli_gdd6k_k3_sample_json(capsys):
-    assert run_cli("--json", "construct", "gdd6k", "--k", "3",
-                   "--sample", "2000") == 0
-    payload = json.loads(capsys.readouterr().out)
-    jsonschema.validate(payload, load_report_schema())
-    assert payload == {"ok": True, "k": 3, "planes": 4161, "per_plane": 917280,
-                       "sampled_lines_ok": 2000}
+    expected = {"ok": True, "k": 3, "planes": 4161, "per_plane": 917280,
+                "sampled_lines_ok": 2000}
+    for extra in ((), ("--count",)):
+        assert run_cli("--json", "construct", "gdd6k", "--k", "3",
+                       "--sample", "2000", *extra) == 0
+        payload = json.loads(capsys.readouterr().out)
+        jsonschema.validate(payload, load_report_schema())
+        if extra:
+            expected["triangles"] = 4161 * 917280
+        assert payload == expected
 
 
 def test_cli_gdd6k_k1(tmp_path, capsys):

@@ -10,9 +10,9 @@ from reference import closure_items, cy_gamma_key, gamma_key, is_triangle_orbit
 from tridesign.designs import verify_design, verify_gdd
 from tridesign.gf2n import build_field
 from tridesign.orbits import expand_certificate
-from tridesign.search import (InfeasibleStratumError, frobenius_problem,
-                              frobenius_strata, search_frobenius, search_singer,
-                              singer_problem)
+from tridesign.search import (InfeasibleStratumError, _singer_items,
+                              frobenius_problem, frobenius_strata,
+                              search_frobenius, search_singer, singer_problem)
 
 
 def test_frobenius_strata_counts():
@@ -59,7 +59,8 @@ def test_search_frobenius_19_gated():
 
 
 def test_singer_candidates_match_brute_force(f7):
-    inst, keys = singer_problem(f7, 1)
+    inst = singer_problem(f7, 1)
+    keys = _singer_items(f7, 1)[0].tolist()
     assert len(keys) == 21
     generated = {tuple(inst.subsets[i]) for i in range(len(inst.subsets))}
     brute = set()
@@ -93,7 +94,8 @@ def test_search_singer_rejections():
 
 
 def test_singer_tags_are_witnesses(f7):
-    inst, keys = singer_problem(f7, 1)
+    inst = singer_problem(f7, 1)
+    keys = _singer_items(f7, 1)[0].tolist()
     M = f7.order
     for subset, (s1, s2) in zip(inst.subsets, inst.tags):
         trip_keys = sorted(keys[i] for i in subset)
@@ -246,7 +248,7 @@ PINNED_PROBLEMS = {
 @pytest.mark.parametrize("problem", list(PINNED_PROBLEMS), ids=str)
 def test_problem_builders_pinned(problem):
     if isinstance(problem, tuple):
-        inst, _ = singer_problem(build_field(problem[0]), problem[1])
+        inst = singer_problem(build_field(problem[0]), problem[1])
     else:
         inst = frobenius_problem(build_field(problem), problem)
     assert (len(inst.subsets), _sha(inst.subsets),

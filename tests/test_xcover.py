@@ -65,7 +65,7 @@ def test_cover_uncover_restores_state():
     # instance: each uncover restores the state from before its cover
     from tridesign.gf2n import build_field
     from tridesign.search import singer_problem
-    inst, _ = singer_problem(build_field(8), 2)
+    inst = singer_problem(build_field(8), 2)
     src = _CsrSource(inst)
     rng = np.random.default_rng(8)
     stack = [(None, _state(src))]
