@@ -76,6 +76,23 @@ def cyclotomic_class(n: int, k: int) -> tuple[int, ...]:
     return tuple(sorted({(k << j) % M for j in range(n)}))
 
 
+def cyclotomic_class_sizes(n: int, r) -> np.ndarray:
+    """Size of the 2-cyclotomic class of each residue r mod 2^n - 1.
+
+    The size divides every d | n with 2^d r = r, that is with r a
+    multiple of (2^n - 1) / (2^d - 1) (r in the subfield GF(2^d)), and
+    is the least such d; so one modulo per divisor gives it, with no
+    doubling walk.
+    """
+    M = (1 << n) - 1
+    r = np.asarray(r, dtype=np.int64)
+    size = np.full(r.shape, n, dtype=np.int64)
+    for d in range(n - 1, 0, -1):   # the least divisor is written last
+        if n % d == 0:
+            size[r % (M // ((1 << d) - 1)) == 0] = d
+    return size
+
+
 def cy_gamma(ctx: FieldCtx, k: int) -> tuple[int, ...]:
     """Union of the 2-cyclotomic classes of gamma(k)'s elements."""
     out: set[int] = set()
@@ -149,14 +166,22 @@ def frobenius_reps(ctx: FieldCtx, pairs) -> list[tuple[int, int]]:
     pair, so each line orbit is produced exactly once.
     """
     M = ctx.order
-    reps = []
-    for a, b in pairs:
-        t, tb, tc = (len(cyclotomic_class(ctx.n, x)) for x in (a, b, a + b))
-        if not t == tb == tc:
-            raise OrbitCollisionError(
-                f"pair ({a},{b}): class sizes differ ({t},{tb},{tc})")
-        reps.extend(((a << j) % M, (-b << j) % M) for j in range(t))
-    return reps
+    pairs = list(pairs)
+    res = np.array([(a % M, -b % M, (a + b) % M) for a, b in pairs],
+                   dtype=np.int64).reshape(-1, 3)
+    sizes = cyclotomic_class_sizes(ctx.n, res)
+    bad = np.flatnonzero((sizes != sizes[:, :1]).any(axis=1))
+    if bad.size:
+        (a, b), (t, tb, tc) = pairs[bad[0]], sizes[bad[0]].tolist()
+        raise OrbitCollisionError(
+            f"pair ({a},{b}): class sizes differ ({t},{tb},{tc})")
+    # pair i sweeps j = 0 .. t_i - 1, pairs in their given order
+    t = sizes[:, 0]
+    pair = np.repeat(np.arange(len(res)), t)
+    j = np.arange(pair.size) - np.repeat(np.cumsum(t) - t, t)
+    a = (res[pair, 0] << j) % M
+    b = (res[pair, 1] << j) % M
+    return list(zip(a.tolist(), b.tolist()))
 
 
 def exponent_universe(M: int, m: int) -> np.ndarray:

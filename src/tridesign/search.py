@@ -9,15 +9,22 @@ per 2-cyclotomic class size, and a solution is a pair list (a, b)
 whose combined sweep tiles the exponent ring.
 
 Both read their items from the field's one gamma table
-(``orbits.gamma_table``); the cy_gamma-sets and class sizes come from
-rotating residues, since doubling mod 2^n - 1 is an n-bit rotation.
-An item's key is a residue, so ``_closure_items`` numbers the keys by a
-dense rank (a cumulative sum over a mark per residue) with no sort.
-One kernel, ``_item_triples``, gives an item's triples over a run of
-partners, each with its first witness.  ``_candidate_triples`` calls it
-over all later partners to build an exact-cover instance; above
-``LAZY_STRATUM_THRESHOLD`` items ``_LazySource`` calls it on demand over
-the uncovered ones, offering the same candidates in the same order.
+(``orbits.gamma_table``).  The cy_gamma keys come from doubling
+residues, which maps the key column onto two strided halves of
+itself, and the class sizes by arithmetic
+(``orbits.cyclotomic_class_sizes``).  An item's key is a residue, so
+``_closure_items`` numbers the keys by a dense rank (a cumulative sum
+over a mark per residue) with no sort.
+
+One int32 kernel, ``_item_triples``, gives the triples of a run of item
+pairs (a, p), each with its first witness: the third residue of every
+cell is one add into a doubled residue -> item table, each cell packs
+as ``item << bits | cell``, and one row sort per pair brings each third
+item's first witness to the front.  ``_candidate_triples`` runs it over
+every pair a < p, in chunks of bounded size, to build an exact-cover
+instance; above ``LAZY_STRATUM_THRESHOLD`` items ``_LazySource`` runs
+it on demand over an item and its uncovered partners, offering the
+same candidates in the same order.
 
 Both searches re-check the orbit-level partition on their own output
 with ``orbits.orbit_cover_counts`` before returning a certificate.
@@ -30,10 +37,11 @@ import sys
 import numpy as np
 
 from .gf2n import FieldCtx, build_field
-from .orbits import (FrobeniusCertificate, OrbitCertificate, exponent_universe,
-                     frobenius_reps, gamma_table, orbit_cover_counts)
+from .orbits import (FrobeniusCertificate, OrbitCertificate,
+                     cyclotomic_class_sizes, exponent_universe, frobenius_reps,
+                     gamma_table, orbit_cover_counts)
 from .xcover import (LimitExceeded, Unsatisfiable, XCoverInstance,
-                     check_solution, dfs, solve, stable_argsort)
+                     check_solution, dfs, solve)
 
 
 class SearchUnsatisfiable(RuntimeError):
@@ -69,6 +77,13 @@ def _progress(msg: str, verbose: bool) -> None:
 # -- items and candidate triples ------------------------------------------------
 
 
+def stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of integers in [0, bound): values cast to uint16,
+    which numpy sorts by radix, when they fit, else a comparison sort."""
+    return np.argsort(values.astype(np.uint16) if bound <= 1 << 16 else values,
+                      kind="stable")
+
+
 def _closure_items(key: np.ndarray, inside: np.ndarray, size: int):
     """One item per distinct ``key`` of the residues ``inside``: the keys,
     residue -> item index (-1 outside), and each item's residues sorted,
@@ -76,7 +91,7 @@ def _closure_items(key: np.ndarray, inside: np.ndarray, size: int):
     # keys are residues: a dense rank over a mark array, with no sort
     mark = np.zeros(key.size, dtype=bool)
     mark[key[inside]] = True
-    keys = np.flatnonzero(mark)
+    keys = np.flatnonzero(mark).astype(key.dtype, copy=False)
     owner = (np.cumsum(mark) - 1)[key[inside]]
     if (np.bincount(owner, minlength=keys.size) != size).any():
         raise AssertionError(f"a closure set is not {size} residues")
@@ -102,43 +117,84 @@ def _frobenius_items(ctx: FieldCtx, t: int):
     witnesses of a triple are ordered by (partner, a, b).
 
     cy_gamma(r) is the union of gamma(2^j r) over j, so its key is the
-    least gamma key along the doubling orbit; doubling mod 2^n - 1 is an
-    n-bit rotation.  Class size is constant on a cy_gamma-set.
+    least gamma key along the doubling orbit.  Doubling mod 2^n - 1 maps
+    the even residues onto the first half and the odd ones onto the
+    second, so the key column of 2r is two strided copies of that of r.
+    Class size is constant on a cy_gamma-set.
     """
     n, M = ctx.n, ctx.order
     table = gamma_table(ctx)
-    r = np.arange(M, dtype=np.int64)
-    v = r
-    cy_key = table[:, 0].copy()
-    size = np.zeros(M, dtype=np.int64)
-    for step in range(1, n + 1):
-        v = ((v << 1) | (v >> (n - 1))) & M
-        np.minimum(cy_key, table[v, 0], out=cy_key)
-        size[(size == 0) & (v == r)] = step
-    keys, item_of, members = _closure_items(cy_key, size == t, 6 * t)
+    col = table[:, 0].astype(np.int32)
+    cy_key = col.copy()
+    nxt = np.empty_like(col)
+    half = (M + 1) // 2
+    for _ in range(n - 1):
+        nxt[:half] = col[::2]
+        nxt[half:] = col[1::2]
+        col, nxt = nxt, col
+        np.minimum(cy_key, col, out=cy_key)
+    inside = cyclotomic_class_sizes(n, np.arange(M)) == t
+    keys, item_of, members = _closure_items(cy_key, inside, 6 * t)
     return item_of, table[keys][:, :, None], members[:, None, :]
 
 
-def _item_triples(M: int, item_of: np.ndarray, first: np.ndarray,
-                  second: np.ndarray, a: int, partners: np.ndarray):
-    """Item a's triples (a, p, c), p from the ascending ``partners`` and
-    c > p, in (p, c) order, as arrays p, c, s1, s2 with (s1, s2) the
-    first witness in the (partner, x, y) C order of the block where
-    ``first[a]`` (s1) and ``second[partners]`` (s2) broadcast; s3 =
-    -s1 - s2 lies in item ``item_of[s3]`` (-1 outside the problem).
+class _Kernel:
+    """One problem's int32 arrays for ``_item_triples``.
+
+    The residue -s1 - s2 of a cell is the sum of the negated residues
+    M - s1 and M - s2, at most 2M; ``table`` holds residue -> item twice
+    plus one entry, so that sum indexes it with no modulo.  An item is
+    stored as ``c << bits``, ``bits`` being what the cell indices of a
+    block need, so OR-ing in the cell index packs a cell's item above it;
+    -1 (outside the problem) stays negative.
     """
-    s1, s2 = first[a], second[partners]
-    third = item_of[(-s1 - s2) % M]
-    block = third[0].size
-    hit = np.flatnonzero(third > partners[:, None, None])
-    p = partners[hit // block]
-    c = third.ravel()[hit]
-    _, at = np.unique(p * len(first) + c, return_index=True)
-    hit = hit[at]
-    # s1 and s2 spread over the cells; s1 repeats with every partner
-    x = (s1 + 0 * s2[0]).ravel()[hit % block]
-    y = (s2 + 0 * s1).ravel()[hit]
-    return p[at], c[at], x, y
+
+    def __init__(self, M: int, item_of: np.ndarray, first: np.ndarray,
+                 second: np.ndarray):
+        self.shape = np.broadcast_shapes(first.shape[1:], second.shape[1:])
+        self.cells = np.arange(int(np.prod(self.shape)), dtype=np.int32)
+        self.bits = (self.cells.size - 1).bit_length()
+        self.M = M
+        wide = len(first) << self.bits >= 1 << 31
+        self.items = item_of.astype(np.int64 if wide else np.int32) << self.bits
+        self.table = np.concatenate([self.items, self.items, self.items[:1]])
+        self.neg_first = (M - first).astype(np.int32)
+        self.neg_second = (M - second).astype(np.int32)
+        # each item's residues, and which of them is s1 and s2 in a cell
+        self.first = first.reshape(len(first), -1)
+        self.second = second.reshape(len(second), -1)
+        self.at_first, self.at_second = (
+            np.broadcast_to(np.arange(x[0].size).reshape(x.shape[1:]),
+                            self.shape).ravel() for x in (first, second))
+
+    def witness(self, a, p, cell):
+        """The residues (s1, s2) of ``cell`` in the block of pair (a, p)."""
+        return self.first[a, self.at_first[cell]], self.second[p, self.at_second[cell]]
+
+
+def _item_triples(k: _Kernel, neg_sum: np.ndarray, p: np.ndarray):
+    """The triples (a[i], p[i], c) of a run of item pairs with c > p[i],
+    in (i, c) order, each with its first witness cell.
+
+    ``neg_sum[i]`` holds (M - s1) + (M - s2) over the cells of pair i's
+    block, s1 from item a[i] and s2 from p[i].  Returns the pair index i
+    of each triple and ``c << k.bits | cell``.  Sorting a pair's packed
+    cells orders them by (c, cell), so the first entry of each c is its
+    first witness.
+    """
+    v = np.take(k.table, neg_sum).reshape(len(p), -1)
+    v |= k.cells
+    v.sort(axis=1)
+    c = v >> k.bits
+    keep = c > p[:, None]
+    keep[:, 1:] &= c[:, 1:] != c[:, :-1]
+    hit = np.flatnonzero(keep)
+    return hit // k.cells.size, v.ravel()[hit]
+
+
+# Cells per kernel call of ``_candidate_triples``: bounds its transient
+# arrays (about 1 MB each) whatever the problem size.
+_CHUNK_CELLS = 1 << 18
 
 
 def _candidate_triples(M: int, item_of: np.ndarray, first: np.ndarray,
@@ -151,14 +207,27 @@ def _candidate_triples(M: int, item_of: np.ndarray, first: np.ndarray,
     first[a]), and that block comes first: so each triple is taken
     there, with its first witness in item a's kernel block.
     """
-    N = len(first)
+    k = _Kernel(M, item_of, first, second)
+    N, block, mask = len(first), k.cells.size, (1 << k.bits) - 1
+    # each item's negated residues over a whole block, one row per item
+    full_first = np.broadcast_to(k.neg_first, (N, *k.shape)).reshape(N, block)
+    full_second = np.broadcast_to(k.neg_second, (N, *k.shape)).reshape(N, block)
+    a_all, p_all = np.triu_indices(N, 1)    # every pair a < p, in order
+    step = max(1, _CHUNK_CELLS // block)
     # int32 halves the instance; residues lie below 2^MAX_DEGREE - 1
     triples, tags = [np.empty((0, 3), dtype=np.int32)], [np.empty((0, 2), dtype=np.int32)]
-    for a in range(N - 1):
-        p, c, s1, s2 = _item_triples(M, item_of, first, second, a,
-                                     np.arange(a + 1, N))
-        triples.append(np.column_stack([np.full(p.size, a), p, c]).astype(np.int32))
-        tags.append(np.column_stack([s1, s2]).astype(np.int32))
+    for lo in range(0, a_all.size, step):
+        a, p = a_all[lo:lo + step], p_all[lo:lo + step]
+        neg_sum = np.take(full_first, a, axis=0)
+        neg_sum += np.take(full_second, p, axis=0)
+        i, v = _item_triples(k, neg_sum, p)
+        a, p, cell = a[i], p[i], v & mask
+        rows = np.empty((v.size, 3), dtype=np.int32)
+        rows[:, 0], rows[:, 1], rows[:, 2] = a, p, v >> k.bits
+        tag = np.empty((v.size, 2), dtype=np.int32)
+        tag[:, 0], tag[:, 1] = k.witness(a, p, cell)
+        triples.append(rows)
+        tags.append(tag)
     return np.concatenate(triples), np.concatenate(tags)
 
 
@@ -180,22 +249,19 @@ class _LazySource:
     The candidates ``((a, p, c), (s1, s2))`` of item a are the triples
     of a from ``_candidate_triples``, in order and with their witnesses,
     less those touching a covered item; they are generated one batch of
-    uncovered partners at a time.  The item branched on is the smallest
-    uncovered one; a cursor per open node remembers where the scan for
-    it stopped, since covering only ever moves it forward.  The triple
-    set is dense enough that the first fit almost always extends;
-    backtracking handles the rare dead end.
+    uncovered partners at a time, by the same kernel on a table in which
+    the residues of covered items read as outside the problem.  The item
+    branched on is the smallest uncovered one; a cursor per open node
+    remembers where the scan for it stopped, since covering only ever
+    moves it forward.  The triple set is dense enough that the first fit
+    almost always extends; backtracking handles the rare dead end.
     """
 
     def __init__(self, M: int, item_of: np.ndarray, first: np.ndarray,
                  second: np.ndarray):
-        self.M = M
-        self.item_of = item_of
-        self.live_of = item_of.copy()   # -1 also on the residues of covered items
-        self.first = first
-        self.second = second
+        self.kernel = _Kernel(M, item_of, first, second)
         self.n_items = len(first)
-        self.batch = max(1, _LAZY_CELLS // (first[0].size * second[0].size))
+        self.batch = max(1, _LAZY_CELLS // self.kernel.cells.size)
         self.covered = np.zeros(self.n_items, dtype=bool)
         self.cursor = [0]
 
@@ -209,24 +275,31 @@ class _LazySource:
     def candidates(self, a: int):
         # the generator only runs while this node's own state is applied,
         # so the flags read here stay valid across its batches
+        k = self.kernel
+        bits, mask, neg_first = k.bits, (1 << k.bits) - 1, k.neg_first[a]
         free = np.flatnonzero(~self.covered[a + 1:]) + (a + 1)  # items before a are covered
         for lo in range(0, free.size, self.batch):
-            p, c, s1, s2 = _item_triples(self.M, self.live_of, self.first,
-                                         self.second, a, free[lo:lo + self.batch])
-            for i in range(p.size):     # first fit mostly takes the first
-                yield (a, int(p[i]), int(c[i])), (int(s1[i]), int(s2[i]))
+            p = free[lo:lo + self.batch]
+            i, v = _item_triples(k, neg_first + k.neg_second[p], p)
+            for j in range(v.size):     # first fit mostly takes the first
+                q, x = int(p[i[j]]), int(v[j])
+                s1, s2 = k.witness(a, q, x & mask)
+                yield (a, q, x >> bits), (int(s1), int(s2))
 
     def cover(self, cand) -> None:
         items = list(cand[0])
         self.covered[items] = True
-        self.live_of[self.second[items]] = -1
+        k = self.kernel
+        residues = k.second[items]
+        k.table[residues] = k.table[residues + k.M] = -1
         self.cursor.append(self.cursor[-1])
 
     def uncover(self, cand) -> None:
         items = list(cand[0])
         self.covered[items] = False
-        residues = self.second[items]
-        self.live_of[residues] = self.item_of[residues]
+        k = self.kernel
+        residues = k.second[items]
+        k.table[residues] = k.table[residues + k.M] = k.items[residues]
         self.cursor.pop()
 
 

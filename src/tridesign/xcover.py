@@ -17,9 +17,8 @@ in ascending index order, so two runs on the same instance produce
 identical solutions and node counts.
 
 Its source, ``_CsrSource``, keeps the item -> subsets index as one CSR
-array, built by a stable argsort of the flat item rows; with at most
-2^16 items the rows are cast to uint16 first, which numpy sorts by
-radix (``stable_argsort``).  Covering a subset walks its items in turn
+array: the packed keys item * S + s, int32 while they fit, sorted in
+place and reduced mod S.  Covering a subset walks its items in turn
 and deactivates the still-active subsets of each at once, so every
 subset it removes is taken exactly once, with no hashing or sort per
 node; the removed subsets are the undo trail.
@@ -32,13 +31,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-
-def stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort of integers in [0, bound): values cast to uint16,
-    which numpy sorts by radix, when they fit, else a comparison sort."""
-    return np.argsort(values.astype(np.uint16) if bound <= 1 << 16 else values,
-                      kind="stable")
 
 
 def _first_row(bad: np.ndarray) -> int:
@@ -154,12 +146,17 @@ class _CsrSource:
         S, k = rows.shape
         n = inst.n_items
         self.rows = rows
-        # flat positions sorted stably by item: each item's subsets ascend
-        self.item_subs = stable_argsort(rows.ravel(), n)
-        self.item_subs //= k
-        self.count = np.bincount(rows.ravel(), minlength=n)
-        self.item_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.count, out=self.item_ptr[1:])
+        # keys item * S + s sorted in place: each item's subsets ascend
+        key_type = np.int32 if n * S < 1 << 31 else np.int64
+        keys = np.array(rows.T, dtype=key_type, order="C")   # (k, S)
+        keys *= S
+        keys += np.arange(S, dtype=key_type)
+        self.item_subs = keys.ravel()
+        self.item_subs.sort()
+        self.item_ptr = np.searchsorted(self.item_subs,
+                                        np.arange(n + 1, dtype=key_type) * S)
+        self.item_subs %= S
+        self.count = np.diff(self.item_ptr)
         self.n_items = n
         self.active = np.ones(S, dtype=bool)
         self.covered = np.zeros(n, dtype=bool)

@@ -152,3 +152,26 @@ def closure_items(key: np.ndarray, inside: np.ndarray, size: int):
     item_of[inside] = owner
     members = np.flatnonzero(inside)[np.argsort(owner, kind="stable")]
     return keys, item_of, members.reshape(-1, size)
+
+
+def item_triples(M: int, item_of: np.ndarray, first: np.ndarray,
+                 second: np.ndarray, a: int, partners: np.ndarray):
+    """Item a's triples (a, p, c), p from the ascending ``partners`` and
+    c > p, in (p, c) order, as arrays p, c, s1, s2 with (s1, s2) the
+    first witness in the (partner, x, y) C order of the block where
+    ``first[a]`` (s1) and ``second[partners]`` (s2) broadcast; s3 =
+    -s1 - s2 lies in item ``item_of[s3]`` (-1 outside the problem).
+    Each (partner, third) pair keeps its first hit by ``np.unique``.
+    """
+    s1, s2 = first[a], second[partners]
+    third = item_of[(-s1 - s2) % M]
+    block = third[0].size
+    hit = np.flatnonzero(third > partners[:, None, None])
+    p = partners[hit // block]
+    c = third.ravel()[hit]
+    _, at = np.unique(p * len(first) + c, return_index=True)
+    hit = hit[at]
+    # s1 and s2 spread over the cells; s1 repeats with every partner
+    x = (s1 + 0 * s2[0]).ravel()[hit % block]
+    y = (s2 + 0 * s1).ravel()[hit]
+    return p[at], c[at], x, y

@@ -8,7 +8,8 @@ from tridesign.designs import verify_design
 from tridesign.gf2n import _build_field_cached, build_field
 from tridesign.orbits import (FrobeniusCertificate, OrbitCertificate,
                               OrbitCollisionError, certificate_from_json_dict,
-                              cy_gamma, cyclotomic_class, expand_certificate,
+                              cy_gamma, cyclotomic_class,
+                              cyclotomic_class_sizes, expand_certificate,
                               frobenius_reps, gamma, gamma_table,
                               orbit_cover_counts)
 
@@ -57,6 +58,33 @@ def test_cyclotomic_class():
     classes = {cyclotomic_class(7, k) for k in range(1, 127)}
     assert len(classes) == 18
     assert all(len(c) == 7 for c in classes)
+
+
+@pytest.mark.parametrize("n", [6, 12, 13, 19])
+def test_cyclotomic_class_sizes_match_orbits(n):
+    # by arithmetic, the size of the doubling orbit: every residue up to
+    # n = 13, a seeded sample at n = 19, always with 0 and the residues
+    # of every subfield GF(2^d), d | n
+    M = (1 << n) - 1
+    subfields = [r for d in range(1, n) if n % d == 0
+                 for r in range(0, M, M // ((1 << d) - 1))]
+    if n < 19:
+        r = np.arange(M)
+    else:
+        r = np.concatenate([np.random.default_rng(19).integers(0, M, 3000), subfields])
+    assert 0 in r and set(subfields) <= set(r.tolist())
+    sizes = cyclotomic_class_sizes(n, r)
+    assert sizes.tolist() == [len(cyclotomic_class(n, x)) for x in r.tolist()]
+
+
+def test_frobenius_reps_names_first_mixed_pair(f13):
+    # a pair whose residues lie in classes of different sizes is refused,
+    # the first such pair named: 0 is alone in its class
+    with pytest.raises(OrbitCollisionError,
+                       match=r"^pair \(0,5\): class sizes differ \(1,13,13\)$"):
+        frobenius_reps(f13, [(1, 4097), (0, 5), (5, -5)])
+    with pytest.raises(OrbitCollisionError, match=r"pair \(5,-5\): .* \(13,13,1\)"):
+        frobenius_reps(f13, [(1, 4097), (5, -5)])
 
 
 def test_cy_gamma_sizes(f7, f13):
@@ -161,11 +189,21 @@ def test_expand_rejects_bad_dimension_gap():
         expand_certificate(cert)
 
 
-def test_frobenius_reps_sweep(f7):
+def test_frobenius_reps_sweep(f7, f12):
     reps = frobenius_reps(f7, [(1, 9)])
     assert len(reps) == 7
     assert reps[0] == (1, 118)  # (a, -b) mod 127
     assert len(set(reps)) == 7
+    # pair by pair, j ascending, as the scalar sweep gives them
+    pairs = [(1, 9), (117, 1), (-3, 131), (3, 9)]
+    assert frobenius_reps(f7, pairs) == [
+        ((a << j) % 127, (-b << j) % 127) for a, b in pairs for j in range(7)]
+    assert frobenius_reps(f7, []) == []
+    # each pair sweeps its own class size: (65, 130) lies in GF(2^6)
+    pairs = [(1, 2), (65, 130), (5, 7)]
+    assert frobenius_reps(f12, pairs) == [
+        ((a << j) % 4095, (-b << j) % 4095)
+        for (a, b), t in zip(pairs, (12, 6, 12)) for j in range(t)]
 
 
 def test_certificate_json_roundtrip():

@@ -6,7 +6,8 @@ import numpy as np
 
 import pytest
 
-from reference import closure_items, cy_gamma_key, gamma_key, is_triangle_orbit
+from reference import (closure_items, cy_gamma_key, gamma_key, is_triangle_orbit,
+                       item_triples)
 from tridesign.designs import verify_design, verify_gdd
 from tridesign.gf2n import build_field
 from tridesign.orbits import expand_certificate
@@ -270,3 +271,74 @@ def test_closure_items_match_sorted_reference(monkeypatch, problem):
     assert want[0].size == len(got[2]) > 0
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _problem_items(problem):
+    """(M, item_of, first, second) of a Singer (n, m) or Frobenius n problem."""
+    import tridesign.search as S
+    if isinstance(problem, tuple):
+        ctx = build_field(problem[0])
+        return (ctx.order, *S._singer_items(ctx, problem[1])[1:])
+    ctx = build_field(problem)
+    return (ctx.order, *S._frobenius_items(ctx, problem))
+
+
+def _reference_triples(M, live_of, first, second, a, partners):
+    """Item a's candidates ((a, p, c), (s1, s2)) by the per-item reference."""
+    p, c, s1, s2 = item_triples(M, live_of, first, second, a, partners)
+    return [((a, *pc), w) for pc, w in zip(zip(p.tolist(), c.tolist()),
+                                          zip(s1.tolist(), s2.tolist()))]
+
+
+@pytest.mark.parametrize("problem", [(7, 1), (8, 2), (12, 6), 7, 13], ids=str)
+def test_candidate_triples_match_reference_kernel(problem):
+    # the kernel over all item pairs gives, in order and with the same
+    # witnesses, what the per-item np.unique reference gives item by item
+    import tridesign.search as S
+    M, item_of, first, second = _problem_items(problem)
+    triples, tags = S._candidate_triples(M, item_of, first, second)
+    N = len(first)
+    rows, pairs = [], []
+    for a in range(N - 1):
+        p, c, s1, s2 = item_triples(M, item_of, first, second, a, np.arange(a + 1, N))
+        rows.append(np.column_stack([np.full(p.size, a), p, c]))
+        pairs.append(np.column_stack([s1, s2]))
+    assert len(triples) > 0
+    assert np.array_equal(triples, np.concatenate(rows))
+    assert np.array_equal(tags, np.concatenate(pairs))
+
+
+@pytest.mark.parametrize("problem", [(8, 2), 13], ids=str)
+def test_lazy_candidates_match_reference_after_covers(problem):
+    # along a seeded walk of covers and uncovers, the lazy source offers
+    # each uncovered item what the reference kernel finds on the live
+    # table: item_of with the residues of covered items set to -1
+    import tridesign.search as S
+    M, item_of, first, second = _problem_items(problem)
+    source = S._LazySource(M, item_of, first, second)
+    rng = np.random.default_rng(2024)
+    stack, depth = [], 0
+    for _ in range(60):
+        covered = np.flatnonzero(source.covered)
+        live_of = np.where(np.isin(item_of, covered), -1, item_of)
+        free = np.flatnonzero(~source.covered)
+        if not free.size:
+            source.uncover(stack.pop())
+            continue
+        for a in sorted({int(free[0]), int(rng.choice(free))}):
+            partners = free[free > a]
+            assert list(source.candidates(a)) == (_reference_triples(
+                M, live_of, first, second, a, partners) if partners.size else [])
+        offers = list(source.candidates(int(free[0])))
+        if offers and (not stack or rng.random() < 0.7):
+            cand = offers[int(rng.integers(len(offers)))]
+            source.cover(cand)
+            stack.append(cand)
+            depth = max(depth, len(stack))
+        elif stack:
+            source.uncover(stack.pop())
+    assert depth == source.n_items // 3     # the walk reached a full cover
+    while stack:
+        source.uncover(stack.pop())
+    assert not source.covered.any()
+    assert np.array_equal(source.kernel.table[:M] >> source.kernel.bits, item_of)

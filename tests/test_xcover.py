@@ -37,16 +37,20 @@ def test_empty_instance():
         assert solve(XCoverInstance(3, subsets)) == Unsatisfiable(1)
 
 
-@pytest.mark.parametrize("n_items", [1 << 16, (1 << 16) + 1],
-                         ids=["radix", "comparison"])
-def test_item_index_matches_stable_argsort(n_items):
+@pytest.mark.parametrize("n_items, S", [
+    (1 << 16, 40000), ((1 << 16) + 1, 40000),
+    ((1 << 16) - 1, 1 << 15), (1 << 16, 1 << 15)],
+    ids=["int64-65536", "int64-65537", "int32-edge", "int64-edge"])
+def test_item_index_matches_stable_argsort(n_items, S):
     # each item's subsets in ascending order, as a stable int64 argsort
-    # of the flat rows gives them; the top items sit on the uint16 edge
+    # of the flat rows gives them; the keys item * S + s are int32 while
+    # n_items * S < 2^31, and the edge cases sit on either side of it
     rng = np.random.default_rng(n_items)
-    rows = np.sort(rng.choice(n_items, size=(40000, 3)), axis=1)
-    rows = rows[(np.diff(rows, axis=1) > 0).all(axis=1)]
+    rows = np.sort(rng.choice(n_items, size=(S, 3)), axis=1)
+    rows[(np.diff(rows, axis=1) == 0).any(axis=1)] = [3, 4, 5]
     rows[:2] = [[0, n_items - 2, n_items - 1], [1, 2, n_items - 1]]
     src = _CsrSource(XCoverInstance(n_items, rows))
+    assert src.item_subs.dtype == (np.int32 if n_items * S < 1 << 31 else np.int64)
     flat = rows.ravel().astype(np.int64)
     ref = np.argsort(flat, kind="stable") // 3
     assert src.item_ptr.tolist() == \
@@ -54,6 +58,16 @@ def test_item_index_matches_stable_argsort(n_items):
     assert np.array_equal(src.item_subs, ref)
     top = src.item_subs[src.item_ptr[n_items - 1]:]
     assert top.tolist() == [0, 1] + sorted(set(np.flatnonzero(rows[2:, 2] == n_items - 1) + 2))
+
+
+def test_item_index_is_int32_at_12_6():
+    from tridesign.gf2n import build_field
+    from tridesign.search import singer_problem
+    inst = singer_problem(build_field(12), 6)
+    src = _CsrSource(inst)
+    assert src.item_subs.dtype == np.int32
+    ref = np.argsort(inst.subsets.ravel(), kind="stable") // 3
+    assert np.array_equal(src.item_subs, ref)
 
 
 def _state(src):
