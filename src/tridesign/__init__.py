@@ -17,8 +17,8 @@ from .designs import (BalanceReport, CoverReport, Design, Gdd, charge_ledger,
 from .gf2n import DEFAULT_POLYS, FieldCtx, build_field, embed_subfield
 from .lines import (PlaneBasis, Spread, desarguesian_spread, enumerate_ext_planes,
                     ext_plane_count, line_count, validate_spread)
-from .orbits import (FrobeniusCertificate, OrbitCertificate, cy_gamma,
-                     cyclotomic_class, expand_certificate, gamma)
+from .orbits import (FrobeniusCertificate, OrbitCertificate, expand_certificate,
+                     gamma_rows)
 from .search import (InfeasibleStratumError, SearchLimitExceeded,
                      SearchUnsatisfiable, frobenius_strata, search_frobenius,
                      search_singer)

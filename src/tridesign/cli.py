@@ -37,6 +37,8 @@ def cmd_field(args) -> int:
     if args.exp is not None:
         out["exp"] = ctx.exp(args.exp)
     if args.log is not None:
+        if not 1 <= args.log <= ctx.order:
+            raise ValueError(f"--log {args.log} out of range 1..{ctx.order}")
         out["log"] = ctx.log(args.log)
     if args.json:
         print(json.dumps(out, sort_keys=True))
@@ -48,14 +50,18 @@ def cmd_field(args) -> int:
 
 def cmd_gamma(args) -> int:
     ctx = _field_from_args(args)
-    gam = orbits.gamma(ctx, args.k)
-    out = {"n": ctx.n, "k": args.k, "gamma": list(gam), "key": gam[0]}
-    if args.cy:
-        out["cy_gamma"] = list(orbits.cy_gamma(ctx, args.k))
+    k = args.k % ctx.order
+    if k == 0:
+        raise ValueError("gamma undefined at 0")
+    gam = sorted(set(orbits.gamma_rows(ctx, [k])[0].tolist()))
+    out = {"n": ctx.n, "k": args.k, "gamma": gam, "key": gam[0]}
+    if args.cy:   # the 2-cyclotomic classes of the gamma-set's residues
+        out["cy_gamma"] = sorted({(s << j) % ctx.order for s in gam
+                                  for j in range(ctx.n)})
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
-        print(f"gamma({args.k}) = {list(gam)}  (key {gam[0]})")
+        print(f"gamma({args.k}) = {gam}  (key {gam[0]})")
         if args.cy:
             cg = out["cy_gamma"]
             print(f"cy_gamma({args.k}) = {cg}  (size {len(cg)})")

@@ -13,6 +13,8 @@ s1 + s2 + s3 = 0 exist, so a multiplicative-invariant design is the
 same thing as a partition of the exponent ring into such 18-sets.
 Adding the squaring automorphism coarsens gamma-sets into unions of
 2-cyclotomic classes (cy_gamma), shrinking the search by a factor n.
+``gamma_rows`` computes gamma-sets from the Zech table, for a few
+residues or, as ``gamma_table``, for all of them at once.
 
 Certificates are the compact generator-exponent encodings of those
 partitions; ``expand_certificate`` turns them back into full designs
@@ -35,45 +37,27 @@ class OrbitCollisionError(ValueError):
     pass
 
 
-def gamma(ctx: FieldCtx, k: int) -> tuple[int, ...]:
-    """Closure of k under negation and Zech, sorted.
+def gamma_rows(ctx: FieldCtx, k) -> np.ndarray:
+    """(len(k), 6) array: row i is gamma(k[i]) sorted, for residues k in
+    [0, 2^n - 1).
 
-    Size 6 whenever 3k != 0 mod 2^n - 1; the degenerate 3k = 0 case
-    (even n only) collapses to {k, -k}.
+    A degenerate row (3k = 0, even n only) keeps its repeats,
+    [k, k, k, -k, -k, -k], and a row of k = 0 is zeros (gamma is
+    undefined at 0).
     """
-    M = ctx.order
-    k %= M
-    if k == 0:
-        raise ValueError("gamma undefined at 0")
-    z = ctx.zech(k)
-    zm = ctx.zech(M - k)
-    elems = {k, z, zm, (M - zm) % M, (M - z) % M, M - k}
-    return tuple(sorted(elems))
-
-
-def _build_gamma_table(ctx: FieldCtx) -> np.ndarray:
     M, z = ctx.order, ctx.zech_np
-    k = np.arange(M, dtype=np.int64)
-    zm = z[-k % M]
-    rows = np.sort(np.column_stack([k, z, zm, M - zm, M - z, M - k]), axis=1)
-    rows[0] = 0
+    k = np.asarray(k, dtype=np.int64)
+    zk, zm = z[k], z[-k % M]
+    rows = np.sort(np.column_stack([k, zk, zm, M - zm, M - zk, M - k]), axis=1)
+    rows[k == 0] = 0
     return rows
 
 
 def gamma_table(ctx: FieldCtx) -> np.ndarray:
-    """(2^n - 1, 6) array: row k is gamma(k) sorted, built once per field.
-
-    A degenerate row (3k = 0) keeps its repeats, [k, k, k, -k, -k, -k],
-    and row 0 is a sentinel of zeros (gamma is undefined at 0), so
-    ``gamma_table(ctx)[:, 0]`` is the gamma key of every residue.
-    """
-    return ctx.cached("gamma", _build_gamma_table)
-
-
-def cyclotomic_class(n: int, k: int) -> tuple[int, ...]:
-    """Orbit of k under doubling mod 2^n - 1, sorted."""
-    M = (1 << n) - 1
-    return tuple(sorted({(k << j) % M for j in range(n)}))
+    """``gamma_rows`` of every residue, built once per field: row 0 is a
+    sentinel of zeros, so ``gamma_table(ctx)[:, 0]`` is the gamma key of
+    every residue."""
+    return ctx.cached("gamma", lambda c: gamma_rows(c, np.arange(c.order)))
 
 
 def cyclotomic_class_sizes(n: int, r) -> np.ndarray:
@@ -91,14 +75,6 @@ def cyclotomic_class_sizes(n: int, r) -> np.ndarray:
         if n % d == 0:
             size[r % (M // ((1 << d) - 1)) == 0] = d
     return size
-
-
-def cy_gamma(ctx: FieldCtx, k: int) -> tuple[int, ...]:
-    """Union of the 2-cyclotomic classes of gamma(k)'s elements."""
-    out: set[int] = set()
-    for s in gamma(ctx, k):
-        out.update(cyclotomic_class(ctx.n, s))
-    return tuple(sorted(out))
 
 
 # -- certificates ---------------------------------------------------------------
@@ -137,21 +113,34 @@ class FrobeniusCertificate:
                 "poly": hex(self.poly), "pairs": [list(p) for p in self.pairs]}
 
 
+def _json_int(v, what: str) -> int:
+    # JSON true/false load as bool, an int subclass; they are no integers
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"malformed certificate entry: {what} {v!r} is not an integer")
+
+
+def _json_pairs(rows, what: str) -> tuple[tuple[int, int], ...]:
+    return tuple((_json_int(i, what), _json_int(j, what)) for i, j in rows)
+
+
 def certificate_from_json_dict(d: dict) -> OrbitCertificate | FrobeniusCertificate:
+    """``n``, ``m`` and the rep or pair entries must be JSON integers,
+    ``poly`` one or a hex string."""
     if not isinstance(d, dict):
         raise ValueError("certificate must be a JSON object, not a "
                          f"{type(d).__name__}")
     try:
         kind = d["kind"]
         poly = d["poly"]
-        poly = int(poly, 16) if isinstance(poly, str) else int(poly)
-        n = int(d["n"])
+        poly = int(poly, 16) if isinstance(poly, str) else _json_int(poly, "poly")
+        n = _json_int(d["n"], "n")
         if kind == "singer":
-            reps = tuple((int(i), int(j)) for i, j in d["reps"])
-            return OrbitCertificate(n=n, m=int(d.get("m", 1)), poly=poly, reps=reps)
+            return OrbitCertificate(n=n, m=_json_int(d.get("m", 1), "m"), poly=poly,
+                                    reps=_json_pairs(d["reps"], "reps"))
         if kind == "frobenius":
-            pairs = tuple((int(a), int(b)) for a, b in d["pairs"])
-            return FrobeniusCertificate(n=n, poly=poly, pairs=pairs)
+            return FrobeniusCertificate(n=n, poly=poly,
+                                        pairs=_json_pairs(d["pairs"], "pairs"))
     except KeyError as e:
         raise ValueError(f"certificate has no {e.args[0]!r} entry") from None
     except TypeError as e:
@@ -182,6 +171,16 @@ def frobenius_reps(ctx: FieldCtx, pairs) -> list[tuple[int, int]]:
     a = (res[pair, 0] << j) % M
     b = (res[pair, 1] << j) % M
     return list(zip(a.tolist(), b.tolist()))
+
+
+def check_admissible(n: int, m: int) -> None:
+    """Refuse (n, m) unless m divides n and 6 divides n - m, the
+    conditions for a Singer-invariant (n, m) design to exist."""
+    if m < 1 or n % m:
+        raise ValueError(f"group dimension {m} must divide {n}")
+    if (n - m) % 6:
+        raise ValueError(f"(n={n}, m={m}) rejected: n - m = {n - m} is not "
+                         "divisible by 6, no such invariant design exists")
 
 
 def exponent_universe(M: int, m: int) -> np.ndarray:
@@ -225,11 +224,7 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate) -> Design 
     n, m = cert.n, cert.m
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree {n} out of range 1..{MAX_DEGREE}")
-    if m < 1 or n % m:
-        raise ValueError(f"group dimension {m} must divide {n}")
-    if (n - m) % 6:
-        raise ValueError(f"(n={n}, m={m}) rejected: n - m = {n - m} is not "
-                         "divisible by 6, no such invariant design exists")
+    check_admissible(n, m)
     M = (1 << n) - 1
     rep_count = len(cert.pairs) * n if isinstance(cert, FrobeniusCertificate) \
         else len(cert.reps)

@@ -5,13 +5,14 @@ partitions the gamma-sets outside the spread exponents into triples
 with a zero-sum representative; solving it yields generator pairs
 (i, j) whose orbits tile all non-group lines.  The finer problem adds
 the squaring automorphism: items become cy_gamma-sets, one stratum
-per 2-cyclotomic class size, and a solution is a pair list (a, b)
-whose combined sweep tiles the exponent ring.
+per 2-cyclotomic class size t, and a solution is a pair list (a, b)
+whose combined sweep tiles the exponent ring.  The first problem is
+the stratum t = 1 of the gamma-sets themselves.
 
-Both read their items from the field's one gamma table
-(``orbits.gamma_table``).  The cy_gamma keys come from doubling
-residues, which maps the key column onto two strided halves of
-itself, and the class sizes by arithmetic
+One builder, ``_orbit_items``, reads the items of every stratum from
+the field's one gamma table (``orbits.gamma_table``).  The cy_gamma
+keys come from doubling residues, which maps the key column onto two
+strided halves of itself, and the class sizes by arithmetic
 (``orbits.cyclotomic_class_sizes``).  An item's key is a residue, so
 ``_closure_items`` numbers the keys by a dense rank (a cumulative sum
 over a mark per residue) with no sort.
@@ -24,7 +25,8 @@ item's first witness to the front.  ``_candidate_triples`` runs it over
 every pair a < p, in chunks of bounded size, to build an exact-cover
 instance; above ``LAZY_STRATUM_THRESHOLD`` items ``_LazySource`` runs
 it on demand over an item and its uncovered partners, offering the
-same candidates in the same order.
+same candidates in the same order.  ``_stratum_witnesses`` makes that
+choice for every stratum of both searches.
 
 Both searches re-check the orbit-level partition on their own output
 with ``orbits.orbit_cover_counts`` before returning a certificate.
@@ -37,7 +39,7 @@ import sys
 import numpy as np
 
 from .gf2n import FieldCtx, build_field
-from .orbits import (FrobeniusCertificate, OrbitCertificate,
+from .orbits import (FrobeniusCertificate, OrbitCertificate, check_admissible,
                      cyclotomic_class_sizes, exponent_universe, frobenius_reps,
                      gamma_table, orbit_cover_counts)
 from .xcover import (LimitExceeded, Unsatisfiable, XCoverInstance,
@@ -101,40 +103,32 @@ def _closure_items(key: np.ndarray, inside: np.ndarray, size: int):
     return keys, item_of, members.reshape(-1, size)
 
 
-def _singer_items(ctx: FieldCtx, m: int):
-    """Gamma-set items off the spread exponents: keys, residue -> item, and
-    the sorted residues as ``first`` (items, 1, 6) and ``second`` (items,
-    6, 1), so witnesses are ordered by (partner, s2, s1)."""
-    keys, item_of, rows = _closure_items(gamma_table(ctx)[:, 0],
-                                         exponent_universe(ctx.order, m), 6)
-    return keys, item_of, rows[:, None, :], rows[:, :, None]
-
-
-def _frobenius_items(ctx: FieldCtx, t: int):
-    """cy_gamma-set items of class size t: residue -> item index (-1 outside
-    the stratum), the gamma row of each item's key as ``first`` (items,
-    6, 1) and its sorted members as ``second`` (items, 1, 6t), so the
+def _orbit_items(ctx: FieldCtx, inside: np.ndarray, t: int):
+    """Items of the residues ``inside``: unions of gamma-sets along t
+    doublings, so the cy_gamma-sets when ``inside`` holds the residues of
+    class size t, and the gamma-sets for t = 1.  Returns residue -> item
+    index (-1 outside), the gamma row of each item's key as ``first`` (items, 6,
+    1) and its sorted members as ``second`` (items, 1, 6t), so the
     witnesses of a triple are ordered by (partner, a, b).
 
     cy_gamma(r) is the union of gamma(2^j r) over j, so its key is the
     least gamma key along the doubling orbit.  Doubling mod 2^n - 1 maps
     the even residues onto the first half and the odd ones onto the
     second, so the key column of 2r is two strided copies of that of r.
-    Class size is constant on a cy_gamma-set.
+    Class size is constant on a cy_gamma-set, and t - 1 doublings sweep
+    the orbit.
     """
-    n, M = ctx.n, ctx.order
     table = gamma_table(ctx)
     col = table[:, 0].astype(np.int32)
-    cy_key = col.copy()
+    key = col.copy()
     nxt = np.empty_like(col)
-    half = (M + 1) // 2
-    for _ in range(n - 1):
+    half = (ctx.order + 1) // 2
+    for _ in range(t - 1):
         nxt[:half] = col[::2]
         nxt[half:] = col[1::2]
         col, nxt = nxt, col
-        np.minimum(cy_key, col, out=cy_key)
-    inside = cyclotomic_class_sizes(n, np.arange(M)) == t
-    keys, item_of, members = _closure_items(cy_key, inside, 6 * t)
+        np.minimum(key, col, out=key)
+    keys, item_of, members = _closure_items(key, inside, 6 * t)
     return item_of, table[keys][:, :, None], members[:, None, :]
 
 
@@ -161,10 +155,11 @@ class _Kernel:
         self.neg_first = (M - first).astype(np.int32)
         self.neg_second = (M - second).astype(np.int32)
         # each item's residues, and which of them is s1 and s2 in a cell
-        self.first = first.reshape(len(first), -1)
-        self.second = second.reshape(len(second), -1)
+        # (sized by shape: a problem may have no items)
+        self.first = first.reshape(len(first), np.prod(first.shape[1:]))
+        self.second = second.reshape(len(second), np.prod(second.shape[1:]))
         self.at_first, self.at_second = (
-            np.broadcast_to(np.arange(x[0].size).reshape(x.shape[1:]),
+            np.broadcast_to(np.arange(np.prod(x.shape[1:])).reshape(x.shape[1:]),
                             self.shape).ravel() for x in (first, second))
 
     def witness(self, a, p, cell):
@@ -303,17 +298,43 @@ class _LazySource:
         self.cursor.pop()
 
 
-def _witnesses(problem: XCoverInstance | _LazySource, what: str,
-               node_limit: int | None, time_limit: float | None,
-               verbose: bool) -> list[tuple[int, int]]:
-    """The witness (s1, s2) of each triple of the first exact cover of a
-    materialized instance (its solution re-checked) or a lazy source, or
-    the search error for a failed run."""
-    if isinstance(problem, XCoverInstance):
-        result = solve(problem, node_limit=node_limit, time_limit=time_limit)
+def _stratum_items(ctx: FieldCtx, m: int, t: int):
+    """(item_of, first, second) of a stratum: t > 1 a Frobenius one (m =
+    1); t = 1 the gamma-sets off the spread of m-dimensional groups, with
+    ``first`` and ``second`` swapped so witnesses run (partner, s2, s1)."""
+    if t == 1:
+        item_of, gam, members = _orbit_items(ctx, exponent_universe(ctx.order, m), 1)
+        return item_of, members, gam
+    return _orbit_items(ctx, cyclotomic_class_sizes(ctx.n, np.arange(ctx.order)) == t, t)
+
+
+def _instance(ctx: FieldCtx, m: int, t: int, verbose: bool) -> XCoverInstance:
+    """A stratum's item triples with a zero-sum witness, each tagged with
+    its first witness."""
+    item_of, first, second = _stratum_items(ctx, m, t)
+    _progress(f"stratum (m={m}, t={t}): {len(first)} items", verbose)
+    subsets, tags = _candidate_triples(ctx.order, item_of, first, second)
+    _progress(f"stratum (m={m}, t={t}): {len(subsets)} candidate triples", verbose)
+    return XCoverInstance(n_items=len(first), subsets=subsets, tags=tags)
+
+
+def _stratum_witnesses(ctx: FieldCtx, m: int, t: int, expected: int, problem,
+                       what: str, node_limit: int | None,
+                       time_limit: float | None, verbose: bool
+                       ) -> list[tuple[int, int]]:
+    """The witness (s1, s2) of each triple of the first exact cover of the
+    stratum (m, t) of ``expected`` items, or the search error for a
+    failed run: lazy above ``LAZY_STRATUM_THRESHOLD`` items, else on the
+    instance ``problem()``, its solution re-checked."""
+    lazy = expected > LAZY_STRATUM_THRESHOLD
+    source = _LazySource(ctx.order, *_stratum_items(ctx, m, t)) if lazy else problem()
+    if source.n_items != expected:
+        raise AssertionError(f"{what}: {source.n_items} items, expected {expected}")
+    if lazy:
+        _progress(f"{what}: {expected} items, lazy search", verbose)
+        result = dfs(source, node_limit=node_limit, time_limit=time_limit)
     else:
-        _progress(f"{what}: {problem.n_items} items, lazy search", verbose)
-        result = dfs(problem, node_limit=node_limit, time_limit=time_limit)
+        result = solve(source, node_limit=node_limit, time_limit=time_limit)
     if isinstance(result, Unsatisfiable):
         raise SearchUnsatisfiable(
             f"{what}: no exact cover after {result.nodes} nodes", result)
@@ -321,28 +342,19 @@ def _witnesses(problem: XCoverInstance | _LazySource, what: str,
         raise SearchLimitExceeded(
             f"{what} stopped: {result.reason} after {result.nodes} nodes", result)
     _progress(f"{what} solved in {result.nodes} nodes", verbose)
-    if isinstance(problem, _LazySource):
+    if lazy:
         return [pair for _, pair in result.chosen]
-    assert check_solution(problem, result)
-    return list(map(tuple, problem.tags[list(result.chosen)].tolist()))
+    assert check_solution(source, result)
+    return list(map(tuple, source.tags[list(result.chosen)].tolist()))
 
 
 # -- multiplicative-group (gamma-set) problem -----------------------------------
 
 
 def singer_problem(ctx: FieldCtx, m: int, verbose: bool = False) -> XCoverInstance:
-    """Exact-cover instance over gamma-set keys outside the spread.
-
-    Candidate subsets are all key triples admitting a zero-sum
-    representative; tags carry one witness (s1, s2) per triple for the
-    later conversion to generator reps.  Witnesses of one triple are
-    ordered by (partner, s2, s1).
-    """
-    keys, item_of, first, second = _singer_items(ctx, m)
-    _progress(f"gamma items: {keys.size} (universe {6 * keys.size})", verbose)
-    subsets, tags = _candidate_triples(ctx.order, item_of, first, second)
-    _progress(f"candidate triples: {len(subsets)}", verbose)
-    return XCoverInstance(n_items=keys.size, subsets=subsets, tags=tags)
+    """Exact-cover instance over the gamma-sets off the spread, tagged
+    with witnesses (s1, s2)."""
+    return _instance(ctx, m, 1, verbose)
 
 
 def _check_partition(ctx: FieldCtx, reps, m: int) -> None:
@@ -359,18 +371,12 @@ def search_singer(n: int, m: int, node_limit: int | None = None,
                   time_limit: float | None = None,
                   verbose: bool = False) -> OrbitCertificate:
     """Find generator reps whose multiplicative orbits tile the non-group lines."""
-    if m < 1 or n % m:
-        raise ValueError(f"group dimension {m} must divide {n}")
-    if (n - m) % 6:
-        raise ValueError(f"(n={n}, m={m}) rejected: n - m = {n - m} "
-                         "not divisible by 6, no invariant design exists")
+    check_admissible(n, m)
     ctx = build_field(n)
-    if ((1 << n) - (1 << m)) // 6 > LAZY_STRATUM_THRESHOLD:
-        problem = _LazySource(ctx.order, *_singer_items(ctx, m)[1:])
-    else:
-        problem = singer_problem(ctx, m, verbose=verbose)
-    witnesses = _witnesses(problem, f"search (n={n}, m={m})", node_limit,
-                           time_limit, verbose)
+    witnesses = _stratum_witnesses(
+        ctx, m, 1, ((1 << n) - (1 << m)) // 6,
+        lambda: singer_problem(ctx, m, verbose=verbose),
+        f"search (n={n}, m={m})", node_limit, time_limit, verbose)
     reps = sorted((s1, (s1 + s2) % ctx.order) for s1, s2 in witnesses)
     cert = OrbitCertificate(n=n, m=m, poly=ctx.poly, reps=tuple(reps))
     _check_partition(ctx, cert.reps, m)
@@ -400,14 +406,9 @@ def frobenius_problem(ctx: FieldCtx, t: int, verbose: bool = False
     A candidate is a key triple {K(a), K(b), K(a+b)} of pairwise
     distinct cy_gamma-sets inside the stratum, with a in the gamma-set
     of the first key and b anywhere in the second set; the witness pair
-    (a, b) rides along as the tag.  Witnesses of one triple are ordered
-    by (partner, a, b).
+    (a, b) rides along as the tag.
     """
-    item_of, first, second = _frobenius_items(ctx, t)
-    _progress(f"stratum t={t}: {len(first)} cy-gamma items", verbose)
-    subsets, tags = _candidate_triples(ctx.order, item_of, first, second)
-    _progress(f"stratum t={t}: {len(subsets)} candidate triples", verbose)
-    return XCoverInstance(n_items=len(first), subsets=subsets, tags=tags)
+    return _instance(ctx, 1, t, verbose)
 
 
 def search_frobenius(n: int, node_limit: int | None = None,
@@ -432,16 +433,10 @@ def search_frobenius(n: int, node_limit: int | None = None,
     for t in sorted(strata):
         if t == 1:
             continue  # only k = 0 fixed by squaring
-        expected = strata[t] // 18 * 3
-        if expected > LAZY_STRATUM_THRESHOLD:
-            problem = _LazySource(ctx.order, *_frobenius_items(ctx, t))
-        else:
-            problem = frobenius_problem(ctx, t, verbose=verbose)
-        if problem.n_items != expected:
-            raise AssertionError(
-                f"stratum t={t}: {problem.n_items} items, expected {expected}")
-        pairs.extend(_witnesses(problem, f"stratum t={t}", node_limit,
-                                time_limit, verbose))
+        pairs.extend(_stratum_witnesses(
+            ctx, 1, t, strata[t] // 18 * 3,
+            lambda: frobenius_problem(ctx, t, verbose=verbose),
+            f"stratum t={t}", node_limit, time_limit, verbose))
     pairs.sort()
     cert = FrobeniusCertificate(n=n, poly=ctx.poly, pairs=tuple(pairs))
     _check_partition(ctx, frobenius_reps(ctx, cert.pairs), 1)

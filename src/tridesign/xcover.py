@@ -27,7 +27,7 @@ node; the removed subsets are the undo trail.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ class XCoverInstance:
 
     n_items: int
     subsets: Sequence
-    tags: Sequence = field(default_factory=list)
+    tags: Sequence | None = None    # None tags subset s with s
 
     def __post_init__(self):
         try:
@@ -58,7 +58,7 @@ class XCoverInstance:
         if rows is None or rows.ndim != 2:
             raise ValueError("subsets must all have one size: an (S, k) array")
         S, k = rows.shape
-        if len(self.tags) == 0:
+        if self.tags is None:
             self.tags = list(range(S))
         if len(self.tags) != S:
             raise ValueError("one tag per subset required")

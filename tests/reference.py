@@ -1,10 +1,11 @@
 """Scalar reference objects for the tests.
 
 One frozen object per line (``Line``) and per triangle (``TriangleV``),
-the triangle test on three such lines, and the gamma-key and
-triangle-orbit predicates on single exponents.  The package works on
-line keys and (T, 3) corner rows; these per-object forms are the
-independent definitions the tests check it against.
+the triangle test on three such lines, the gamma-set, 2-cyclotomic class
+and cy_gamma-set of a single exponent, and the gamma-key and
+triangle-orbit predicates.  The package works on line keys, (T, 3)
+corner rows and gamma rows; these per-object forms are the independent
+definitions the tests check it against.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Iterator
 import numpy as np
 
 from tridesign.gf2n import FieldCtx
-from tridesign.orbits import cy_gamma, gamma
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,35 @@ def is_triangle(l1: Line, l2: Line, l3: Line) -> bool:
     if len(p12) != 1 or len(p23) != 1 or len(p31) != 1:
         return False
     return len(p12 | p23 | p31) == 3
+
+
+def gamma(ctx: FieldCtx, k: int) -> tuple[int, ...]:
+    """Closure of k under negation and Zech, sorted.
+
+    Size 6 whenever 3k != 0 mod 2^n - 1; the degenerate 3k = 0 case
+    (even n only) collapses to {k, -k}.
+    """
+    M = ctx.order
+    k %= M
+    if k == 0:
+        raise ValueError("gamma undefined at 0")
+    z = ctx.zech(k)
+    zm = ctx.zech(M - k)
+    return tuple(sorted({k, z, zm, (M - zm) % M, (M - z) % M, M - k}))
+
+
+def cyclotomic_class(n: int, k: int) -> tuple[int, ...]:
+    """Orbit of k under doubling mod 2^n - 1, sorted."""
+    M = (1 << n) - 1
+    return tuple(sorted({(k << j) % M for j in range(n)}))
+
+
+def cy_gamma(ctx: FieldCtx, k: int) -> tuple[int, ...]:
+    """Union of the 2-cyclotomic classes of gamma(k)'s elements."""
+    out: set[int] = set()
+    for s in gamma(ctx, k):
+        out.update(cyclotomic_class(ctx.n, s))
+    return tuple(sorted(out))
 
 
 def gamma_key(ctx: FieldCtx, k: int) -> int:

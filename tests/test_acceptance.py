@@ -13,7 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from reference import enumerate_lines, gamma_key, is_triangle_orbit
+from reference import (cyclotomic_class, enumerate_lines, gamma, gamma_key,
+                       is_triangle_orbit)
 from tridesign.construct import (_extension_rows, balanced_extension, fill_groups,
                                  gdd_6k_6, product, trivial_design)
 from tridesign.datasets import as_certificate, expand_special, load_dataset
@@ -21,8 +22,8 @@ from tridesign.designs import (charge_ledger, verify_balanced, verify_design,
                                verify_gdd)
 from tridesign.gf2n import build_field
 from tridesign.lines import line_count
-from tridesign.orbits import (OrbitCertificate, cyclotomic_class,
-                              expand_certificate, frobenius_reps, gamma)
+from tridesign.orbits import (OrbitCertificate, expand_certificate,
+                              frobenius_reps)
 from tridesign.search import (frobenius_strata, search_frobenius, search_singer)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import cy_gamma, gamma
 from tridesign import fileio
 from tridesign.cli import main
 from tridesign.datasets import as_certificate, load_dataset
@@ -120,6 +121,26 @@ def test_cli_gamma_builds_no_table(capsys):
     assert "gamma" not in build_field(11)._np_cache
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 8])
+def test_cli_gamma_matches_scalar_reference(n, capsys):
+    # every k, degenerate gamma-sets (even n) and k beyond 2^n - 1 included
+    ctx = build_field(n)
+    for k in range(1, 2 * ctx.order):
+        if k % ctx.order == 0:
+            continue
+        assert run_cli("--json", "gamma", "--n", str(n), "--k", str(k), "--cy") == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = gamma(ctx, k)
+        assert (payload["gamma"], payload["key"]) == (list(want), want[0]), k
+        assert payload["cy_gamma"] == list(cy_gamma(ctx, k)), k
+
+
+@pytest.mark.parametrize("k", ["0", "127", "-127"])
+def test_cli_gamma_refuses_zero_residue(k, capsys):
+    assert run_cli("gamma", "--n", "7", "--k", k) == 2
+    assert capsys.readouterr().err == "error: gamma undefined at 0\n"
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"n": 7, "poly": "0x83", "pairs": [[1, 9]]}, "no 'kind' entry"),
     ({"kind": "frobenius", "n": 7, "poly": "0x83"}, "no 'pairs' entry"),
@@ -133,6 +154,21 @@ def test_cli_gamma_builds_no_table(capsys):
      "group dimension 0 must divide 12"),
     ({"kind": "singer", "n": 13, "m": 7, "poly": "0x201b", "reps": [[1, 9]]},
      "group dimension 7 must divide 13"),
+    # entries must be JSON integers: no floats, bools or strings
+    ({"kind": "frobenius", "n": 7.9, "poly": "0x83", "pairs": [[1, 9]]},
+     "n 7.9 is not an integer"),
+    ({"kind": "frobenius", "n": 7, "poly": "0x83", "pairs": [[1.7, 9.2]]},
+     "pairs 1.7 is not an integer"),
+    ({"kind": "singer", "n": True, "m": 1, "poly": "0x3", "reps": []},
+     "n True is not an integer"),
+    ({"kind": "singer", "n": 7, "m": 1, "poly": "0x83", "reps": [["1", "2"]]},
+     "reps '1' is not an integer"),
+    ({"kind": "singer", "n": 12, "m": 6.0, "poly": "0x10eb", "reps": [[1, 9]]},
+     "m 6.0 is not an integer"),
+    ({"kind": "singer", "n": 7, "m": 1, "poly": "0x83", "reps": [[1, False]]},
+     "reps False is not an integer"),
+    ({"kind": "frobenius", "n": 7, "poly": 131.0, "pairs": [[1, 9]]},
+     "poly 131.0 is not an integer"),
 ])
 def test_cli_expand_refuses_malformed_certificate(payload, message, tmp_path,
                                                   capsys):
@@ -140,7 +176,47 @@ def test_cli_expand_refuses_malformed_certificate(payload, message, tmp_path,
     cert.write_text(json.dumps(payload))
     assert run_cli("expand", "--cert", str(cert),
                    "--out", str(tmp_path / "d.design")) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "d.design").exists()
+
+
+def test_certificate_accepts_integer_poly(tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"kind": "frobenius", "n": 7, "poly": 131,
+                                "pairs": [[1, 9]]}))
+    assert run_cli("expand", "--cert", str(cert),
+                   "--out", str(tmp_path / "d.design")) == 0
+    assert "889 triangles" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("x", ["0", "128", "200", "-1"])
+def test_cli_field_refuses_log_outside_the_field(x, capsys):
+    assert run_cli("field", "--n", "7", "--log", x) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --log {x} out of range 1..127\n"
+
+
+def test_cli_field_log_range_ends(capsys):
+    assert run_cli("--json", "field", "--n", "7", "--log", "1") == 0
+    assert json.loads(capsys.readouterr().out)["log"] == 0
+    assert run_cli("--json", "field", "--n", "7", "--log", "127") == 0
+    assert json.loads(capsys.readouterr().out)["log"] == 121
+
+
+@pytest.mark.parametrize("n, m", [(7, 7), (1, 1)])
+def test_cli_search_singer_without_items_writes_empty_certificate(n, m, tmp_path,
+                                                                  capsys):
+    cert, design = tmp_path / "c.json", tmp_path / "d.design"
+    assert run_cli("search", "singer", "--n", str(n), "--m", str(m),
+                   "--out", str(cert)) == 0
+    assert capsys.readouterr().out == f"wrote 0 entries to {cert}\n"
+    assert json.loads(cert.read_text())["reps"] == []
+    assert run_cli("expand", "--cert", str(cert), "--out", str(design)) == 0
+    assert run_cli("verify", "--in", str(design)) == 0
+    assert "OK (0 triangles" in capsys.readouterr().out
 
 
 def test_cli_expand_refuses_huge_degree(tmp_path, capsys):

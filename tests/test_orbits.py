@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from reference import (canonical_line, gamma_key, is_triangle_orbit,
-                       orbit_key_of_line)
+from reference import (canonical_line, cy_gamma, cyclotomic_class, gamma,
+                       gamma_key, is_triangle_orbit, orbit_key_of_line)
 from tridesign.datasets import as_certificate, load_dataset
 from tridesign.designs import verify_design
 from tridesign.gf2n import _build_field_cached, build_field
 from tridesign.orbits import (FrobeniusCertificate, OrbitCertificate,
                               OrbitCollisionError, certificate_from_json_dict,
-                              cy_gamma, cyclotomic_class,
                               cyclotomic_class_sizes, expand_certificate,
-                              frobenius_reps, gamma, gamma_table,
+                              frobenius_reps, gamma_rows, gamma_table,
                               orbit_cover_counts)
 
 
@@ -253,6 +252,17 @@ def test_gamma_table_matches_scalar_gamma(n):
             assert row == tuple(sorted(gamma(ctx, k) * 3))
     assert degenerate == (2 if n % 2 == 0 else 0)
     assert gamma_table(ctx) is table   # cached with the field
+
+
+@pytest.mark.parametrize("n", [6, 7, 13])
+def test_gamma_rows_of_some_residues_are_table_rows(n):
+    ctx = build_field(n)
+    k = np.random.default_rng(n).integers(0, ctx.order, 50)
+    k[:2] = 0, ctx.order - 1
+    rows = gamma_rows(ctx, k)
+    assert rows.shape == (50, 6)
+    assert np.array_equal(rows, gamma_table(ctx)[k])
+    assert gamma_rows(ctx, []).shape == (0, 6)
 
 
 def _set_verdict(ctx, reps, universe):

@@ -8,12 +8,17 @@ import pytest
 
 from reference import (closure_items, cy_gamma_key, gamma_key, is_triangle_orbit,
                        item_triples)
-from tridesign.designs import verify_design, verify_gdd
-from tridesign.gf2n import build_field
-from tridesign.orbits import expand_certificate
-from tridesign.search import (InfeasibleStratumError, _singer_items,
+from tridesign.designs import Gdd, verify_design, verify_gdd
+from tridesign.gf2n import DEFAULT_POLYS, build_field
+from tridesign.orbits import OrbitCertificate, expand_certificate
+from tridesign.search import (InfeasibleStratumError, _stratum_items,
                               frobenius_problem, frobenius_strata,
                               search_frobenius, search_singer, singer_problem)
+
+
+def _singer_keys(ctx, m):
+    """The gamma key of each Singer item: its gamma row, taken as second."""
+    return _stratum_items(ctx, m, 1)[2][:, 0, 0].tolist()
 
 
 def test_frobenius_strata_counts():
@@ -61,7 +66,7 @@ def test_search_frobenius_19_gated():
 
 def test_singer_candidates_match_brute_force(f7):
     inst = singer_problem(f7, 1)
-    keys = _singer_items(f7, 1)[0].tolist()
+    keys = _singer_keys(f7, 1)
     assert len(keys) == 21
     generated = {tuple(inst.subsets[i]) for i in range(len(inst.subsets))}
     brute = set()
@@ -94,9 +99,59 @@ def test_search_singer_rejections():
         search_singer(12, 5)
 
 
+@pytest.mark.parametrize("n, m", [(9, 1), (12, 5), (12, 0), (13, 7)])
+def test_search_and_expansion_share_one_admissibility_check(n, m):
+    with pytest.raises(ValueError) as searched:
+        search_singer(n, m)
+    cert = OrbitCertificate(n=n, m=m, poly=DEFAULT_POLYS[n], reps=((1, 9),))
+    with pytest.raises(ValueError) as expanded:
+        expand_certificate(cert)
+    assert str(searched.value) == str(expanded.value)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (7, 7), (13, 13)])
+def test_search_singer_without_items(n, m):
+    # m = n leaves every residue on the one group: no item, no triple
+    cert = search_singer(n, m)
+    assert cert.reps == ()
+    d = expand_certificate(cert)
+    assert d.triangle_count == 0
+    assert (verify_gdd(d) if isinstance(d, Gdd) else verify_design(d)).ok
+    assert isinstance(d, Gdd) == (n > 1)
+
+
+@pytest.mark.parametrize("threshold", [None, 10])
+def test_item_count_guards_both_searches(monkeypatch, threshold):
+    # the stratum solver checks the item builder against the arithmetic
+    # count, on the materialized and the lazy path alike
+    import tridesign.search as S
+    if threshold is not None:
+        monkeypatch.setattr(S, "LAZY_STRATUM_THRESHOLD", threshold)
+    ctx = build_field(7)
+    with pytest.raises(AssertionError, match="21 items, expected 20"):
+        S._stratum_witnesses(ctx, 1, 1, 20, lambda: S.singer_problem(ctx, 1),
+                             "search (n=7, m=1)", None, None, False)
+    with pytest.raises(AssertionError, match="3 items, expected 4"):
+        S._stratum_witnesses(ctx, 1, 7, 4, lambda: S.frobenius_problem(ctx, 7),
+                             "stratum t=7", None, None, False)
+
+
+def test_drivers_build_instances_by_public_name(monkeypatch):
+    # benchmarks trace singer_problem and frobenius_problem by rebinding
+    # the module names, so the drivers must look them up there
+    import tridesign.search as S
+    singer = _spy(monkeypatch, S, "singer_problem")
+    frobenius = _spy(monkeypatch, S, "frobenius_problem")
+    S.search_singer(8, 2)
+    S.search_frobenius(13)
+    assert [(ctx.n, m, len(inst.subsets)) for ctx, m, inst in singer] == [(8, 2, 4472)]
+    assert [(ctx.n, t, len(inst.subsets))
+            for ctx, t, inst in frobenius] == [(13, 13, 168015)]
+
+
 def test_singer_tags_are_witnesses(f7):
     inst = singer_problem(f7, 1)
-    keys = _singer_items(f7, 1)[0].tolist()
+    keys = _singer_keys(f7, 1)
     M = f7.order
     for subset, (s1, s2) in zip(inst.subsets, inst.tags):
         trip_keys = sorted(keys[i] for i in subset)
@@ -166,14 +221,9 @@ def test_lazy_candidates_match_materialized(monkeypatch, problem, cells):
     import tridesign.search as S
     if cells is not None:
         monkeypatch.setattr(S, "_LAZY_CELLS", cells)
-    if isinstance(problem, tuple):
-        ctx = build_field(problem[0])
-        _, item_of, first, second = S._singer_items(ctx, problem[1])
-    else:
-        ctx = build_field(problem)
-        item_of, first, second = S._frobenius_items(ctx, problem)
-    triples, tags = S._candidate_triples(ctx.order, item_of, first, second)
-    source = S._LazySource(ctx.order, item_of, first, second)
+    M, item_of, first, second = _problem_items(problem)
+    triples, tags = S._candidate_triples(M, item_of, first, second)
+    source = S._LazySource(M, item_of, first, second)
     lazy = [cand for a in range(source.n_items) for cand in source.candidates(a)]
     assert [trip for trip, _ in lazy] == list(map(tuple, triples.tolist()))
     assert [pair for _, pair in lazy] == list(map(tuple, tags.tolist()))
@@ -262,10 +312,7 @@ def test_closure_items_match_sorted_reference(monkeypatch, problem):
     # the dense rank gives the items a sort of their keys gives
     import tridesign.search as S
     calls = _spy(monkeypatch, S, "_closure_items")
-    if isinstance(problem, tuple):
-        S._singer_items(build_field(problem[0]), problem[1])
-    else:
-        S._frobenius_items(build_field(problem), problem)
+    _problem_items(problem)
     [(*args, got)] = calls
     want = closure_items(*args)
     assert want[0].size == len(got[2]) > 0
@@ -275,12 +322,11 @@ def test_closure_items_match_sorted_reference(monkeypatch, problem):
 
 def _problem_items(problem):
     """(M, item_of, first, second) of a Singer (n, m) or Frobenius n problem."""
-    import tridesign.search as S
     if isinstance(problem, tuple):
         ctx = build_field(problem[0])
-        return (ctx.order, *S._singer_items(ctx, problem[1])[1:])
+        return (ctx.order, *_stratum_items(ctx, problem[1], 1))
     ctx = build_field(problem)
-    return (ctx.order, *S._frobenius_items(ctx, problem))
+    return (ctx.order, *_stratum_items(ctx, 1, problem))
 
 
 def _reference_triples(M, live_of, first, second, a, partners):
