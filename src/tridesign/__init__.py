@@ -15,7 +15,7 @@ from .designs import (BalanceReport, CoverReport, Design, Gdd, charge_ledger,
                       coverage_counts, expected_triangle_count, verify_balanced,
                       verify_design, verify_gdd)
 from .gf2n import DEFAULT_POLYS, FieldCtx, build_field, embed_subfield
-from .lines import (PlaneBasis, Spread, desarguesian_spread, enumerate_ext_planes,
+from .lines import (PlaneBasis, desarguesian_spread, enumerate_ext_planes,
                     ext_plane_count, line_count, validate_spread)
 from .orbits import (FrobeniusCertificate, OrbitCertificate, expand_certificate,
                      gamma_rows)

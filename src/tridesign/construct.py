@@ -45,9 +45,9 @@ from .designs import (MAX_MATERIALIZED_TRIANGLES, Design, Gdd, _line_keys,
                       verify_design, verify_gdd)
 from .gf2n import FieldCtx, build_field, embed_subfield
 from .orbits import expand_certificate
-from .lines import (PlaneBasis, Spread, coset_exponents, desarguesian_spread,
-                    enumerate_ext_planes, ext_plane_count, line_count, line_keys,
-                    line_rows, plane_bases, span_grids, subfield_tables)
+from .lines import (PlaneBasis, coset_exponents, desarguesian_spread,
+                    enumerate_ext_planes, ext_plane_count, group_ids, line_count,
+                    line_keys, line_rows, plane_bases, span_grids, subfield_tables)
 
 
 class ConstructionError(ValueError):
@@ -140,7 +140,7 @@ def product(tm: Design, tn: Design, with_census: bool = False):
             raise ConstructionError(f"{side} factor does not verify as a design")
 
     lines_b = line_rows(b.n)
-    gid = spread.group_id_table(b.n)
+    gid = group_ids(spread, b.n)
     outside = lines_b[gid[lines_b[:, 0]] != gid[lines_b[:, 1]]] << sb
     ya = np.arange(1, 1 << a.n, dtype=np.int64) << sa
     yb = np.arange(1, 1 << b.n, dtype=np.int64) << sb
@@ -151,8 +151,8 @@ def product(tm: Design, tn: Design, with_census: bool = False):
         ("C", a.tri << sa, (lines_b << sb)[:, _PERMS3].reshape(-1, 3)),
         ("D", line_rows(a.n) << sa, yb[:, None] * (1, 1, 1)),
         ("E", ya[:, None] * (1, 1, 1), outside),
-        *_spread_terms(ya, np.array(spread.groups, dtype=np.int64) << sb),
-    ], product_census(a, b, len(spread.groups)))
+        *_spread_terms(ya, spread << sb),
+    ], product_census(a, b, len(spread)))
 
     out = Design(n=n_out, poly=build_field(n_out).poly, tri=tri,
                  provenance=f"product {tm.n}+{tn.n}")
@@ -170,39 +170,19 @@ def trivial_design() -> Design:
 # -- balanced +6 extension -------------------------------------------------------
 
 
-def _spread_role_orders(spread: Spread) -> tuple[np.ndarray, np.ndarray]:
-    """Role orders for the fixed right-factor spread.
-
-    Returns (base, special): (21, 3) arrays of ordered line points.
-    ``base`` is the sorted order used (rotated) for the bulk values of
-    the left component; ``special`` is the order used for the 31
-    compensating values, where the first slot receives the -2 charge:
-    the line through the top unit keeps its bottom point first, five
-    mixed lines keep their bottom point first, the other ten lead with
-    a top point.
-    """
-    base = np.array([sorted(g.tolist()) for g in spread.groups], dtype=np.int64)
-    special_rows = []
-    mixed_seen = 0
-    for row in base.tolist():
-        pts = set(row)
-        tops = sorted(p for p in pts if p & 32)
-        bottoms = sorted(p for p in pts if not p & 32)
-        if 32 in pts:
-            w0 = bottoms[0]
-            special_rows.append((w0, 32, 32 ^ w0))
-        elif len(tops) == 2:
-            a, (b, c) = bottoms[0], tops
-            if mixed_seen < 5:
-                special_rows.append((a, b, c))
-            else:
-                special_rows.append((b, a, c))
-            mixed_seen += 1
-        else:
-            special_rows.append(tuple(sorted(pts)))
-    if mixed_seen != 15:
-        raise ConstructionError(f"spread shape unexpected: {mixed_seen} mixed lines")
-    return base, np.array(special_rows, dtype=np.int64)
+def _special_role_order(spread: np.ndarray) -> np.ndarray:
+    """The (21, 3) role order of the right-factor line spread for the 31
+    compensating values, whose first slot receives the -2 charge: the
+    spread's ascending rows, except that ten mixed lines, all but the
+    first five, lead with a top point."""
+    # rows ascend, so a line with two top points has them last; the line
+    # through 32 is (w0, 32, 32 ^ w0) already
+    mixed = ((spread[:, 1] & 32) != 0) & (spread[:, 1] != 32)
+    if np.count_nonzero(mixed) != 15:
+        raise ConstructionError(f"spread shape unexpected: "
+                                f"{np.count_nonzero(mixed)} mixed lines")
+    late = mixed & (np.cumsum(mixed) > 5)
+    return np.where(late[:, None], spread[:, (1, 0, 2)], spread)
 
 
 def _extension_rows(tm: Design) -> tuple[np.ndarray, dict[str, int]]:
@@ -218,7 +198,7 @@ def _extension_rows(tm: Design) -> tuple[np.ndarray, dict[str, int]]:
     d6 = expand_special(load_dataset("design6"))
     g62 = expand_special(load_dataset("gdd6-2"))
     mu = multiplier_table(build_field(5))
-    base_order, special_order = _spread_role_orders(g62.groups)
+    base_order, special_order = g62.groups, _special_role_order(g62.groups)
     # Left vectors y = 1..31 are the special ones: their rows are turned
     # by mu[y - 1], and their spread lines take the special order that
     # cancels the charge profile of family B.  The plain y >= 32 rotate
@@ -459,17 +439,16 @@ def fill_groups(g: Gdd, filler: Design):
             raise ConstructionError("filler fails design verification")
 
     ctx = build_field(g.n, g.poly)
-    try:
-        exps = coset_exponents(ctx, g.m, g.groups.groups)
+    try:   # the host spread is checked, then read as cosets
+        exps = coset_exponents(ctx, g.m, g.groups)
     except ValueError as e:
         raise ConstructionError(f"{e}; cannot fill") from None
     # tmaps[i, w]: the filler's vector w carried into group i, xi^e_i * emb[w]
     tmaps = ctx.mul_np(ctx.exp_np[exps][:, None], embed_subfield(build_field(g.m), ctx))
     tri = np.concatenate([g.tri, np.sort(tmaps[:, filler.tri], axis=-1).reshape(-1, 3)])
     if isinstance(filler, Gdd):
-        fine_groups = [np.sort(t[fg]) for t in tmaps for fg in filler.groups.groups]
-        return Gdd(n=g.n, poly=g.poly, tri=tri, m=filler.m,
-                   groups=Spread(filler.m, fine_groups),
+        fine = tmaps[:, filler.groups].reshape(-1, filler.groups.shape[1])
+        return Gdd(n=g.n, poly=g.poly, tri=tri, m=filler.m, groups=fine,
                    provenance=f"fill {g.provenance or 'gdd'} with {filler.m}-gdd")
     return Design(n=g.n, poly=g.poly, tri=tri,
                   provenance=f"fill {g.provenance or 'gdd'} with design")

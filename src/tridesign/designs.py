@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lines import (Spread, enumerate_line_keys_np, key_dtype, key_rows,
-                    line_count, line_keys, validate_spread)
+from .lines import (enumerate_line_keys_np, group_ids, key_dtype, key_rows,
+                    line_count, line_keys, spread_rows, validate_spread)
 
 MAX_WITNESSES = 10
 # Largest triangle count a construction or an expansion builds in memory
@@ -151,7 +151,11 @@ class Gdd(Design):
     """A design plus a spread of m-dimensional groups."""
 
     m: int = 0
-    groups: Spread = field(default=None)  # type: ignore[assignment]
+    groups: np.ndarray = None  # type: ignore[assignment]
+
+    def __post_init__(self):
+        self.groups = spread_rows(self.groups)
+        super().__post_init__()
 
     @property
     def kind(self) -> str:
@@ -315,7 +319,7 @@ def _absent_keys(wanted: np.ndarray, have: np.ndarray) -> np.ndarray:
     return np.concatenate(absent) if absent else wanted
 
 
-def _verify_cover(d: Design, m: int, groups: Spread | None) -> CoverReport:
+def _verify_cover(d: Design, m: int, groups: np.ndarray | None) -> CoverReport:
     """Exact cover of the lines of GF(2)^n outside the groups of the
     spread ``groups``, after the structural and spread checks.
 
@@ -327,10 +331,11 @@ def _verify_cover(d: Design, m: int, groups: Spread | None) -> CoverReport:
     gid, internal, inside = None, 0, None
     if groups is not None:
         validate_spread(groups, n)
-        if groups.dim_m != m:
-            raise ValueError(f"spread dimension {groups.dim_m} != declared m={m}")
-        gid = groups.group_id_table(n)
-        internal = groups.internal_line_count()
+        G, q = groups.shape
+        if q.bit_length() != m:
+            raise ValueError(f"spread dimension {q.bit_length()} != declared m={m}")
+        gid = group_ids(groups, n)
+        internal = G * q * (q - 1) // 6
         # a line lies inside a group iff two of its points do
         g = [gid[col] for col in cols]
         inside = np.concatenate([g[i] == g[j] for i, j in _SIDES])
@@ -382,8 +387,6 @@ def verify_gdd(g: Gdd) -> CoverReport:
     a group, (iii) lines outside groups are covered exactly once,
     (iv) the triangle count matches the counting identity.
     """
-    if g.m < 1:
-        raise ValueError("group dimension must be >= 1")
     return _verify_cover(g, g.m, g.groups)
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .designs import Design, Gdd
 from .gf2n import build_field
-from .lines import Spread, coset_exponents, coset_groups
+from .lines import coset_exponents, coset_groups
 from .orbits import (FrobeniusCertificate, OrbitCertificate,
                      certificate_from_json_dict)
 
@@ -117,7 +117,7 @@ def write_design(d: Design, path: str) -> None:
     if d.provenance:
         head.append(f"provenance: {d.provenance}")
     if isinstance(d, Gdd):
-        exps = coset_exponents(build_field(d.n, d.poly), d.m, d.groups.groups)
+        exps = coset_exponents(build_field(d.n, d.poly), d.m, d.groups)
         head.append("groups: " + " ".join(map(str, sorted(exps.tolist()))))
     head.append("triangles:\n")
     with _open_write(path) as fh:
@@ -131,6 +131,10 @@ def _header_int(header: dict[str, str], key: str, base: int = 10,
     value = header.get(key, default)
     if value is None:
         raise ValueError(f"design file has no {key!r} line")
+    return _parse_int(value, key, base)
+
+
+def _parse_int(value: str, key: str, base: int = 10) -> int:
     try:
         return int(value, base)
     except ValueError:
@@ -220,18 +224,27 @@ def _parse_chunk(chunk: bytes, first_line: int) -> tuple[np.ndarray, int]:
     return val.reshape(-1, 3), int(newlines[-1])
 
 
-def _parse_rows(data: bytes, pos: int) -> np.ndarray:
-    """All triangle rows of ``data[pos:]``, parsed in newline-aligned chunks."""
-    chunks = []
-    line = 1
+def _parse_rows(data: bytes, pos: int, count: int) -> np.ndarray:
+    """The ``count`` triangle rows of ``data[pos:]`` as one int32 (count, 3)
+    array, each newline-aligned chunk parsed straight into it (no list of
+    chunks to concatenate); ValueError for another number of rows."""
+    # at most one row per 6 bytes ("a b c\n"), so a huge count allocates nothing
+    tri = np.empty((max(0, min(count, (len(data) - pos + 1) // 6)), 3), dtype=np.int32)
+    rows, line = 0, 1
     while pos < len(data):
         nl = data.find(b"\n", pos + _READ_BYTES - 1)
         end = nl + 1 if nl >= 0 else len(data)
-        rows, newlines = _parse_chunk(data[pos:end], line)
-        chunks.append(rows)
+        chunk, newlines = _parse_chunk(data[pos:end], line)
+        if rows + len(chunk) <= len(tri):
+            if chunk.dtype != np.int32 and chunk.max() >= 1 << 31:  # beyond n = 31
+                raise ValueError("triangle vector out of range for declared dimension")
+            tri[rows:rows + len(chunk)] = chunk
+        rows += len(chunk)
         line += newlines
         pos = end
-    return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
+    if rows != count:
+        raise ValueError(f"header count {count} != body lines {rows}")
+    return tri
 
 
 def read_design(path: str) -> Design | Gdd:
@@ -247,21 +260,19 @@ def read_design(path: str) -> Design | Gdd:
     if kind == "gdd":   # checked here, before a field is built for the groups
         if not 1 <= m <= n or n % m:
             raise ValueError(f"design file m = {m} is not a divisor of n = {n}")
-        exps = [int(e) for e in header.get("groups", "").split()]
+        exps = [_parse_int(e, "groups") for e in header.get("groups", "").split()]
         per = ((1 << n) - 1) // ((1 << m) - 1)
         if len(exps) != per or not all(0 <= e < per for e in exps):
             raise ValueError(f"design file groups: {len(exps)} exponents, expected "
                              f"{per} in 0..{per - 1} for m = {m}, n = {n}")
-    tri = _parse_rows(data, body)   # int32 unless a token has 8+ digits
+    tri = _parse_rows(data, body, count)
     del data    # the text is not needed while Design sorts the rows
-    if count != tri.shape[0]:
-        raise ValueError(f"header count {count} != body lines {tri.shape[0]}")
     if tri.size and int(tri.max()) >= (1 << n):
         raise ValueError("triangle vector out of range for declared dimension")
     provenance = header.get("provenance", "")
     if kind == "gdd":
-        groups = Spread(m, coset_groups(build_field(n, poly), m, exps))
-        return Gdd(n=n, poly=poly, tri=tri, m=m, groups=groups,
+        return Gdd(n=n, poly=poly, tri=tri, m=m,
+                   groups=coset_groups(build_field(n, poly), m, exps),
                    provenance=provenance)
     return Design(n=n, poly=poly, tri=tri, provenance=provenance)
 

@@ -62,7 +62,8 @@ class FieldCtx:
     ``zech_np[k]`` (``zech_np[0] = -1``) over 0..2^n - 2, and
     ``log_np[x]`` over 0..2^n - 1 (``log_np[0] = -1``).  That is 24 B
     per element, so n = 19 takes 12.6 MB and n = 25 0.8 GB; the cap
-    is n = 28.  Scalar methods return Python ints.
+    is n = 28.  Scalar methods return Python ints; ``mul``, ``inv``, ``pow``
+    and ``log`` refuse an element outside 0..2^n - 1 (ValueError).
     """
 
     __slots__ = ("n", "poly", "order", "exp_np", "log_np", "zech_np",
@@ -85,23 +86,28 @@ class FieldCtx:
     def add(self, x: int, y: int) -> int:
         return x ^ y
 
+    def _element(self, x: int) -> int:
+        if not 0 <= x <= self.order:
+            raise ValueError(f"{x} is not an element 0..{self.order} of GF(2^{self.n})")
+        return x
+
     def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
+        if self._element(x) * self._element(y) == 0:
             return 0
         return self.exp(int(self.log_np[x]) + int(self.log_np[y]))
 
     def inv(self, x: int) -> int:
-        if x == 0:
+        if self._element(x) == 0:
             raise ZeroDivisionError("zero element has no inverse")
         return self.exp(-int(self.log_np[x]))
 
     def pow(self, x: int, e: int) -> int:
-        if x == 0:
+        if self._element(x) == 0:
             return 1 if e == 0 else 0
         return self.exp(int(self.log_np[x]) * e)
 
     def log(self, x: int) -> int:
-        if x == 0:
+        if self._element(x) == 0:
             raise ZeroDivisionError("zero element has no logarithm")
         return int(self.log_np[x])
 

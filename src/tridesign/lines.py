@@ -95,97 +95,88 @@ def line_rows(n: int) -> np.ndarray:
 # -- spreads ------------------------------------------------------------------
 
 
-@dataclass
-class Spread:
-    """Partition of the nonzero vectors into same-dimension subspaces."""
-
-    dim_m: int
-    groups: list[np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-    def group_id_table(self, n: int) -> np.ndarray:
-        """Vector -> group index lookup (int32, -1 for 0/unassigned)."""
-        gid = np.full(1 << n, -1, dtype=np.int32)
-        for i, g in enumerate(self.groups):
-            gid[g] = i
-        return gid
-
-    def internal_line_count(self) -> int:
-        per = [(len(g) * (len(g) - 1)) // 6 for g in self.groups]
-        return int(sum(per))
+def spread_rows(groups) -> np.ndarray:
+    """``groups`` as a spread: one read-only int64 array of shape
+    (G, 2^m - 1), G >= 1, a row per group in the given order, each row
+    ascending.  Copies unless ``groups`` is one already; ValueError for
+    no groups, ragged rows (numpy's) or another shape."""
+    if groups is None:
+        raise ValueError("a GDD needs its groups")
+    arr = np.asarray(groups, dtype=np.int64)
+    q = arr.shape[1] if arr.ndim == 2 and arr.size else 0
+    if q == 0 or q & (q + 1):
+        raise ValueError(f"groups of shape {arr.shape} are not G >= 1 rows of 2^m - 1")
+    if arr.flags.writeable or (arr[:, 1:] < arr[:, :-1]).any():
+        arr = np.sort(arr, axis=1)
+        arr.setflags(write=False)
+    return arr
 
 
-def _rank_gf2(vectors: np.ndarray) -> int:
-    basis: list[int] = []
-    for v in vectors.tolist():
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+def group_ids(groups: np.ndarray, n: int) -> np.ndarray:
+    """Vector -> group index lookup (int32, -1 for 0 and unassigned)."""
+    gid = np.full(1 << n, -1, dtype=np.int32)
+    gid[groups] = np.arange(groups.shape[0], dtype=np.int32)[:, None]
+    return gid
 
 
-def validate_spread(spread: Spread, n: int) -> None:
-    """Raise unless the groups partition GF(2)^n \\ {0} into m-subspaces."""
-    m = spread.dim_m
-    size = (1 << m) - 1
-    seen = np.zeros(1 << n, dtype=bool)
-    total = 0
-    for i, g in enumerate(spread.groups):
-        arr = np.asarray(g, dtype=np.int64)
-        if arr.size != size or np.unique(arr).size != size:
-            raise ValueError(f"group {i} is not {size} distinct vectors")
-        if arr.min() < 1 or arr.max() >= (1 << n):
-            raise ValueError(f"group {i} has out-of-range vectors")
-        if seen[arr].any():
-            raise ValueError(f"group {i} overlaps an earlier group")
-        seen[arr] = True
-        total += arr.size
-        if _rank_gf2(arr) != m:
-            raise ValueError(f"group {i} does not span an {m}-dimensional subspace")
-    if total != (1 << n) - 1:
+def validate_spread(groups, n: int) -> None:
+    """Raise unless the groups partition GF(2)^n \\ {0} into m-subspaces.
+
+    Names the first group with a vector outside 1..2^n - 1, a vector
+    that occurs twice in the spread, or a pair whose XOR lies outside
+    the group: 2^m - 1 distinct nonzero vectors closed under XOR are an
+    m-subspace less 0.  Sound groups cover iff G (2^m - 1) = 2^n - 1.
+    """
+    groups = spread_rows(groups)
+    G, q = groups.shape
+    inside = (groups >= 1) & (groups < 1 << n)
+    vec = groups if inside.all() else np.where(inside, groups, 0)
+    gid, own = group_ids(vec, n), np.arange(G, dtype=np.int32)[:, None]
+    # a vector in two groups is assigned to only one of them; rows ascend
+    shared = (gid[vec] != own).any(axis=1) | (vec[:, 1:] == vec[:, :-1]).any(axis=1)
+    # only a closed sound group has every pair XOR assigned to its own row
+    unclosed = np.zeros(G, dtype=bool)
+    for i in range(q - 1):
+        unclosed |= (gid[vec[:, i:i + 1] ^ vec[:, i + 1:]] != own).any(axis=1)
+    faulty = np.flatnonzero(~inside.all(axis=1) | shared | unclosed)
+    if faulty.size:
+        i = int(faulty[0])
+        raise ValueError(f"group {i} " + (
+            f"has a vector outside 1..{(1 << n) - 1}" if not inside[i].all()
+            else "repeats a vector or overlaps another group" if shared[i]
+            else f"is not closed under XOR: no {q.bit_length()}-dimensional subspace"))
+    if G * q != (1 << n) - 1:
         raise ValueError("groups do not cover all nonzero vectors")
 
 
-def desarguesian_spread(ctx: FieldCtx, m: int) -> Spread:
+def desarguesian_spread(ctx: FieldCtx, m: int) -> np.ndarray:
     """Multiplicative cosets of the order-2^m subfield of GF(2^n)."""
     if ctx.n % m:
         raise ValueError(f"group dimension {m} does not divide {ctx.n}")
-    return Spread(m, coset_groups(ctx, m, np.arange(ctx.order // ((1 << m) - 1))))
+    return coset_groups(ctx, m, np.arange(ctx.order // ((1 << m) - 1)))
 
 
-def coset_groups(ctx: FieldCtx, m: int, exps) -> list[np.ndarray]:
-    """The cosets xi^e * GF(2^m)^* for the exponents e, each a sorted
-    int64 array: xi^(e + g*j) for g = (2^n - 1)/(2^m - 1), j < 2^m - 1."""
+def coset_groups(ctx: FieldCtx, m: int, exps) -> np.ndarray:
+    """The spread array of the cosets xi^e * GF(2^m)^* for the exponents
+    e, one row per exponent: xi^(e + g*j) for g = (2^n - 1)/(2^m - 1),
+    j < 2^m - 1, sorted."""
     g = ctx.order // ((1 << m) - 1)
     j = np.arange((1 << m) - 1, dtype=np.int64)
     e = np.asarray(exps, dtype=np.int64).reshape(-1, 1)
-    return list(np.sort(ctx.exp_np[(e + g * j) % ctx.order], axis=1))
+    return spread_rows(ctx.exp_np[(e + g * j) % ctx.order])
 
 
-def coset_exponents(ctx: FieldCtx, m: int, groups) -> np.ndarray:
-    """The exponent e mod (2^n - 1)/(2^m - 1) of each group, read as the
-    coset xi^e * GF(2^m)^*: the logarithms of a group's vectors must all
-    agree with e mod that modulus.  Raises ValueError naming the first
-    group that does not hold 2^m - 1 vectors, holds one outside
-    1..2^n - 1 or whose logarithms disagree."""
-    q = (1 << m) - 1
-    g = ctx.order // q
-    sizes = np.array([len(grp) for grp in groups], dtype=np.int64)
-    flat = np.concatenate([np.asarray(grp, dtype=np.int64).ravel() for grp in groups]
-                          + [np.empty(0, dtype=np.int64)])
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    inside = (flat >= 1) & (flat <= ctx.order)
-    res = ctx.log_np[np.where(inside, flat, 1)] % g
-    start = np.cumsum(sizes) - sizes
-    bad = np.concatenate([np.flatnonzero(sizes != q),
-                          owner[~inside | (res != res[start[owner]])]])
-    if bad.size:
-        raise ValueError(f"group {int(bad.min())} is not a multiplicative coset")
-    return res[start]
+def coset_exponents(ctx: FieldCtx, m: int, groups: np.ndarray) -> np.ndarray:
+    """The exponent e mod (2^n - 1)/(2^m - 1) of each row of a spread
+    array of width 2^m - 1, read as the coset xi^e * GF(2^m)^*.  Raises
+    the ``validate_spread`` error, or a ValueError naming the first group
+    whose logarithms do not all agree mod that modulus."""
+    validate_spread(groups, ctx.n)
+    res = ctx.log_np[groups] % (ctx.order // ((1 << m) - 1))
+    bad = (res != res[:, :1]).any(axis=1) | (groups.shape[1] != (1 << m) - 1)
+    if bad.any():
+        raise ValueError(f"group {int(np.argmax(bad))} is not a multiplicative coset")
+    return res[:, 0]
 
 
 # -- 2-dimensional subspaces over an extension field ---------------------------

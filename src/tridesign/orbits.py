@@ -121,6 +121,10 @@ def _json_int(v, what: str) -> int:
 
 
 def _json_pairs(rows, what: str) -> tuple[tuple[int, int], ...]:
+    for k, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 2:
+            raise ValueError(f"malformed certificate entry: {what} row {k} {row!r} "
+                             "is not a pair")
     return tuple((_json_int(i, what), _json_int(j, what)) for i, j in rows)
 
 
@@ -133,7 +137,11 @@ def certificate_from_json_dict(d: dict) -> OrbitCertificate | FrobeniusCertifica
     try:
         kind = d["kind"]
         poly = d["poly"]
-        poly = int(poly, 16) if isinstance(poly, str) else _json_int(poly, "poly")
+        try:
+            poly = int(poly, 16) if isinstance(poly, str) else _json_int(poly, "poly")
+        except ValueError:
+            raise ValueError(f"malformed certificate entry: poly {poly!r} "
+                             "is not an integer") from None
         n = _json_int(d["n"], "n")
         if kind == "singer":
             return OrbitCertificate(n=n, m=_json_int(d.get("m", 1), "m"), poly=poly,

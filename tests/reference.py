@@ -3,9 +3,10 @@
 One frozen object per line (``Line``) and per triangle (``TriangleV``),
 the triangle test on three such lines, the gamma-set, 2-cyclotomic class
 and cy_gamma-set of a single exponent, and the gamma-key and
-triangle-orbit predicates.  The package works on line keys, (T, 3)
-corner rows and gamma rows; these per-object forms are the independent
-definitions the tests check it against.
+triangle-orbit predicates, and a group-by-group spread validator.  The
+package works on line keys, (T, 3) corner rows, gamma rows and (G, q)
+spread arrays; these per-object forms are the independent definitions
+the tests check it against.
 """
 
 from __future__ import annotations
@@ -204,3 +205,37 @@ def item_triples(M: int, item_of: np.ndarray, first: np.ndarray,
     x = (s1 + 0 * s2[0]).ravel()[hit % block]
     y = (s2 + 0 * s1).ravel()[hit]
     return p[at], c[at], x, y
+
+
+def _rank_gf2(vectors) -> int:
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def validate_spread(groups, m: int, n: int) -> None:
+    """Raise unless the groups partition GF(2)^n \\ {0} into m-subspaces,
+    one group at a time: its size, distinctness, range, overlap with the
+    earlier groups and GF(2) rank; the cover is checked last."""
+    size = (1 << m) - 1
+    seen = np.zeros(1 << n, dtype=bool)
+    total = 0
+    for i, g in enumerate(groups):
+        arr = np.asarray(g, dtype=np.int64)
+        if arr.size != size or np.unique(arr).size != size:
+            raise ValueError(f"group {i} is not {size} distinct vectors")
+        if arr.min() < 1 or arr.max() >= (1 << n):
+            raise ValueError(f"group {i} has out-of-range vectors")
+        if seen[arr].any():
+            raise ValueError(f"group {i} overlaps an earlier group")
+        seen[arr] = True
+        total += arr.size
+        if _rank_gf2(arr.tolist()) != m:
+            raise ValueError(f"group {i} does not span an {m}-dimensional subspace")
+    if total != (1 << n) - 1:
+        raise ValueError("groups do not cover all nonzero vectors")

@@ -11,7 +11,7 @@ from tridesign.designs import (Design, Gdd, charge_ledger, verify_balanced,
                                verify_design, verify_gdd)
 from tridesign.designs import _line_keys
 from tridesign.gf2n import build_field, embed_subfield
-from tridesign.lines import Spread, canonical_plane_basis
+from tridesign.lines import canonical_plane_basis
 
 
 def _tri_sha(d):
@@ -337,7 +337,7 @@ def test_fill_groups_charge_per_group(gdd12_6, gdd6_2):
     filled = fill_groups(gdd12_6, gdd6_2)
     led = charge_ledger(filled.tri, 12)
     base = charge_ledger(gdd12_6.tri, 12)
-    for grp in gdd12_6.groups.groups[:5]:
+    for grp in gdd12_6.groups[:5]:
         delta = led[grp].sum() - base[grp].sum()
         assert delta == 0
 
@@ -348,8 +348,27 @@ def _swap_low_top_bit(v, n):
     return v ^ ((lo ^ hi) * (1 | (1 << (n - 1))))
 
 
+def test_fill_groups_refuses_unsound_host_spread(gdd12_6, design6):
+    groups = gdd12_6.groups.copy()
+    groups[1] = groups[0]   # one coset twice, another never filled
+    g = Gdd(n=12, poly=gdd12_6.poly, tri=np.empty((0, 3), dtype=np.int64), m=6,
+            groups=groups)
+    with pytest.raises(ConstructionError, match="group 0 repeats a vector or "
+                       "overlaps another group; cannot fill"):
+        fill_groups(g, design6)
+
+
+def test_fill_groups_gathers_fine_groups_in_host_order(gdd12_6, gdd6_2):
+    fine = fill_groups(gdd12_6, gdd6_2).groups
+    assert fine.shape == (65 * 21, 3) and not fine.flags.writeable
+    # the 21 fine groups of host group i are rows 21i .. 21i + 20
+    gid = np.full(1 << 12, -1)
+    gid[gdd12_6.groups] = np.arange(65)[:, None]
+    assert (gid[fine] == np.arange(65).repeat(21)[:, None]).all()
+
+
 def test_fill_groups_refuses_non_coset_groups(gdd12_6, design6):
-    groups = Spread(6, [_swap_low_top_bit(g, 12) for g in gdd12_6.groups.groups])
+    groups = _swap_low_top_bit(gdd12_6.groups, 12)
     g = Gdd(n=12, poly=gdd12_6.poly, tri=np.empty((0, 3), dtype=np.int64), m=6,
             groups=groups)
     with pytest.raises(ConstructionError,

@@ -13,7 +13,7 @@ from tridesign.designs import (MAX_WITNESSES, Design, Gdd, _normalize_triangles,
                                charge_ledger, coverage_counts,
                                distinct_row_count, expected_triangle_count,
                                verify_balanced, verify_design, verify_gdd)
-from tridesign.lines import desarguesian_spread
+from tridesign.lines import desarguesian_spread, group_ids
 
 
 def test_expected_counts():
@@ -79,7 +79,7 @@ def test_verify_gdd_ok(gdd6_2):
 
 def test_verify_gdd_group_line_hit(gdd6_2, f6):
     # replace one triangle with one whose first line sits inside a group
-    g = gdd6_2.groups.groups[0]
+    g = gdd6_2.groups[0]
     x, y = int(g[0]), int(g[1])
     w = 1 if 1 not in {x, y, x ^ y} else 5
     tri = gdd6_2.tri.copy()
@@ -88,6 +88,28 @@ def test_verify_gdd_group_line_hit(gdd6_2, f6):
                          groups=gdd6_2.groups))
     assert not rep.ok
     assert rep.group_line_hits
+
+
+@pytest.mark.parametrize("groups", [None, [], [[1, 2, 3], [4, 8]],
+                                    [[1, 2, 3, 4, 5]]])
+def test_gdd_refuses_groups_that_are_no_spread_array(groups, gdd6_2):
+    # refused at construction, not later inside verify_gdd
+    with pytest.raises(ValueError, match="groups|sequence"):
+        Gdd(n=6, poly=gdd6_2.poly, tri=gdd6_2.tri, m=2, groups=groups)
+    with pytest.raises(ValueError, match="needs its groups"):
+        Gdd(n=6, poly=gdd6_2.poly, tri=gdd6_2.tri, m=2)
+
+
+def test_gdd_keeps_a_spread_array_without_copying(gdd6_2):
+    g = Gdd(n=6, poly=gdd6_2.poly, tri=gdd6_2.tri, m=2, groups=gdd6_2.groups)
+    assert g.groups is gdd6_2.groups
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_verify_gdd_refuses_dimension_mismatch(m, gdd6_2):
+    g = Gdd(n=6, poly=gdd6_2.poly, tri=gdd6_2.tri, m=m, groups=gdd6_2.groups)
+    with pytest.raises(ValueError, match=f"spread dimension 2 != declared m={m}"):
+        verify_gdd(g)
 
 
 def test_gdd_m1_equals_design(design6, f6):
@@ -297,7 +319,7 @@ def _reference_witnesses(d):
     hits = np.empty(0, dtype=np.int64)
     mask = (1 << n) - 1
     if isinstance(d, Gdd):
-        gid = d.groups.group_id_table(n)
+        gid = group_ids(d.groups, n)
         hits = np.unique(keys[gid[keys >> n] == gid[keys & mask]])
         all_keys = all_keys[gid[all_keys >> n] != gid[all_keys & mask]]
 
@@ -327,7 +349,7 @@ def test_witnesses_match_set_reference(base, kind, seed, request):
 def _group_line_mutant(base, rows=12):
     """``base`` with its first rows replaced by triangles on a group line."""
     tri = base.tri.copy()
-    for row, grp in enumerate(base.groups.groups[:rows]):
+    for row, grp in enumerate(base.groups[:rows]):
         x, y = int(grp[0]), int(grp[1])
         w = next(v for v in range(1, 1 << base.n) if v not in (x, y, x ^ y))
         tri[row] = sorted((x, y, w))

@@ -98,10 +98,10 @@ def test_cli_field_json_scalars(capsys):
 
 def test_write_design_refuses_non_coset_groups(tmp_path):
     from tridesign.gf2n import build_field
-    from tridesign.lines import Spread, desarguesian_spread
+    from tridesign.lines import desarguesian_spread
     # the bit swap 0 <-> 5 moves the GF(4) cosets off the multiplicative cosets
-    cosets = desarguesian_spread(build_field(6), 2).groups
-    groups = Spread(2, [g ^ (((g & 1) ^ ((g >> 5) & 1)) * 0b100001) for g in cosets])
+    cosets = desarguesian_spread(build_field(6), 2)
+    groups = cosets ^ (((cosets & 1) ^ ((cosets >> 5) & 1)) * 0b100001)
     g = Gdd(n=6, poly=build_field(6).poly, tri=np.empty((0, 3), dtype=np.int64),
             m=2, groups=groups)
     with pytest.raises(ValueError, match="group 0 is not a multiplicative coset"):
@@ -169,6 +169,13 @@ def test_cli_gamma_refuses_zero_residue(k, capsys):
      "reps False is not an integer"),
     ({"kind": "frobenius", "n": 7, "poly": 131.0, "pairs": [[1, 9]]},
      "poly 131.0 is not an integer"),
+    # the entry at fault is named, not Python's unpacking or int() text
+    ({"kind": "singer", "n": 7, "m": 1, "poly": "0x83", "reps": [[1, 9], [1, 2, 3]]},
+     "reps row 1 [1, 2, 3] is not a pair"),
+    ({"kind": "singer", "n": 7, "m": 1, "poly": "0x83", "reps": "ab"},
+     "reps row 0 'a' is not a pair"),
+    ({"kind": "frobenius", "n": 7, "poly": "zz", "pairs": [[1, 9]]},
+     "poly 'zz' is not an integer"),
 ])
 def test_cli_expand_refuses_malformed_certificate(payload, message, tmp_path,
                                                   capsys):
@@ -393,6 +400,22 @@ def test_fine_gdd_roundtrip(gdd12_6, gdd6_2, tmp_path):
     assert verify_gdd(back).ok
 
 
+def test_cli_fill_refuses_repeated_group_exponent(gdd12_6, design6, tmp_path, capsys):
+    # exponent 0 twice: 64 coset groups, one of them repeated, so one coset
+    # is never filled; the host spread is checked before it is trusted
+    g, filler, out = (tmp_path / name for name in ("g.design", "d6.design", "out.design"))
+    write_design(gdd12_6, str(g))
+    write_design(design6, str(filler))
+    text = g.read_text()
+    assert "\ngroups: 0 1 2 " in text
+    g.write_text(text.replace("\ngroups: 0 1 2 ", "\ngroups: 0 0 2 ", 1))
+    assert run_cli("construct", "fill", "--gdd", str(g), "--filler", str(filler),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: group 0 repeats a vector or overlaps another group; cannot fill\n"
+    assert not out.exists()
+
+
 def test_out_of_range_vector_rejected(tmp_path):
     p = tmp_path / "bad.design"
     p.write_text("tridesign-design v1\nkind: design\nn: 3\nm: 1\n"
@@ -415,6 +438,8 @@ def _gdd_header_variant(text: str, **fields) -> str:
     ({"groups": " ".join(map(str, range(20)))}, "20 exponents, expected 21"),
     ({"groups": " ".join(map(str, range(1, 22)))}, "expected 21 in 0..20"),
     ({"groups": "-1 " + " ".join(map(str, range(1, 21)))}, "expected 21 in 0..20"),
+    ({"groups": "0 1 x " + " ".join(map(str, range(3, 21)))},
+     "design file 'groups' value 'x' is not an integer"),
 ])
 def test_gdd_header_checked_before_field(fields, message, gdd6_2, tmp_path,
                                          capsys):
@@ -673,6 +698,16 @@ def test_reader_wide_tokens_at_n31(token, value, tmp_path):
             read_design(str(p))
     else:
         assert read_design(str(p)).tri.tolist() == [[1, 2, value]]
+
+
+@pytest.mark.parametrize("count, rows", [(0, 1), (2, 1), (-1, 1), (10**12, 1), (10**12, 3)])
+def test_reader_counts_rows_against_any_header_count(count, rows, tmp_path):
+    # rows go straight into a (count, 3) array, sized no larger than the
+    # body can hold, so a huge header count allocates nothing
+    p = tmp_path / "count.design"
+    p.write_text(_one_row("1 2 4\n" * rows).replace("count: 1", f"count: {count}"))
+    with pytest.raises(ValueError, match=f"header count {count} != body lines {rows}$"):
+        read_design(str(p))
 
 
 def test_writer_refuses_negative_corner(tmp_path):

@@ -168,6 +168,26 @@ def test_zero_element_errors(f7):
         f7.inv(0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: f.log(-1), lambda f: f.log(128), lambda f: f.mul(-1, 3),
+    lambda f: f.mul(3, 128), lambda f: f.mul(200, 3), lambda f: f.mul(0, -1),
+    lambda f: f.inv(-5), lambda f: f.inv(128), lambda f: f.pow(-2, 3),
+    lambda f: f.pow(128, 0),
+])
+def test_scalar_methods_refuse_non_elements(call, f7):
+    # a negative x used to wrap around the log table: log(-1) gave 121
+    with pytest.raises(ValueError, match="not an element 0..127 of GF\\(2\\^7\\)"):
+        call(f7)
+
+
+def test_scalar_methods_at_the_element_range_ends(f7):
+    top = f7.order
+    assert f7.log(top) == int(f7.log_np[top]) and f7.inv(f7.inv(top)) == top
+    assert f7.mul(top, 1) == top and f7.mul(0, top) == 0
+    assert f7.pow(top, 1) == top and f7.pow(0, 0) == 1
+    assert f7.exp(-1) == f7.exp(126)   # exp and zech take exponents, any integer
+
+
 def test_pow(f7):
     assert f7.pow(0, 5) == 0
     assert f7.pow(0, 0) == 1

@@ -1,18 +1,20 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import TriangleV, canonical_line, enumerate_lines, is_triangle
 from tridesign.gf2n import build_field, embed_subfield
-from tridesign.lines import (PlaneBasis, Spread, canonical_plane_basis,
+from tridesign.lines import (PlaneBasis, canonical_plane_basis,
                              desarguesian_spread, enumerate_ext_planes,
-                             enumerate_line_keys_np, ext_plane_count,
-                             line_count, plane_bases, subfield_tables,
-                             validate_spread)
+                             enumerate_line_keys_np, ext_plane_count, group_ids,
+                             line_count, plane_bases, spread_rows,
+                             subfield_tables, validate_spread)
 
 
 def test_canonical_line_examples():
@@ -133,18 +135,18 @@ def test_triangle_v():
 def test_desarguesian_spreads(f6, f12):
     sp = desarguesian_spread(f12, 6)
     validate_spread(sp, 12)
-    assert len(sp) == 65 and all(len(g) == 63 for g in sp.groups)
+    assert sp.shape == (65, 63) and sp.dtype == np.int64
+    assert not sp.flags.writeable and (np.diff(sp, axis=1) > 0).all()
 
     sp2 = desarguesian_spread(f6, 2)
     validate_spread(sp2, 6)
-    assert len(sp2) == 21
-    for g in sp2.groups:
-        # every group of a line spread is itself a canonical line
-        assert g[0] ^ g[1] == g[2]
+    assert sp2.shape == (21, 3)
+    # every group of a line spread is itself a canonical line
+    assert (sp2[:, 0] ^ sp2[:, 1] == sp2[:, 2]).all()
 
     whole = desarguesian_spread(f6, 6)
     validate_spread(whole, 6)
-    assert len(whole) == 1 and len(whole.groups[0]) == 63
+    assert whole.shape == (1, 63)
 
     with pytest.raises(ValueError, match="divide"):
         desarguesian_spread(f6, 4)
@@ -152,22 +154,111 @@ def test_desarguesian_spreads(f6, f12):
 
 def test_validate_spread_failures(f6):
     sp = desarguesian_spread(f6, 2)
-    broken = Spread(2, [g.copy() for g in sp.groups])
-    broken.groups[0] = broken.groups[1]  # overlap
-    with pytest.raises(ValueError, match="overlap"):
+    broken = sp.copy()
+    broken[0] = broken[1]  # overlap
+    with pytest.raises(ValueError, match="group 0 .*overlap"):
         validate_spread(broken, 6)
 
-    not_subspace = Spread(2, [g.copy() for g in sp.groups])
-    a = not_subspace.groups[0].copy()
-    b = not_subspace.groups[1].copy()
-    a[2], b[2] = b[2], a[2]  # swap breaks closure, keeps partition
-    not_subspace.groups[0], not_subspace.groups[1] = a, b
-    with pytest.raises(ValueError, match="subspace"):
-        validate_spread(not_subspace, 6)
+    not_subspace = sp.copy()
+    not_subspace[0, 2], not_subspace[1, 2] = sp[1, 2], sp[0, 2]
+    with pytest.raises(ValueError, match="group 0 .*subspace"):
+        validate_spread(not_subspace, 6)  # the swap breaks closure, keeps the partition
 
-    short = Spread(2, [g for g in sp.groups[:-1]])
     with pytest.raises(ValueError, match="cover"):
-        validate_spread(short, 6)
+        validate_spread(sp[:-1], 6)
+
+    with pytest.raises(ValueError, match="group 20 has a vector outside 1..63"):
+        validate_spread(np.vstack([sp[:-1], [[*sp[-1, :2], 64]]]), 6)
+
+
+def _spread_mutant(sp: np.ndarray, kind: str, rng):
+    """A broken copy of the spread array ``sp`` and the rows that hold the
+    fault (None for a dropped row, which only leaves vectors uncovered)."""
+    rows = sp.copy()
+    G, q = rows.shape
+    i, j = (int(x) for x in rng.choice(G, size=2, replace=False))
+    k, l = (int(x) for x in rng.choice(q, size=2, replace=False))
+    if kind == "overlap":
+        rows[i] = rows[j]
+        return rows, {i, j}
+    if kind == "swap":
+        rows[i, k], rows[j, l] = sp[j, l], sp[i, k]
+        return rows, {i, j}
+    if kind == "range":
+        n = (G * q).bit_length()
+        rows[i, k] = int(rng.choice([0, -1 - int(rng.integers(4)),
+                                     (1 << n) + int(rng.integers(1 << n))]))
+        return rows, {i}
+    if kind == "repeat":
+        rows[i, k] = rows[i, l]
+        return rows, {i}
+    assert kind == "drop"
+    return np.delete(rows, i, axis=0), None
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["none", "overlap", "swap", "range", "repeat", "drop"])
+@pytest.mark.parametrize("n, m", [(6, 2), (12, 2), (12, 6)])
+def test_validate_spread_matches_loop_reference(n, m, kind, seed):
+    sp = desarguesian_spread(build_field(n), m)
+    rng = np.random.default_rng([n, m, seed])
+    rows, holders = (sp, set()) if kind == "none" else _spread_mutant(sp, kind, rng)
+    got = _verdict(validate_spread, rows, n)
+    ref = _verdict(reference.validate_spread, rows, m, n)
+    assert (got is None) == (ref is None) == (kind == "none")
+    if holders is None:
+        assert "cover" in got and "cover" in ref
+    elif holders:
+        for message in (got, ref):
+            named = re.match(r"group (\d+) ", message)
+            assert named and int(named.group(1)) in holders, message
+
+
+def test_validate_spread_at_18_6():
+    # the GF(64)-coset spread of the k = 3 tower: 4161 groups of 63
+    sp = desarguesian_spread(build_field(18), 6)
+    assert sp.shape == (4161, 63)
+    validate_spread(sp, 18)
+
+
+def test_spread_rows_normalizes_once(f6):
+    sp = desarguesian_spread(f6, 2)
+    assert spread_rows(sp) is sp    # read-only with ascending rows: kept
+    flipped = sp[:, ::-1].copy()
+    rows = spread_rows(flipped)
+    assert np.array_equal(rows, sp) and not rows.flags.writeable
+    assert flipped.flags.writeable  # the caller's array is not frozen
+    assert np.array_equal(spread_rows(sp.tolist()), sp)
+
+
+@pytest.mark.parametrize("groups, message", [
+    (None, "needs its groups"),
+    ([], "shape \\(0,\\) are not"),
+    (np.empty((0, 3), dtype=np.int64), "shape \\(0, 3\\) are not"),
+    ([1, 2, 3], "shape \\(3,\\) are not"),
+    ([[1, 2, 3], [4, 5]], "sequence"),   # numpy's ragged-array error
+    ([[1, 2, 3, 4]], "shape \\(1, 4\\) are not G >= 1 rows of 2\\^m - 1"),
+    (np.empty((5, 0), dtype=np.int64), "shape \\(5, 0\\) are not"),
+])
+def test_spread_rows_refuses(groups, message):
+    with pytest.raises(ValueError, match=message):
+        spread_rows(groups)
+
+
+def test_group_ids_scatter(f6):
+    sp = desarguesian_spread(f6, 2)
+    gid = group_ids(sp, 6)
+    assert gid.dtype == np.int32 and gid[0] == -1
+    for i, row in enumerate(sp):
+        assert (gid[row] == i).all()
 
 
 def test_ext_plane_counts():
@@ -190,7 +281,7 @@ def test_enumerate_ext_planes_6_2_vs_bruteforce(f6):
     assert len(planes) == 21 == ext_plane_count(2, 3)
     assert len({(p.u, p.v) for p in planes}) == 21
     # oracle: spans of all ray pairs, deduplicated by frozen point set
-    rays = desarguesian_spread(f6, 2).groups
+    rays = desarguesian_spread(f6, 2)
     spans = set()
     for r1, r2 in itertools.combinations(range(len(rays)), 2):
         x, y = int(rays[r1][0]), int(rays[r2][0])
