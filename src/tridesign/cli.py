@@ -2,14 +2,15 @@
 
 Exit codes: 0 = success / verified, 1 = verification failure or
 infeasible search, 2 = usage error (argparse's own convention).
-Reports go to stdout (--json for machine-readable form); progress and
-warnings go to stderr.
+Reports go to stdout (--json for machine-readable form); warnings, and
+with --progress the ``tridesign`` logger's INFO records, go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from . import construct, datasets, fileio, orbits, search
@@ -69,18 +70,18 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.group == "frobenius" and args.m != 1:
+        raise ValueError(f"--m {args.m}: search frobenius needs m = 1")
     try:
         if args.group == "singer":
             cert = search.search_singer(args.n, args.m,
                                         node_limit=args.node_limit,
-                                        time_limit=args.time_limit,
-                                        verbose=args.progress)
+                                        time_limit=args.time_limit)
         else:
             cert = search.search_frobenius(args.n,
                                            node_limit=args.node_limit,
                                            time_limit=args.time_limit,
-                                           allow_long=args.allow_long,
-                                           verbose=args.progress)
+                                           allow_long=args.allow_long)
     except search.InfeasibleStratumError as e:
         payload = {"ok": False, "infeasible": True,
                    "strata": {str(t): c for t, c in e.strata.items()},
@@ -170,11 +171,9 @@ def cmd_construct(args) -> int:
             msg = {"ok": True, "k": k, "planes": g.plane_count,
                    "per_plane": g.per_plane}
             if args.count:
-                msg["triangles"] = g.stream_count(progress=args.progress)
+                msg["triangles"] = g.stream_count()
             if args.sample:
-                checked = g.sample_line_check(args.sample, seed=args.seed,
-                                              progress=args.progress)
-                msg["sampled_lines_ok"] = checked
+                msg["sampled_lines_ok"] = g.sample_line_check(args.sample, seed=args.seed)
         else:
             if args.out:
                 fileio.write_design(g, args.out)
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "construct, verify")
     p.add_argument("--json", action="store_true", help="JSON reports on stdout")
     p.add_argument("--progress", action="store_true",
-                   help="progress diagnostics on stderr")
+                   help="progress lines (the tridesign logger at INFO) on stderr")
     sub = p.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("field", help="field table and Zech queries")
@@ -302,11 +301,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # for this call only: tests and benchmarks call main in-process
+    logger, handler = logging.getLogger("tridesign"), logging.StreamHandler(sys.stderr)
+    level = logger.level
+    if args.progress:
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

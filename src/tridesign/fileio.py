@@ -9,7 +9,7 @@ Design files are line-oriented text (gzip accepted transparently):
     poly: 0x<hex>
     count: <int>
     provenance: <free text, optional>
-    groups: <one coset exponent per group, space separated; gdd only>
+    groups: <one distinct coset exponent per group, space separated; gdd only>
     triangles:
     <a> <b> <c>          (hex corner vectors, one triangle per line)
 
@@ -265,6 +265,9 @@ def read_design(path: str) -> Design | Gdd:
         if len(exps) != per or not all(0 <= e < per for e in exps):
             raise ValueError(f"design file groups: {len(exps)} exponents, expected "
                              f"{per} in 0..{per - 1} for m = {m}, n = {n}")
+        repeats = np.flatnonzero(np.bincount(exps, minlength=per) > 1)
+        if repeats.size:
+            raise ValueError(f"design file groups: exponent {repeats[0]} repeats")
     tri = _parse_rows(data, body, count)
     del data    # the text is not needed while Design sorts the rows
     if tri.size and int(tri.max()) >= (1 << n):

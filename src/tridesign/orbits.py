@@ -147,6 +147,8 @@ def certificate_from_json_dict(d: dict) -> OrbitCertificate | FrobeniusCertifica
             return OrbitCertificate(n=n, m=_json_int(d.get("m", 1), "m"), poly=poly,
                                     reps=_json_pairs(d["reps"], "reps"))
         if kind == "frobenius":
+            if _json_int(d.get("m", 1), "m") != 1:
+                raise ValueError(f"frobenius certificate m {d['m']} is not 1")
             return FrobeniusCertificate(n=n, poly=poly,
                                         pairs=_json_pairs(d["pairs"], "pairs"))
     except KeyError as e:

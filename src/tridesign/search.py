@@ -25,8 +25,9 @@ item's first witness to the front.  ``_candidate_triples`` runs it over
 every pair a < p, in chunks of bounded size, to build an exact-cover
 instance; above ``LAZY_STRATUM_THRESHOLD`` items ``_LazySource`` runs
 it on demand over an item and its uncovered partners, offering the
-same candidates in the same order.  ``_stratum_witnesses`` makes that
-choice for every stratum of both searches.
+same candidates in the same order.  ``_solve_strata`` makes that
+choice for every stratum of both searches, and logs each stratum's
+progress as ``stratum (m=M, t=T): ...`` on this module's logger.
 
 Both searches re-check the orbit-level partition on their own output
 with ``orbits.orbit_cover_counts`` before returning a certificate.
@@ -34,7 +35,7 @@ with ``orbits.orbit_cover_counts`` before returning a certificate.
 
 from __future__ import annotations
 
-import sys
+import logging
 
 import numpy as np
 
@@ -44,6 +45,8 @@ from .orbits import (FrobeniusCertificate, OrbitCertificate, check_admissible,
                      gamma_table, orbit_cover_counts)
 from .xcover import (LimitExceeded, Unsatisfiable, XCoverInstance,
                      check_solution, dfs, solve)
+
+logger = logging.getLogger(__name__)
 
 
 class SearchUnsatisfiable(RuntimeError):
@@ -61,19 +64,13 @@ class SearchLimitExceeded(RuntimeError):
 class InfeasibleStratumError(RuntimeError):
     """A cyclotomic-class-size stratum cannot split into 18-sets."""
 
-    def __init__(self, n: int, strata: dict[int, int]):
-        bad = {t: c for t, c in strata.items() if t > 1 and c % 18}
+    def __init__(self, n: int, strata: dict[int, int], bad: dict[int, int]):
         super().__init__(
             f"n={n}: stratum infeasible (class count not divisible by 18): "
             + ", ".join(f"t={t} (N_t={c})" for t, c in sorted(bad.items())))
         self.n = n
         self.strata = strata
         self.bad = bad
-
-
-def _progress(msg: str, verbose: bool) -> None:
-    if verbose:
-        print(msg, file=sys.stderr, flush=True)
 
 
 # -- items and candidate triples ------------------------------------------------
@@ -308,53 +305,57 @@ def _stratum_items(ctx: FieldCtx, m: int, t: int):
     return _orbit_items(ctx, cyclotomic_class_sizes(ctx.n, np.arange(ctx.order)) == t, t)
 
 
-def _instance(ctx: FieldCtx, m: int, t: int, verbose: bool) -> XCoverInstance:
+def _instance(ctx: FieldCtx, m: int, t: int) -> XCoverInstance:
     """A stratum's item triples with a zero-sum witness, each tagged with
     its first witness."""
     item_of, first, second = _stratum_items(ctx, m, t)
-    _progress(f"stratum (m={m}, t={t}): {len(first)} items", verbose)
+    logger.info("stratum (m=%d, t=%d): %d items", m, t, len(first))
     subsets, tags = _candidate_triples(ctx.order, item_of, first, second)
-    _progress(f"stratum (m={m}, t={t}): {len(subsets)} candidate triples", verbose)
+    logger.info("stratum (m=%d, t=%d): %d candidate triples", m, t, len(subsets))
     return XCoverInstance(n_items=len(first), subsets=subsets, tags=tags)
 
 
-def _stratum_witnesses(ctx: FieldCtx, m: int, t: int, expected: int, problem,
-                       what: str, node_limit: int | None,
-                       time_limit: float | None, verbose: bool
-                       ) -> list[tuple[int, int]]:
-    """The witness (s1, s2) of each triple of the first exact cover of the
-    stratum (m, t) of ``expected`` items, or the search error for a
-    failed run: lazy above ``LAZY_STRATUM_THRESHOLD`` items, else on the
-    instance ``problem()``, its solution re-checked."""
-    lazy = expected > LAZY_STRATUM_THRESHOLD
-    source = _LazySource(ctx.order, *_stratum_items(ctx, m, t)) if lazy else problem()
-    if source.n_items != expected:
-        raise AssertionError(f"{what}: {source.n_items} items, expected {expected}")
-    if lazy:
-        _progress(f"{what}: {expected} items, lazy search", verbose)
-        result = dfs(source, node_limit=node_limit, time_limit=time_limit)
-    else:
-        result = solve(source, node_limit=node_limit, time_limit=time_limit)
-    if isinstance(result, Unsatisfiable):
-        raise SearchUnsatisfiable(
-            f"{what}: no exact cover after {result.nodes} nodes", result)
-    if isinstance(result, LimitExceeded):
-        raise SearchLimitExceeded(
-            f"{what} stopped: {result.reason} after {result.nodes} nodes", result)
-    _progress(f"{what} solved in {result.nodes} nodes", verbose)
-    if lazy:
-        return [pair for _, pair in result.chosen]
-    assert check_solution(source, result)
-    return list(map(tuple, source.tags[list(result.chosen)].tolist()))
+def _solve_strata(ctx: FieldCtx, m: int, strata: dict[int, int],
+                  node_limit: int | None, time_limit: float | None
+                  ) -> list[tuple[int, int]]:
+    """The witness (s1, s2) of each triple of the first exact cover of
+    each stratum (m, t) of ``strata[t]`` items, t ascending, or the search
+    error of the first failed one, each under the limits: lazy above
+    ``LAZY_STRATUM_THRESHOLD`` items, else on the instance built by the
+    module-level ``singer_problem`` (t = 1) or ``frobenius_problem``."""
+    witnesses: list[tuple[int, int]] = []
+    for t, expected in sorted(strata.items()):
+        what = f"stratum (m={m}, t={t})"
+        lazy = expected > LAZY_STRATUM_THRESHOLD
+        source = (_LazySource(ctx.order, *_stratum_items(ctx, m, t)) if lazy
+                  else singer_problem(ctx, m) if t == 1 else frobenius_problem(ctx, t))
+        if source.n_items != expected:
+            raise AssertionError(f"{what}: {source.n_items} items, expected {expected}")
+        if lazy:
+            logger.info("%s: %d items, lazy search", what, expected)
+        result = (dfs if lazy else solve)(source, node_limit=node_limit, time_limit=time_limit)
+        if isinstance(result, Unsatisfiable):
+            raise SearchUnsatisfiable(
+                f"{what}: no exact cover after {result.nodes} nodes", result)
+        if isinstance(result, LimitExceeded):
+            raise SearchLimitExceeded(
+                f"{what} stopped: {result.reason} after {result.nodes} nodes", result)
+        logger.info("%s: solved in %d nodes", what, result.nodes)
+        if lazy:
+            witnesses.extend(pair for _, pair in result.chosen)
+        else:
+            assert check_solution(source, result)
+            witnesses.extend(map(tuple, source.tags[list(result.chosen)].tolist()))
+    return witnesses
 
 
 # -- multiplicative-group (gamma-set) problem -----------------------------------
 
 
-def singer_problem(ctx: FieldCtx, m: int, verbose: bool = False) -> XCoverInstance:
+def singer_problem(ctx: FieldCtx, m: int) -> XCoverInstance:
     """Exact-cover instance over the gamma-sets off the spread, tagged
     with witnesses (s1, s2)."""
-    return _instance(ctx, m, 1, verbose)
+    return _instance(ctx, m, 1)
 
 
 def _check_partition(ctx: FieldCtx, reps, m: int) -> None:
@@ -368,15 +369,12 @@ def _check_partition(ctx: FieldCtx, reps, m: int) -> None:
 
 
 def search_singer(n: int, m: int, node_limit: int | None = None,
-                  time_limit: float | None = None,
-                  verbose: bool = False) -> OrbitCertificate:
+                  time_limit: float | None = None) -> OrbitCertificate:
     """Find generator reps whose multiplicative orbits tile the non-group lines."""
     check_admissible(n, m)
     ctx = build_field(n)
-    witnesses = _stratum_witnesses(
-        ctx, m, 1, ((1 << n) - (1 << m)) // 6,
-        lambda: singer_problem(ctx, m, verbose=verbose),
-        f"search (n={n}, m={m})", node_limit, time_limit, verbose)
+    witnesses = _solve_strata(ctx, m, {1: ((1 << n) - (1 << m)) // 6},
+                              node_limit, time_limit)
     reps = sorted((s1, (s1 + s2) % ctx.order) for s1, s2 in witnesses)
     cert = OrbitCertificate(n=n, m=m, poly=ctx.poly, reps=tuple(reps))
     _check_partition(ctx, cert.reps, m)
@@ -399,8 +397,7 @@ def frobenius_strata(n: int) -> dict[int, int]:
     return {t: c // t for t, c in exact.items()}
 
 
-def frobenius_problem(ctx: FieldCtx, t: int, verbose: bool = False
-                      ) -> XCoverInstance:
+def frobenius_problem(ctx: FieldCtx, t: int) -> XCoverInstance:
     """Exact-cover instance over the cy_gamma-sets of class size t.
 
     A candidate is a key triple {K(a), K(b), K(a+b)} of pairwise
@@ -408,13 +405,12 @@ def frobenius_problem(ctx: FieldCtx, t: int, verbose: bool = False
     of the first key and b anywhere in the second set; the witness pair
     (a, b) rides along as the tag.
     """
-    return _instance(ctx, 1, t, verbose)
+    return _instance(ctx, 1, t)
 
 
 def search_frobenius(n: int, node_limit: int | None = None,
                      time_limit: float | None = None,
-                     allow_long: bool = False,
-                     verbose: bool = False) -> FrobeniusCertificate:
+                     allow_long: bool = False) -> FrobeniusCertificate:
     """Find pairs (a, b) whose multiplicative+squaring sweep tiles Z_{2^n-1}*.
 
     Strata (one per cyclotomic class size > 1) are checked for the
@@ -423,21 +419,15 @@ def search_frobenius(n: int, node_limit: int | None = None,
     if n % 6 != 1:
         raise ValueError(f"n={n} rejected: need n congruent to 1 mod 6")
     strata = frobenius_strata(n)
-    if any(t > 1 and c % 18 for t, c in strata.items()):
-        raise InfeasibleStratumError(n, strata)
+    bad = {t: c for t, c in strata.items() if t > 1 and c % 18}
+    if bad:
+        raise InfeasibleStratumError(n, strata, bad)
     if n >= 19 and not allow_long:
         raise ValueError(f"n={n} is a long run; pass allow_long=True "
                          "(CLI: --allow-long) to proceed")
     ctx = build_field(n)
-    pairs: list[tuple[int, int]] = []
-    for t in sorted(strata):
-        if t == 1:
-            continue  # only k = 0 fixed by squaring
-        pairs.extend(_stratum_witnesses(
-            ctx, 1, t, strata[t] // 18 * 3,
-            lambda: frobenius_problem(ctx, t, verbose=verbose),
-            f"stratum t={t}", node_limit, time_limit, verbose))
-    pairs.sort()
-    cert = FrobeniusCertificate(n=n, poly=ctx.poly, pairs=tuple(pairs))
+    pairs = _solve_strata(ctx, 1, {t: c // 18 * 3 for t, c in strata.items() if t > 1},
+                          node_limit, time_limit)
+    cert = FrobeniusCertificate(n=n, poly=ctx.poly, pairs=tuple(sorted(pairs)))
     _check_partition(ctx, frobenius_reps(ctx, cert.pairs), 1)
     return cert

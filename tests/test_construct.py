@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -141,6 +142,31 @@ def test_balanced_extension_frob7(frob7_design, design6):
     assert not charge_ledger(d13.tri, 13).any()
     bal = verify_balanced(d13)
     assert bal.balanced and bal.lam == 2730
+
+
+def test_balanced_extension_refuses_unbalanced_cover(frob7_design, monkeypatch):
+    # spread lines in the ascending role order for every special y: the
+    # rows still cover every line once, but the charges no longer cancel
+    import tridesign.construct as C
+    monkeypatch.setattr(C, "_special_role_order", lambda spread: spread)
+    rows, _ = C._extension_rows(frob7_design)
+    unrotated = Design(n=13, poly=build_field(13).poly, tri=rows)
+    assert verify_design(unrotated).ok and not verify_balanced(unrotated).ok
+    with pytest.raises(ConstructionError, match="^balanced extension is not balanced"):
+        balanced_extension(frob7_design)
+
+
+def test_balanced_extension_refuses_dropped_row(frob7_design, monkeypatch):
+    import tridesign.construct as C
+    real = C._extension_rows
+
+    def dropped(tm):
+        rows, census = real(tm)
+        return rows[:-1], census
+
+    monkeypatch.setattr(C, "_extension_rows", dropped)
+    with pytest.raises(ConstructionError, match="^balanced extension failed verification"):
+        balanced_extension(frob7_design)
 
 
 def test_balanced_extension_rejects_unbalanced(design6):
@@ -289,20 +315,27 @@ def test_sample_line_check_fails_on_first_bad_draw(stream3, monkeypatch,
     assert str(err.value) == f"sampled line through {pair} not covered exactly once"
 
 
+def _progress_lines(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "tridesign.construct" and r.levelno == logging.INFO]
+
+
 def test_sample_line_check_reports_progress_before_failure(stream3, monkeypatch,
-                                                           capsys):
+                                                           caplog):
     # 138 of 2.75M keys dropped: the first bad draw comes after 20,000 good ones
     monkeypatch.setattr(stream3, "_gdd12_keys",
                         _corrupt(stream3._keys12(), drop_every=20011))
+    caplog.set_level(logging.INFO, logger="tridesign")
     with pytest.raises(ConstructionError,
                        match=r"^sampled line through \(193423, 100725\) not covered"):
-        stream3.sample_line_check(50_000, seed=0, progress=True)
-    assert capsys.readouterr().err == "  sampled 20000/50000\n"
+        stream3.sample_line_check(50_000, seed=0)
+    assert _progress_lines(caplog) == ["  sampled 20000/50000"]
 
 
-def test_sample_line_check_progress_lines(stream3, capsys):
-    assert stream3.sample_line_check(40_000, seed=2, progress=True) == 40_000
-    assert capsys.readouterr().err == "  sampled 20000/40000\n  sampled 40000/40000\n"
+def test_sample_line_check_progress_lines(stream3, caplog):
+    caplog.set_level(logging.INFO, logger="tridesign")
+    assert stream3.sample_line_check(40_000, seed=2) == 40_000
+    assert _progress_lines(caplog) == ["  sampled 20000/40000", "  sampled 40000/40000"]
 
 
 def test_gdd_tower_bad_k():

@@ -2,6 +2,7 @@ import contextlib
 import gzip
 import io
 import json
+import logging
 import re
 
 import jsonschema
@@ -176,6 +177,9 @@ def test_cli_gamma_refuses_zero_residue(k, capsys):
      "reps row 0 'a' is not a pair"),
     ({"kind": "frobenius", "n": 7, "poly": "zz", "pairs": [[1, 9]]},
      "poly 'zz' is not an integer"),
+    # a frobenius certificate has no group dimension other than 1
+    ({"kind": "frobenius", "n": 7, "m": 3, "poly": "0x83", "pairs": [[1, 9]]},
+     "frobenius certificate m 3 is not 1"),
 ])
 def test_cli_expand_refuses_malformed_certificate(payload, message, tmp_path,
                                                   capsys):
@@ -286,6 +290,11 @@ def test_cli_search_and_infeasible(tmp_path, capsys):
     assert run_cli("search", "frobenius", "--n", "25",
                    "--out", str(tmp_path / "x.json")) == 1
     assert "t=5" in capsys.readouterr().out
+    # frobenius searches have m = 1 only; another m is refused, not dropped
+    assert run_cli("search", "frobenius", "--n", "7", "--m", "3",
+                   "--out", str(tmp_path / "m3.json")) == 2
+    assert capsys.readouterr().err == "error: --m 3: search frobenius needs m = 1\n"
+    assert not (tmp_path / "m3.json").exists()
 
 
 def test_cli_datasets_list_json(capsys):
@@ -380,6 +389,31 @@ def test_cli_gdd6k_k3_sample_json(capsys):
         assert payload == expected
 
 
+_SEARCH_PROGRESS = ("stratum (m=1, t=13): 105 items\n"
+                    "stratum (m=1, t=13): 168015 candidate triples\n"
+                    "stratum (m=1, t=13): solved in 35 nodes\n")
+_TOWER_PROGRESS = ("".join(f"  plane {i}/4161\n" for i in range(500, 4161, 500))
+                   + "  sampled 20000/20000\n")
+
+
+@pytest.mark.parametrize("argv, progress", [
+    (("search", "frobenius", "--n", "13", "--out", "{tmp}/c.json"), _SEARCH_PROGRESS),
+    (("construct", "gdd6k", "--k", "3", "--count", "--sample", "20000"),
+     _TOWER_PROGRESS),
+], ids=["search", "tower"])
+def test_cli_progress_lines(argv, progress, tmp_path, capsys):
+    # the lines go to stderr once per call with --progress and never
+    # without it: main removes its handler before it returns
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    for flag in (["--progress"], ["--progress"], []):
+        assert run_cli(*flag, *argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (progress if flag else "")
+        assert captured.out and "stratum" not in captured.out
+    logger = logging.getLogger("tridesign")
+    assert logger.level == logging.NOTSET and not logger.handlers
+
+
 def test_cli_gdd6k_k1(tmp_path, capsys):
     out = tmp_path / "g6.design"
     assert run_cli("construct", "gdd6k", "--k", "1", "--out", str(out)) == 0
@@ -402,7 +436,7 @@ def test_fine_gdd_roundtrip(gdd12_6, gdd6_2, tmp_path):
 
 def test_cli_fill_refuses_repeated_group_exponent(gdd12_6, design6, tmp_path, capsys):
     # exponent 0 twice: 64 coset groups, one of them repeated, so one coset
-    # is never filled; the host spread is checked before it is trusted
+    # would never be filled; the reader refuses the header before any fill
     g, filler, out = (tmp_path / name for name in ("g.design", "d6.design", "out.design"))
     write_design(gdd12_6, str(g))
     write_design(design6, str(filler))
@@ -412,7 +446,7 @@ def test_cli_fill_refuses_repeated_group_exponent(gdd12_6, design6, tmp_path, ca
     assert run_cli("construct", "fill", "--gdd", str(g), "--filler", str(filler),
                    "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err == "error: group 0 repeats a vector or overlaps another group; cannot fill\n"
+    assert err == "error: design file groups: exponent 0 repeats\n"
     assert not out.exists()
 
 
@@ -440,6 +474,8 @@ def _gdd_header_variant(text: str, **fields) -> str:
     ({"groups": "-1 " + " ".join(map(str, range(1, 21)))}, "expected 21 in 0..20"),
     ({"groups": "0 1 x " + " ".join(map(str, range(3, 21)))},
      "design file 'groups' value 'x' is not an integer"),
+    ({"groups": "0 1 2 " + " ".join(map(str, range(3, 20))) + " 2"},
+     "design file groups: exponent 2 repeats"),
 ])
 def test_gdd_header_checked_before_field(fields, message, gdd6_2, tmp_path,
                                          capsys):
@@ -451,7 +487,9 @@ def test_gdd_header_checked_before_field(fields, message, gdd6_2, tmp_path,
     with pytest.raises(ValueError, match=message):
         read_design(str(p))
     assert run_cli("verify", "--in", str(p)) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert _build_field_cached.cache_info().currsize == before
 
 

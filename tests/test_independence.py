@@ -5,6 +5,9 @@ keys and the cover and balance verifiers.  A design is only checked
 independently if none of them imports, at any depth, the constructions,
 orbit expansion, searches, datasets or exact-cover engine that produce
 the designs.  The modules are read as source and never imported.
+
+Output has one channel as well: only the command line writes to the
+terminal, and the library reports progress on the ``tridesign`` logger.
 """
 
 import ast
@@ -61,3 +64,30 @@ def test_import_scan_sees_producers():
     assert {"designs", "gf2n", "lines"} <= _closure("orbits")
     assert {"orbits", "xcover"} <= _package_imports("search")
     assert "search" in _package_imports("cli")
+
+
+def _terminal_writes(path):
+    """``print`` calls and ``stderr`` names of module ``path``, by line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "print":
+            found.append((node.lineno, "print"))
+        elif isinstance(node, ast.Attribute) and node.attr == "stderr":
+            found.append((node.lineno, "stderr"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys" \
+                and any(alias.name == "stderr" for alias in node.names):
+            found.append((node.lineno, "stderr"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "cli.py"), ids=lambda p: p.stem)
+def test_only_the_cli_writes_to_the_terminal(path):
+    assert not _terminal_writes(path), f"{path.name}: {_terminal_writes(path)}"
+
+
+def test_terminal_write_scan_sees_the_cli():
+    kinds = {kind for _, kind in _terminal_writes(PACKAGE / "cli.py")}
+    assert kinds == {"print", "stderr"}

@@ -128,12 +128,22 @@ def test_item_count_guards_both_searches(monkeypatch, threshold):
     if threshold is not None:
         monkeypatch.setattr(S, "LAZY_STRATUM_THRESHOLD", threshold)
     ctx = build_field(7)
-    with pytest.raises(AssertionError, match="21 items, expected 20"):
-        S._stratum_witnesses(ctx, 1, 1, 20, lambda: S.singer_problem(ctx, 1),
-                             "search (n=7, m=1)", None, None, False)
-    with pytest.raises(AssertionError, match="3 items, expected 4"):
-        S._stratum_witnesses(ctx, 1, 7, 4, lambda: S.frobenius_problem(ctx, 7),
-                             "stratum t=7", None, None, False)
+    with pytest.raises(AssertionError,
+                       match=r"^stratum \(m=1, t=1\): 21 items, expected 20$"):
+        S._solve_strata(ctx, 1, {1: 20}, None, None)
+    with pytest.raises(AssertionError,
+                       match=r"^stratum \(m=1, t=7\): 3 items, expected 4$"):
+        S._solve_strata(ctx, 1, {7: 4}, None, None)
+
+
+def test_solve_strata_returns_witnesses_in_ascending_t(f7):
+    # the witnesses of several strata come back stratum by stratum, t
+    # ascending, whatever the order of the map
+    import tridesign.search as S
+    one = S._solve_strata(f7, 1, {1: 21}, None, None)
+    seven = S._solve_strata(f7, 1, {7: 3}, None, None)
+    assert (len(one), len(seven)) == (7, 1)
+    assert S._solve_strata(f7, 1, {7: 3, 1: 21}, None, None) == one + seven
 
 
 def test_drivers_build_instances_by_public_name(monkeypatch):
