@@ -115,8 +115,7 @@ def cmd_expand(args) -> int:
 def cmd_verify(args) -> int:
     d = fileio.read_design(args.infile)
     if args.gdd and not isinstance(d, Gdd):
-        print("file does not carry groups; cannot verify as gdd", file=sys.stderr)
-        return 2
+        raise ValueError("file does not carry groups; cannot verify as gdd")
     cover = verify_gdd(d) if isinstance(d, Gdd) else verify_design(d)
     ok = cover.ok
     payload = {"ok": ok, "cover": cover.to_json_dict()}
@@ -149,8 +148,7 @@ def cmd_construct(args) -> int:
     elif args.construction == "fill":
         g = fileio.read_design(args.gdd)
         if not isinstance(g, Gdd):
-            print("--gdd file carries no groups", file=sys.stderr)
-            return 2
+            raise ValueError("--gdd file carries no groups")
         filler = fileio.read_design(args.filler)
         out = construct.fill_groups(g, filler)
         fileio.write_design(out, args.out)
@@ -159,13 +157,11 @@ def cmd_construct(args) -> int:
     else:  # gdd6k
         k = args.k
         if k >= 3 and args.out:
-            print("k >= 3 streams are not written to files; "
-                  "use --count/--sample", file=sys.stderr)
-            return 2
+            raise ValueError("k >= 3 streams are not written to files; "
+                             "use --count/--sample")
         if k <= 2 and (args.count or args.sample):
-            print("--count/--sample apply to streamed towers (k >= 3); "
-                  "use --out", file=sys.stderr)
-            return 2
+            raise ValueError("--count/--sample apply to streamed towers (k >= 3); "
+                             "use --out")
         g = construct.gdd_6k_6(k)
         if isinstance(g, construct.GddStream):
             msg = {"ok": True, "k": k, "planes": g.plane_count,

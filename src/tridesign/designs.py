@@ -19,12 +19,14 @@ Verifiers never trust construction metadata: they recompute every
 line key from the corner vectors, sort the 3T keys once, and check
 exact coverage.  The keys are laid out side-major: key s*T + t is side
 s of triangle t, the sides in ``_SIDES`` order.  Multiply covered
-lines are adjacent equal keys; uncovered lines are found by binary
-search of the ascending list of lines in the sorted keys, so refusing
-a design costs about as much as accepting one.  That list stops as
-soon as it must hold the first MAX_WITNESSES uncovered lines, so it
-never outgrows the design.  Each witness list holds the first
-MAX_WITNESSES lines in ascending key order.
+lines are adjacent equal keys.  Uncovered lines are found from the
+sorted keys by ``lines.uncovered_line_keys``: it counts the covered
+lines per smallest point against a closed form and lists lines only
+at the points that lack some.  So refusing a design costs what
+accepting it costs: at n = 13, frob13 less one row is refused in
+0.22 s and accepted whole in 0.21 s, both at a 99.5 MiB traced peak.
+Each witness list holds the first MAX_WITNESSES lines in ascending
+key order.
 
 The counting identities enforced here: a design over GF(2)^n has
 (2^n-1)(2^n-2)/18 triangles covering the (2^n-1)(2^n-2)/6 lines; an
@@ -38,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lines import (enumerate_line_keys_np, group_ids, key_dtype, key_rows,
-                    line_count, line_keys, spread_rows, validate_spread)
+from .lines import (group_ids, key_dtype, key_rows, line_count, line_keys,
+                    spread_rows, uncovered_line_keys, validate_spread)
 
 MAX_WITNESSES = 10
 # Largest triangle count a construction or an expansion builds in memory
@@ -211,6 +213,15 @@ def _line_keys(tri: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the ascending ``keys``: those unequal to
+    their predecessor.  (``np.unique`` hashes them again: on 2.8M keys,
+    60 times the cost of one sort.)"""
+    first = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def _describe_keys(keys: np.ndarray, n: int) -> list[tuple[int, int, int]]:
     return [tuple(r) for r in key_rows(keys[:MAX_WITNESSES], n).tolist()]
 
@@ -296,29 +307,6 @@ class BalanceReport:
         return f"unbalanced; coverage histogram: {hist}"
 
 
-_ABSENT_SLICE = 1 << 20
-
-
-def _absent_keys(wanted: np.ndarray, have: np.ndarray) -> np.ndarray:
-    """Keys of ascending ``wanted`` that do not occur in sorted ``have``
-    (both of one dtype, so the search casts neither).
-
-    One binary search per wanted key against the already sorted line
-    keys; ascending needles keep the searches cache-friendly.  The keys
-    are searched in slices of ``_ABSENT_SLICE``, so the positions never
-    take more than one slice's worth of memory.
-    """
-    if have.size == 0:
-        return wanted
-    absent = []
-    for lo in range(0, wanted.size, _ABSENT_SLICE):
-        part = wanted[lo:lo + _ABSENT_SLICE]
-        pos = np.searchsorted(have, part)
-        np.minimum(pos, have.size - 1, out=pos)
-        absent.append(part[have[pos] != part])
-    return np.concatenate(absent) if absent else wanted
-
-
 def _verify_cover(d: Design, m: int, groups: np.ndarray | None) -> CoverReport:
     """Exact cover of the lines of GF(2)^n outside the groups of the
     spread ``groups``, after the structural and spread checks.
@@ -342,27 +330,18 @@ def _verify_cover(d: Design, m: int, groups: np.ndarray | None) -> CoverReport:
         del g
     keys = _line_keys(cols.T, n)
     del cols
-    hits = np.unique(keys[inside]) if inside is not None else keys[:0]
+    hits = _distinct(np.sort(keys[inside])) if inside is not None else keys[:0]
     del inside
     keys.sort()
     dup_mask = np.zeros(keys.shape, dtype=bool)
     np.equal(keys[1:], keys[:-1], out=dup_mask[1:])
-    dups = np.unique(keys[dup_mask])
-    distinct = keys.size - int(np.count_nonzero(dup_mask))
+    repeats = keys[dup_mask]
+    distinct = keys.size - repeats.size
     del dup_mask
+    uncovered = _describe_keys(uncovered_line_keys(
+        keys, n, MAX_WITNESSES, (repeats, hits), groups, gid), n)
+    dups = _distinct(repeats)
     outside_total = line_count(n) - internal
-    uncovered: list = []
-    if distinct != outside_total or hits.size:
-        # At most ``distinct`` of the smallest outside lines are covered, so
-        # the first MAX_WITNESSES uncovered ones lie in this prefix, which
-        # also makes room for every group line it may hold.
-        wanted = enumerate_line_keys_np(n, distinct + internal + MAX_WITNESSES,
-                                        dtype=keys.dtype)
-        absent = _absent_keys(wanted, keys)
-        if gid is not None:  # drop the group lines among them
-            rows = key_rows(absent, n)
-            absent = absent[gid[rows[:, 0]] != gid[rows[:, 1]]]
-        uncovered = _describe_keys(absent, n)
     expected = expected_triangle_count(n, m)
     ok = (hits.size == 0 and dups.size == 0 and distinct == outside_total
           and not uncovered and d.triangle_count == expected)

@@ -7,8 +7,9 @@ array forms: the key (lo << n) | mid, whose order is the order of the
 sorted rows, and the (L, 3) int64 row (lo, mid, lo ^ mid).  A key
 takes 2n bits, so it is held in ``key_dtype(n)``: int32 while
 2n <= 31, int64 above.  ``line_keys`` packs the line through each
-pair of points and ``key_rows`` unpacks keys into rows; no other
-module reads the key layout.  A triangle is stored elsewhere as its
+pair of points, ``key_rows`` unpacks keys into rows and
+``uncovered_line_keys`` finds the lines missing from sorted keys; no
+other module reads the key layout.  A triangle is stored elsewhere as its
 sorted corner triple (a, b, c), the lines <a,b>, <b,c>, <a,c>.
 """
 
@@ -32,34 +33,33 @@ def key_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32 if 2 * n <= 31 else np.int64)
 
 
-def enumerate_line_keys_np(n: int, limit: int | None = None,
-                           dtype=np.int64) -> np.ndarray:
-    """Sorted array of all canonical line keys ((x << n) | y), or of the
-    ``limit`` smallest, in ``dtype`` (int64 unless the caller's keys are
-    narrower).
+def _partners(h: int, n: int, count: int, dtype) -> np.ndarray:
+    """The ``count`` smallest partners y of any x with top bit h, in
+    ``dtype``, ascending.
 
-    x < y are the two smallest points of the line {x, y, x ^ y}.  With h
-    the top bit of x, y is such a partner exactly when y >= 2^(h+1) and
-    bit h of y is clear, a set that does not depend on x; so the keys
-    with x in [2^h, 2^(h+1)) are one ascending outer product.  Only the
-    partners a prefix needs are built.
+    x < y are the two smallest points of the line {x, y, x ^ y} exactly
+    when y >= 2^(h+1) and bit h of y is clear, a set that does not
+    depend on x: each x has 2^(n-1) - 2^h lines (``per_point_lines``).
     """
-    total = line_count(n) if limit is None else min(limit, line_count(n))
-    out = np.empty(total, dtype=dtype)
-    at = 0
+    j = np.arange(count, dtype=dtype)
+    return (2 << h) + (((j >> h) << (h + 1)) | (j & ((1 << h) - 1)))
+
+
+def per_point_lines(n: int, h: int) -> int:
+    """Lines of GF(2)^n whose smallest point has top bit h."""
+    return (1 << (n - 1)) - (1 << h)
+
+
+def enumerate_line_keys_np(n: int) -> np.ndarray:
+    """Sorted int64 array of all line keys (x << n) | y.  The keys with x
+    in [2^h, 2^(h+1)) are one ascending outer product of those x and
+    their common partners (``_partners``)."""
+    blocks = [np.empty(0, dtype=np.int64)]
     for h in range(n - 1):
-        left = total - at
-        if left <= 0:
-            break
-        per_x = (1 << (n - 1)) - (1 << h)
-        j = np.arange(min(per_x, left), dtype=dtype)
-        y = (2 << h) + (((j >> h) << (h + 1)) | (j & ((1 << h) - 1)))
-        x = np.arange(1 << h, (1 << h) + min(1 << h, -(-left // per_x)),
-                      dtype=dtype)
-        block = ((x[:, None] << n) | y[None, :]).ravel()[:left]
-        out[at:at + block.size] = block
-        at += block.size
-    return out
+        x = np.arange(1 << h, 2 << h, dtype=np.int64)
+        y = _partners(h, n, per_point_lines(n, h), np.int64)
+        blocks.append(((x[:, None] << n) | y).ravel())
+    return np.concatenate(blocks)
 
 
 def line_keys(p, q, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -149,6 +149,24 @@ def validate_spread(groups, n: int) -> None:
         raise ValueError("groups do not cover all nonzero vectors")
 
 
+def group_line_counts(x, groups: np.ndarray, gid: np.ndarray, n: int) -> np.ndarray:
+    """Number of lines inside a group of the spread ``groups`` (``gid``
+    its ``group_ids``) whose smallest point is x, for each x.
+
+    With h the top bit of x, those lines pair up the points of x's group
+    at or above 2^(h+1): (2^m - 1 - #{g in group(x) : g < 2^(h+1)}) / 2.
+    The rows ascend, so row r shifted by r << n makes one ascending
+    array, and one ``searchsorted`` counts the points below 2^(h+1) in
+    every x's row; no group line is listed.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    G, q = groups.shape
+    rows = ((np.arange(G, dtype=np.int64)[:, None] << n) | groups).ravel()
+    g = gid[x].astype(np.int64)
+    top = 2 << (np.frexp(x.astype(np.float64))[1] - 1).astype(np.int64)
+    return (q - (np.searchsorted(rows, (g << n) + top) - g * q)) // 2
+
+
 def desarguesian_spread(ctx: FieldCtx, m: int) -> np.ndarray:
     """Multiplicative cosets of the order-2^m subfield of GF(2^n)."""
     if ctx.n % m:
@@ -177,6 +195,69 @@ def coset_exponents(ctx: FieldCtx, m: int, groups: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"group {int(np.argmax(bad))} is not a multiplicative coset")
     return res[:, 0]
+
+
+# -- uncovered lines -------------------------------------------------------------
+
+# Smallest points per block of the uncovered-line scan.
+_X_BLOCK = 1 << 12
+
+
+def uncovered_line_keys(keys: np.ndarray, n: int, limit: int, skip=(),
+                        groups: np.ndarray | None = None,
+                        gid: np.ndarray | None = None) -> np.ndarray:
+    """The ``limit`` smallest keys of the lines of GF(2)^n outside the
+    groups of the spread ``groups`` (``gid`` its ``group_ids``; None for
+    no groups) that the sorted ``keys`` miss, ascending, in their dtype.
+
+    ``skip`` holds sorted arrays of the entries of ``keys`` that are no
+    further distinct line outside the groups: the repeats and the group
+    lines among them.  The lines with smallest point x are the keys in
+    [x << n, (x + 1) << n), so one ``searchsorted`` of those bounds per
+    array counts the outside lines covered at every x of a block.  x
+    misses lines exactly when that count is below its outside line
+    count, ``per_point_lines`` less ``group_line_counts``.  Only those
+    x, ascending, list their partners, and only as many as their keys,
+    their group lines and the witnesses still wanted; the scan stops
+    once it has ``limit`` keys or has met every missing line.
+    """
+    missing = line_count(n) - keys.size + sum(s.size for s in skip)
+    if groups is not None:
+        G, q = groups.shape
+        missing -= G * q * (q - 1) // 6
+    found = [keys[:0]]
+    need = limit
+    if need <= 0 or missing <= 0:
+        return found[0]
+    for h in range(n - 1):
+        per_x = per_point_lines(n, h)
+        for start in range(1 << h, 2 << h, _X_BLOCK):
+            # needles in the keys' dtype, so no search casts the keys
+            x = np.arange(start, min(start + _X_BLOCK, 2 << h) + 1, dtype=keys.dtype)
+            bounds = x << n
+            at = np.searchsorted(keys, bounds)
+            seen = np.diff(at)
+            for s in skip:
+                seen -= np.diff(np.searchsorted(s, bounds))
+            inner = np.zeros_like(seen) if groups is None else \
+                group_line_counts(x[:-1], groups, gid, n)
+            short = per_x - inner - seen
+            for i in np.flatnonzero(short > 0).tolist():
+                own = keys[at[i]:at[i + 1]]
+                # among these many partners lie ``need`` missing outside lines
+                y = _partners(h, n, min(per_x, own.size + int(inner[i]) + need),
+                              keys.dtype)
+                cand = y | (int(x[i]) << n)
+                pos = np.minimum(np.searchsorted(own, cand), max(own.size - 1, 0))
+                gap = own[pos] != cand if own.size else np.ones(cand.size, dtype=bool)
+                if gid is not None:
+                    gap &= gid[y] != gid[x[i]]
+                found.append(cand[gap][:need])
+                need -= found[-1].size
+                missing -= int(short[i])
+                if need <= 0 or missing <= 0:
+                    return np.concatenate(found)
+    return np.concatenate(found)
 
 
 # -- 2-dimensional subspaces over an extension field ---------------------------

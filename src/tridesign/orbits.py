@@ -199,14 +199,15 @@ def exponent_universe(M: int, m: int) -> np.ndarray:
     return np.arange(M) % (M // ((1 << m) - 1)) != 0
 
 
-def _rep_lines(ctx: FieldCtx, reps) -> np.ndarray:
-    """(R, 3) line residues i, j, j - i of the reps (i, j)."""
+def _rep_gamma_rows(ctx: FieldCtx, reps) -> np.ndarray:
+    """(R, 3, 6) ``gamma_rows`` of the line residues i, j, j - i of the
+    reps (i, j); the field's whole gamma table is not built."""
     r = np.asarray(reps, dtype=np.int64).reshape(-1, 2)
     lines = np.column_stack([r, r[:, 1] - r[:, 0]]) % ctx.order
     if not lines.all():
         i, j = r[np.argmin(lines.all(axis=1))].tolist()
         raise ValueError(f"rep ({i},{j}): a line has residue 0 (gamma undefined)")
-    return lines
+    return gamma_rows(ctx, lines.ravel()).reshape(-1, 3, 6)
 
 
 def orbit_cover_counts(ctx: FieldCtx, reps) -> np.ndarray:
@@ -218,8 +219,7 @@ def orbit_cover_counts(ctx: FieldCtx, reps) -> np.ndarray:
     each of its residues three times, so it never passes for a part.
     A rep with a repeated corner (a line residue 0) is refused.
     """
-    rows = gamma_table(ctx)[_rep_lines(ctx, reps)]
-    return np.bincount(rows.ravel(), minlength=ctx.order)
+    return np.bincount(_rep_gamma_rows(ctx, reps).ravel(), minlength=ctx.order)
 
 
 def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate) -> Design | Gdd:
@@ -257,7 +257,7 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate) -> Design 
              "group line in triangle"),
             (counts > 1, OrbitCollisionError, "orbit collision on")):
         if bad.any():   # name the first rep with a line on a bad residue
-            rows = gamma_table(ctx)[_rep_lines(ctx, reps)]
+            rows = _rep_gamma_rows(ctx, reps)
             r, line = divmod(int(np.argmax(bad[rows].any(axis=2))), 3)
             i, j = reps[r]
             raise error(f"rep ({i},{j}): {fault} key {rows[r, line, 0]}")

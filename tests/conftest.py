@@ -1,5 +1,6 @@
 import pytest
 
+from tridesign.construct import product
 from tridesign.datasets import as_certificate, expand_special, load_dataset
 from tridesign.gf2n import build_field
 from tridesign.orbits import expand_certificate
@@ -53,3 +54,8 @@ def frob7_design():
 @pytest.fixture(scope="session")
 def frob13_design():
     return expand_certificate(as_certificate(load_dataset("frob13")))
+
+
+@pytest.fixture(scope="session")
+def product12(design6):
+    return product(design6, design6)

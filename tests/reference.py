@@ -3,7 +3,8 @@
 One frozen object per line (``Line``) and per triangle (``TriangleV``),
 the triangle test on three such lines, the gamma-set, 2-cyclotomic class
 and cy_gamma-set of a single exponent, and the gamma-key and
-triangle-orbit predicates, and a group-by-group spread validator.  The
+triangle-orbit predicates, a group-by-group spread validator, and the
+binary-search witness search over a prefix of all line keys.  The
 package works on line keys, (T, 3) corner rows, gamma rows and (G, q)
 spread arrays; these per-object forms are the independent definitions
 the tests check it against.
@@ -239,3 +240,49 @@ def validate_spread(groups, m: int, n: int) -> None:
             raise ValueError(f"group {i} does not span an {m}-dimensional subspace")
     if total != (1 << n) - 1:
         raise ValueError("groups do not cover all nonzero vectors")
+
+
+def line_key_prefix(n: int, limit: int | None = None) -> np.ndarray:
+    """The ``limit`` smallest line keys (x << n) | y of GF(2)^n (all of
+    them for None), ascending, built one smallest point x at a time."""
+    limit = (1 << 2 * n) if limit is None else limit
+    keys, have = [np.empty(0, dtype=np.int64)], 0
+    for x in range(1, 1 << n):
+        if have >= limit:
+            break
+        y = np.arange(x + 1, 1 << n, dtype=np.int64)
+        keys.append((x << n) | y[(x ^ y) > y][:limit - have])
+        have += keys[-1].size
+    return np.concatenate(keys)
+
+
+def searched_uncovered(tri, n: int, groups=None, limit: int = 10) -> list:
+    """The first ``limit`` lines outside the groups that no triangle of
+    ``tri`` covers, as (lo, mid, hi) tuples in ascending key order.
+
+    One binary search per line of a prefix of all lines in the sorted
+    distinct line keys of the corners.  At most as many of the smallest
+    lines are covered as there are distinct keys, so the prefix that
+    also holds every group line and ``limit`` more lines holds the
+    witnesses.
+    """
+    tri = np.asarray(tri, dtype=np.int64)
+    sides = [np.sort(np.column_stack([p, q, p ^ q]), axis=1)
+             for p, q in ((tri[:, 0], tri[:, 1]), (tri[:, 1], tri[:, 2]),
+                          (tri[:, 0], tri[:, 2]))]
+    have = np.sort(np.concatenate([(s[:, 0] << n) | s[:, 1] for s in sides]))
+    have = have[np.diff(have, prepend=-1) != 0]
+    gid = np.arange(1 << n)    # no groups: every vector its own
+    internal = 0
+    if groups is not None:
+        for i, g in enumerate(np.asarray(groups).tolist()):
+            gid[g] = -1 - i
+            internal += len(g) * (len(g) - 1) // 6
+    wanted = line_key_prefix(n, have.size + internal + limit)
+    if have.size:
+        pos = np.minimum(np.searchsorted(have, wanted), have.size - 1)
+        wanted = wanted[have[pos] != wanted]
+    lo, mid = wanted >> n, wanted & ((1 << n) - 1)
+    keep = gid[lo] != gid[mid]
+    return [(a, b, a ^ b) for a, b in zip(lo[keep][:limit].tolist(),
+                                          mid[keep][:limit].tolist())]

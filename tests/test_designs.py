@@ -1,3 +1,4 @@
+import itertools
 import os
 import platform
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import tridesign
-from reference import canonical_line
+from reference import canonical_line, searched_uncovered
 from tridesign.designs import (MAX_WITNESSES, Design, Gdd, _normalize_triangles,
                                charge_ledger, coverage_counts,
                                distinct_row_count, expected_triangle_count,
@@ -296,6 +297,8 @@ def _mutant(base, kind, seed):
         tri = np.delete(base.tri, i, axis=0)
     elif kind == "halved":  # more holes than witnesses are reported
         tri = base.tri[seed % 2::2]
+    elif kind == "doubled":  # every line covered twice
+        tri = np.concatenate([base.tri, base.tri])
     else:
         tri = np.concatenate([base.tri, base.tri[i:i + 1]])
     if isinstance(base, Gdd):
@@ -333,7 +336,7 @@ def _reference_witnesses(d):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("kind", ["replaced", "dropped", "duplicated", "halved"])
+@pytest.mark.parametrize("kind", ["replaced", "dropped", "duplicated", "halved", "doubled"])
 @pytest.mark.parametrize("base", ["design6", "frob7_design", "gdd6_2"])
 def test_witnesses_match_set_reference(base, kind, seed, request):
     d = _mutant(request.getfixturevalue(base), kind, seed)
@@ -375,19 +378,35 @@ def _row_line_keys(row, n):
     return keys
 
 
-def test_uncovered_witnesses_at_large_n(design6):
-    # design6's triangles read as a design over GF(2)^20: almost every
-    # line is uncovered, and the witnesses are found without listing all
-    # 2^39 / 3 lines.
-    n = 20
+def _large_n_case(design6, n):
+    """design6's triangles read as a design over GF(2)^n: almost every
+    line is uncovered.  Returns the design, its covered line keys and
+    the expected witnesses: the smallest line keys are (1 << n) | y for
+    even y >= 2."""
     d = Design(n=n, poly=design6.poly, tri=design6.tri)
-    rep = verify_design(d)
     covered = {k for row in d.tri.tolist() for k in _row_line_keys(row, n)}
-    # the smallest line keys are (1 << n) | y for even y >= 2
-    want = [(1, y, 1 ^ y) for y in range(2, 1 << n, 2)
-            if (1 << n) | y not in covered][:MAX_WITNESSES]
+    want = list(itertools.islice(((1, y, 1 ^ y) for y in itertools.count(2, 2)
+                                  if (1 << n) | y not in covered), MAX_WITNESSES))
+    return d, covered, want
+
+
+def test_uncovered_witnesses_at_large_n(design6):
+    # the witnesses are found without listing all 2^39 / 3 lines
+    d, covered, want = _large_n_case(design6, 20)
+    rep = verify_design(d)
     assert not rep.ok and rep.lines_seen == len(covered)
     assert rep.uncovered == want
+
+
+def test_uncovered_witnesses_at_n31(design6):
+    # x = 1 alone has 2^30 - 1 lines at n = 31, and the int64 keys take
+    # the wide path; only the partners the witnesses need are listed
+    d, covered, want = _large_n_case(design6, 31)
+    reports = []
+    peak = _traced_peak_mib(lambda: reports.append(verify_design(d)))
+    assert peak <= 1.0
+    assert not reports[0].ok and reports[0].lines_seen == len(covered)
+    assert reports[0].uncovered == want
 
 
 def test_gdd_witnesses_among_largest_lines(gdd6_2):
@@ -455,13 +474,13 @@ def test_peak_memory_bounds(call, design, bound_mib, request):
 
 
 def test_refusal_peak_memory(frob13_design):
-    # one dropped row: the witness search runs over a prefix of 11.2M
-    # wanted line keys, in slices; the report is the one the unsliced
-    # search gave
+    # one dropped row: the witness search lists partners of deficient
+    # smallest points only, so refusing peaks where accepting frob13 does
+    # (99.5 MiB); the report is the one the prefix search gave
     d = Design(n=13, poly=frob13_design.poly, tri=frob13_design.tri[1:])
     reports = []
     peak = _traced_peak_mib(lambda: reports.append(verify_design(d)))
-    assert peak <= 130.0
+    assert peak <= 101.0
     assert reports[0].to_json_dict() == {
         "report": "cover", "ok": False, "kind": "design", "n": 13, "m": 1,
         "triangle_count": 3726904, "expected_triangles": 3726905,
@@ -471,15 +490,29 @@ def test_refusal_peak_memory(frob13_design):
 
 
 @pytest.mark.parametrize("base", ["frob7_design", "gdd6_2"])
-def test_absent_key_slices_do_not_change_reports(base, request, monkeypatch):
-    # slices far smaller than the wanted prefix give the same witnesses
-    import tridesign.designs as D
+def test_x_blocks_do_not_change_reports(base, request, monkeypatch):
+    # blocks of smallest points far smaller than the scan give the same
+    # witnesses
+    import tridesign.lines as L
     base = request.getfixturevalue(base)
     inputs = [_mutant(base, kind, seed) for seed in range(2)
               for kind in ("replaced", "dropped", "halved")]
     whole = [_report_dicts(d) for d in inputs]
-    monkeypatch.setattr(D, "_ABSENT_SLICE", 7)
-    assert [_report_dicts(d) for d in inputs] == whole
+    for block in (1, 3):
+        monkeypatch.setattr(L, "_X_BLOCK", block)
+        assert [_report_dicts(d) for d in inputs] == whole
+
+
+@pytest.mark.parametrize("kind", ["replaced", "dropped", "duplicated", "halved"])
+@pytest.mark.parametrize("base", ["product12", "gdd12_6"])
+def test_witnesses_match_searched_reference(base, kind, request):
+    # the uncovered lines counted per smallest point are the ones a
+    # binary search of every line in a prefix of all lines finds
+    d = _mutant(request.getfixturevalue(base), kind, 0)
+    rep = verify_gdd(d) if isinstance(d, Gdd) else verify_design(d)
+    assert not rep.ok
+    assert rep.uncovered == searched_uncovered(d.tri, d.n, getattr(d, "groups", None),
+                                               MAX_WITNESSES)
 
 
 _RESERVE_AFTER_FREE = """

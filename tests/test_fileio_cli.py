@@ -414,6 +414,33 @@ def test_cli_progress_lines(argv, progress, tmp_path, capsys):
     assert logger.level == logging.NOTSET and not logger.handlers
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("verify", "--in", "D", "--gdd"),
+                 "file does not carry groups; cannot verify as gdd", id="verify-gdd"),
+    pytest.param(("construct", "fill", "--gdd", "D", "--filler", "D", "--out", "F"),
+                 "--gdd file carries no groups", id="fill"),
+    pytest.param(("construct", "gdd6k", "--k", "3", "--out", "F"),
+                 "k >= 3 streams are not written to files; use --count/--sample",
+                 id="gdd6k-out"),
+    pytest.param(("construct", "gdd6k", "--k", "2", "--sample", "10"),
+                 "--count/--sample apply to streamed towers (k >= 3); use --out",
+                 id="gdd6k-sample"),
+    pytest.param(("verify", "--in", "missing.design"), None, id="missing-file"),
+    pytest.param(("gamma", "--n", "6", "--k", "63"), "gamma undefined at 0", id="gamma"),
+])
+def test_cli_usage_refusals_start_with_error(argv, message, design6, monkeypatch,
+                                             tmp_path, capsys):
+    # every exit-2 path writes one stderr line that starts with "error: "
+    monkeypatch.chdir(tmp_path)
+    write_design(design6, "D")
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == f"error: {message}\n"
+    assert not (tmp_path / "F").exists()
+
+
 def test_cli_gdd6k_k1(tmp_path, capsys):
     out = tmp_path / "g6.design"
     assert run_cli("construct", "gdd6k", "--k", "1", "--out", str(out)) == 0

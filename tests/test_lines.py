@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 import reference
 from reference import TriangleV, canonical_line, enumerate_lines, is_triangle
 from tridesign.gf2n import build_field, embed_subfield
-from tridesign.lines import (PlaneBasis, canonical_plane_basis,
+from tridesign.lines import (PlaneBasis, _partners, canonical_plane_basis,
                              desarguesian_spread, enumerate_ext_planes,
                              enumerate_line_keys_np, ext_plane_count, group_ids,
-                             line_count, plane_bases, spread_rows,
-                             subfield_tables, validate_spread)
+                             group_line_counts, line_count, per_point_lines,
+                             plane_bases, spread_rows, subfield_tables,
+                             uncovered_line_keys, validate_spread)
 
 
 def test_canonical_line_examples():
@@ -43,41 +44,99 @@ def test_enumerate_lines_canonical_ascending():
         assert l.pts[0] ^ l.pts[1] ^ l.pts[2] == 0
 
 
-def _line_keys_loop(n):
-    """Reference: one Python iteration per smaller point x."""
-    top = 1 << n
-    keys = []
-    for x in range(1, top):
-        y = np.arange(x + 1, top, dtype=np.int64)
-        y = y[(x ^ y) > y]
-        if y.size:
-            keys.append((x << n) | y)
-    if not keys:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(keys)
-
-
 def test_enumerate_line_keys_np_matches():
     for n in (3, 5, 6):
         keys = enumerate_line_keys_np(n)
         ref = np.array([l.key(n) for l in enumerate_lines(n)])
         assert np.array_equal(np.sort(keys), np.sort(ref))
-    for n in range(2, 13):
-        ref = _line_keys_loop(n)
+    for n in range(1, 13):
+        ref = reference.line_key_prefix(n)
         keys = enumerate_line_keys_np(n)
         assert keys.dtype == np.int64 and keys.size == line_count(n)
         assert np.array_equal(keys, ref)
 
 
 def test_enumerate_line_keys_np_prefix():
+    # the keys of each smallest point x are x's partners in ascending
+    # order, and any count of them is a prefix of that list
     for n in (2, 3, 7, 10):
-        ref = _line_keys_loop(n)
-        for limit in (0, 1, 2, 5, ref.size // 3, ref.size - 1, ref.size, ref.size + 9):
-            assert np.array_equal(enumerate_line_keys_np(n, limit), ref[:limit])
+        keys = enumerate_line_keys_np(n)
+        for h in range(n - 1):
+            per_x = per_point_lines(n, h)
+            for x in (1 << h, (2 << h) - 1):
+                own = keys[(keys >> n) == x]
+                assert own.size == per_x
+                for count in (0, 1, per_x // 3, per_x):
+                    ys = _partners(h, n, count, np.int32)
+                    assert ys.dtype == np.int32
+                    assert np.array_equal(own[:count], (x << n) | ys)
     # a prefix at large n builds only the partners it needs
-    keys = enumerate_line_keys_np(31, 1000)
-    assert keys.size == 1000 and np.all(np.diff(keys) > 0)
-    assert int(keys[0]) == (1 << 31) | 2
+    ys = _partners(0, 31, 1000, np.int64)
+    assert ys.size == 1000 and np.all(np.diff(ys) > 0)
+    assert int(ys[0]) == 2 and int(ys[-1]) == 2000
+
+
+# A (4, 2) spread whose group line {1, 2, 3} is the first line of all.
+_SPREAD_4_2 = [[1, 2, 3], [4, 8, 12], [5, 10, 15], [6, 11, 13], [7, 9, 14]]
+
+
+@pytest.mark.parametrize("spread", [None, "gdd6_2", "first_line"])
+@pytest.mark.parametrize("block", [1, 3, 1 << 12])
+def test_uncovered_line_keys_match_set_difference(spread, block, request, monkeypatch):
+    import tridesign.lines as L
+    monkeypatch.setattr(L, "_X_BLOCK", block)
+    n, groups, gid = 7, None, None
+    if spread == "first_line":
+        n, groups = 4, spread_rows(_SPREAD_4_2)
+        validate_spread(groups, n)
+    elif spread is not None:
+        g = request.getfixturevalue(spread)
+        n, groups = g.n, g.groups
+    if groups is not None:
+        gid = group_ids(groups, n)
+    every = enumerate_line_keys_np(n)
+    outside = every if gid is None else every[gid[every >> n] != gid[every & ((1 << n) - 1)]]
+    inside = np.setdiff1d(every, outside)
+    rng = np.random.default_rng(7)
+    for count in (0, 1, 40, outside.size // 2, outside.size - 3, outside.size):
+        have = np.intersect1d(rng.choice(every, size=count, replace=False), outside) \
+            if count < outside.size else outside
+        # repeats and group lines among the keys are skipped
+        extra = np.concatenate([have[::5], inside[-2:]])
+        keys = np.sort(np.concatenate([have, extra])).astype(np.int32)
+        skip = (np.sort(have[::5]).astype(np.int32), inside[-2:].astype(np.int32))
+        gone = np.setdiff1d(outside, have)
+        for limit in (0, 1, 10, gone.size + 5):
+            got = uncovered_line_keys(keys, n, limit, skip, groups, gid)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, gone[:limit])
+
+
+def _group_line_count_reference(groups, n):
+    """Lines inside a group per smallest point, from all in-group pairs."""
+    count = np.zeros(1 << n, dtype=np.int64)
+    for row in np.asarray(groups).tolist():
+        for a, b in itertools.combinations(row, 2):
+            count[min(a, b, a ^ b)] += 1
+    return count // 3   # each line is found from its three pairs
+
+
+@pytest.mark.parametrize("spread", ["gdd6_2", "gdd12_6", "fill12_2"])
+def test_group_line_counts_match_pair_enumeration(spread, request):
+    if spread == "fill12_2":
+        from tridesign.construct import fill_groups
+        g = fill_groups(request.getfixturevalue("gdd12_6"),
+                        request.getfixturevalue("gdd6_2"))
+        assert g.m == 2 and g.n == 12
+    else:
+        g = request.getfixturevalue(spread)
+    n = g.n
+    x = np.arange(1, 1 << n)
+    got = group_line_counts(x, g.groups, group_ids(g.groups, n), n)
+    want = _group_line_count_reference(g.groups, n)[1:]
+    assert np.array_equal(got, want)
+    G, q = g.groups.shape
+    assert got.sum() == G * q * (q - 1) // 6
 
 
 def test_is_triangle_basic():
