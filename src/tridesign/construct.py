@@ -41,8 +41,8 @@ import numpy as np
 
 from .datasets import as_certificate, expand_special, load_dataset, multiplier_table
 from .designs import (MAX_MATERIALIZED_TRIANGLES, Design, Gdd, _line_keys,
-                      expected_triangle_count, verify_balanced, verify_design,
-                      verify_gdd)
+                      ascending_rows, expected_triangle_count, verify_balanced,
+                      verify_design, verify_gdd)
 from .gf2n import FieldCtx, build_field, embed_subfield
 from .orbits import expand_certificate
 from .lines import (PlaneBasis, coset_exponents, desarguesian_spread,
@@ -321,7 +321,7 @@ class GddStream:
 
     def plane_triangles(self, plane: PlaneBasis, canonical: bool = True) -> np.ndarray:
         tri = _plane_copy(self.ctx, self.emb, plane, self.idx)
-        return np.sort(tri, axis=1) if canonical else tri
+        return ascending_rows(tri) if canonical else tri
 
     def stream_count(self) -> int:
         """Triangles in the stream, ``plane_count * per_plane``, once the
@@ -441,7 +441,7 @@ def fill_groups(g: Gdd, filler: Design):
         raise ConstructionError(f"{e}; cannot fill") from None
     # tmaps[i, w]: the filler's vector w carried into group i, xi^e_i * emb[w]
     tmaps = ctx.mul_np(ctx.exp_np[exps][:, None], embed_subfield(build_field(g.m), ctx))
-    tri = np.concatenate([g.tri, np.sort(tmaps[:, filler.tri], axis=-1).reshape(-1, 3)])
+    tri = np.concatenate([g.tri, tmaps[:, filler.tri].reshape(-1, 3)])
     if isinstance(filler, Gdd):
         fine = tmaps[:, filler.groups].reshape(-1, filler.groups.shape[1])
         return Gdd(n=g.n, poly=g.poly, tri=tri, m=filler.m, groups=fine,

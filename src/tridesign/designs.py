@@ -8,12 +8,15 @@ That order comes from one sort of packed int64 row keys
 repeated triangles are then adjacent rows (``distinct_row_count``),
 which is how expansions test that their orbits are distinct.
 
-The hot kernels do not work on the strided columns of that array.
-They copy the three columns once into one contiguous (3, T) block in
-the narrowest dtype that holds the values, and make every later pass
-over its rows.  For the verifiers that dtype is the line-key dtype
-``key_dtype(n)``: int32 while a key fits (2n <= 31), int64 above.  The
-block is released as soon as the keys are built.
+The hot kernels make no pass over that whole array: at n = 13 it is
+89 MB, and a pass over it runs at DRAM speed.  They share one
+row-block walk (``_row_blocks``): it copies ``_BLOCK_ROWS`` rows at a
+time into one small contiguous (3, B) scratch block, int32 where the
+values allow it, and the kernel makes its passes there, in cache.  For the verifiers that dtype is the line-key dtype
+``key_dtype(n)``: int32 while a key fits (2n <= 31), int64 above.
+Only the outputs are full-size: the 3T line keys, the canonical form
+(whose row keys are packed and sorted in its own buffer), the
+incidence counts.
 
 Verifiers never trust construction metadata: they recompute every
 line key from the corner vectors, sort the 3T keys once, and check
@@ -24,7 +27,8 @@ sorted keys by ``lines.uncovered_line_keys``: it counts the covered
 lines per smallest point against a closed form and lists lines only
 at the points that lack some.  So refusing a design costs what
 accepting it costs: at n = 13, frob13 less one row is refused in
-0.22 s and accepted whole in 0.21 s, both at a 99.5 MiB traced peak.
+0.13-0.15 s and accepted whole in 0.145 s, both at a 53.3 MiB traced
+peak (the line keys and their repeat mask).
 Each witness list holds the first MAX_WITNESSES lines in ascending
 key order.
 
@@ -49,8 +53,29 @@ MAX_WITNESSES = 10
 MAX_MATERIALIZED_TRIANGLES = 50_000_000
 
 
+# Rows per block of the row-block walk (``_row_blocks``): a (3, B) block
+# in int64 is 768 KiB, so it and the few (B,) temporaries a kernel makes
+# over it stay in a 2 MiB L2 cache, while a pass over a full (T, 3)
+# array of tens of MB runs at DRAM speed.
+_BLOCK_ROWS = 1 << 15
+
+
+def _row_blocks(tri: np.ndarray, dtype, rows: int | None = None):
+    """Walk the rows of a (T, 3) array in blocks of ``_BLOCK_ROWS`` (or
+    ``rows``) rows: yield (lo, cols), cols the block's rows lo, lo + 1, ...
+    as a (3, b) array in ``dtype``.  Every block is copied once into the
+    same scratch array, so a block is valid only until the next step."""
+    T = tri.shape[0]
+    step = rows or _BLOCK_ROWS
+    scratch = np.empty((3, min(T, step)), dtype=dtype)
+    for lo in range(0, T, step):
+        cols = scratch[:, :min(step, T - lo)]
+        cols[...] = tri[lo:lo + step].T
+        yield lo, cols
+
+
 def _sort_rows(cols: np.ndarray) -> None:
-    """Sort each column of a (3, T) block in place: afterwards
+    """Sort each column of a (3, B) block in place: afterwards
     cols[0] <= cols[1] <= cols[2] elementwise.  A three-element min/max
     network with one spare row, so no element is copied."""
     a, b, c = cols
@@ -62,19 +87,33 @@ def _sort_rows(cols: np.ndarray) -> None:
     np.minimum(t, a, out=a)     # the smallest
 
 
+def ascending_rows(tri: np.ndarray) -> np.ndarray:
+    """A (T, 3) int64 copy of ``tri`` with each row sorted ascending
+    (``np.sort(tri, axis=1)``, which sorts one 3-element row at a time),
+    by the min/max network on the row-block walk."""
+    tri = np.asarray(tri)
+    out = np.empty(tri.shape, dtype=np.int64)
+    for lo, cols in _row_blocks(tri, np.int64):
+        _sort_rows(cols)
+        out[lo:lo + cols.shape[1]] = cols.T
+    return out
+
+
 def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
     """Canonical form of a (T, 3) corner array: each row ascending, rows
     in lexicographic order, as a new C-contiguous int64 array.
 
-    The columns are copied once into a (3, T) block, int32 when every
-    value lies in [0, 2^31), and each row is sorted there.  When every
-    value fits in w <= 21 bits, a row (a, b, c) packs into one int64
-    key (a << 2w) | (b << w) | c whose order is the row order, so one
-    in-place sort of T keys replaces a three-column lexsort and its
-    gather; the block is released and the keys are unpacked into the
-    output.  Keys that already ascend, as in a design file read back,
-    skip the sort.  Wider, negative and empty inputs take the lexsort
-    path.  All paths return the same array.
+    When every value lies in [0, 2^w) for w <= 21, a row (a, b, c)
+    packs into one int64 key (a << 2w) | (b << w) | c whose order is the
+    row order.  Each block of the row-block walk is copied in as int32,
+    its rows sorted and packed into its slice of the T keys, which are
+    held in the output's own buffer; one in-place sort of the keys
+    replaces a three-column lexsort and its gather, and a second walk
+    unpacks them into the output rows, so the output is the one
+    full-size array made.  Keys that already ascend, as in a design file
+    read back, skip the sort.  Wider, negative and empty inputs take a
+    lexsort of one (3, T) copy of the columns.  All paths return the
+    same array.
     """
     tri = np.asarray(tri)
     if tri.ndim != 2 or tri.shape[1] != 3:
@@ -83,28 +122,42 @@ def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
         tri = tri.astype(np.int64)
     T = tri.shape[0]
     lo, hi = (int(tri.min()), int(tri.max())) if T else (0, 0)
-    cols = np.empty((3, T), dtype=np.int32 if 0 <= lo and hi < 1 << 31 else np.int64)
-    cols[...] = tri.T
-    _sort_rows(cols)
     bits = hi.bit_length()
     if T == 0 or 3 * bits > 63 or lo < 0:
+        cols = np.empty((3, T), dtype=np.int32 if 0 <= lo and hi < 1 << 31 else np.int64)
+        cols[...] = tri.T
+        _sort_rows(cols)
         order = np.lexsort(cols[::-1])
         return np.ascontiguousarray(cols[:, order].T, dtype=np.int64)
-    key = cols[0].astype(np.int64)
-    key <<= bits
-    key |= cols[1]
-    key <<= bits
-    key |= cols[2]
-    del cols
-    if not (key[1:] >= key[:-1]).all():
-        key.sort()
+    # The keys live in the last third of the output's buffer: unpacking
+    # blocks in ascending order writes rows [lo, hi) to flat positions
+    # below 3 * hi <= 2T + hi, short of every key still to be read.
     out = np.empty((T, 3), dtype=np.int64)
+    key = out.reshape(-1)[2 * T:]
+    ascending = True
+    for start, cols in _row_blocks(tri, np.int32):
+        _sort_rows(cols)
+        k = key[start:start + cols.shape[1]]
+        k[...] = cols[0]
+        k <<= bits
+        k |= cols[1]
+        k <<= bits
+        k |= cols[2]
+        ascending = ascending and bool((k[1:] >= k[:-1]).all()) \
+            and (start == 0 or k[0] >= key[start - 1])
+    if not ascending:
+        key.sort()
     mask = (1 << bits) - 1
-    np.bitwise_and(key, mask, out=out[:, 2])
-    key >>= bits
-    np.bitwise_and(key, mask, out=out[:, 1])
-    key >>= bits
-    out[:, 0] = key
+    scratch = np.empty(min(T, _BLOCK_ROWS), dtype=np.int64)
+    for start in range(0, T, _BLOCK_ROWS):
+        rows = out[start:start + _BLOCK_ROWS]
+        k = scratch[:rows.shape[0]]
+        k[...] = key[start:start + rows.shape[0]]
+        np.bitwise_and(k, mask, out=rows[:, 2])
+        k >>= bits
+        np.bitwise_and(k, mask, out=rows[:, 1])
+        k >>= bits
+        rows[:, 0] = k
     return out
 
 
@@ -113,13 +166,18 @@ def distinct_row_count(tri: np.ndarray) -> int:
 
     Equal rows are adjacent after normalization, so this is T minus the
     number of rows equal to their predecessor; no second sort is needed.
+    A block's first row is compared with the last row of the block
+    before it.
     """
-    if tri.shape[0] == 0:
-        return 0
-    same = tri[1:, 0] == tri[:-1, 0]
-    same &= tri[1:, 1] == tri[:-1, 1]
-    same &= tri[1:, 2] == tri[:-1, 2]
-    return int(tri.shape[0] - np.count_nonzero(same))
+    same = 0
+    for lo, cols in _row_blocks(tri, np.int64):
+        eq = cols[0, 1:] == cols[0, :-1]
+        eq &= cols[1, 1:] == cols[1, :-1]
+        eq &= cols[2, 1:] == cols[2, :-1]
+        same += int(np.count_nonzero(eq))
+        if lo:
+            same += bool((tri[lo] == tri[lo - 1]).all())
+    return int(tri.shape[0] - same)
 
 
 @dataclass
@@ -170,47 +228,55 @@ def expected_triangle_count(n: int, m: int = 1) -> int:
     return N * ((1 << n) - (1 << m)) // 18
 
 
-def _triangle_columns(tri: np.ndarray, n: int) -> np.ndarray:
-    """The rows of a design's ``tri`` as one (3, T) block in
-    ``key_dtype(n)``, once every row is checked to be a triangle of
-    GF(2)^n; raises ValueError naming the first row that is not.
-
-    Rows ascend (a <= b <= c), so a row is malformed iff a <= 0, a == b,
-    b == c, a ^ b ^ c == 0 or c >= 2^n.  Values outside [1, 2^n) would
-    not survive the narrowing copy, so they are found on ``tri`` itself.
-    """
-    cols = np.empty((3, tri.shape[0]), dtype=key_dtype(n))
-    exact = tri.size == 0 or (tri.min() > 0 and tri.max() < 1 << n)
-    if exact:
-        cols[...] = tri.T
-    a, b, c = cols if exact else tri.T
-    bad = a <= 0
-    bad |= a == b
-    bad |= b == c
-    x = a ^ b
-    x ^= c
-    bad |= x == 0
-    bad |= c >= 1 << n
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"malformed triangle at row {i}: {tuple(tri[i].tolist())}")
-    return cols
-
-
 # The corner pairs spanning a triangle's lines <a,b>, <b,c>, <a,c>: key
 # s*T + t of the 3T line keys is side s of triangle t.
 _SIDES = ((0, 1), (1, 2), (0, 2))
 
 
-def _line_keys(tri: np.ndarray, n: int) -> np.ndarray:
-    """Line key of each of the 3T lines of the ascending-row triangles
-    ``tri`` (any (T, 3) array, e.g. the transposed column block), side
-    by side, in ``key_dtype(n)``."""
+def _cover_keys(tri: np.ndarray, n: int, gid: np.ndarray | None = None):
+    """(keys, inside) for the ascending rows ``tri`` of a design, once
+    every row is checked to be a triangle of GF(2)^n; raises ValueError
+    naming the first row that is not.  ``keys`` holds the line key of
+    each of the 3T lines, side by side, in ``key_dtype(n)``; ``inside``
+    whether each line lies inside a group of the spread with
+    ``group_ids`` ``gid`` (two of its points do), None without ``gid``.
+
+    One row-block walk in the key dtype builds both.  A row is
+    malformed iff a <= 0, a == b, b == c, a ^ b ^ c == 0 or c >= 2^n.
+    Values outside [1, 2^n) would not survive the narrowing copy, so a
+    block holding one is checked on ``tri`` itself.
+    """
     T = tri.shape[0]
     keys = np.empty(3 * T, dtype=key_dtype(n))
-    for s, (i, j) in enumerate(_SIDES):
-        line_keys(tri[:, i], tri[:, j], n, out=keys[s * T:(s + 1) * T])
-    return keys
+    inside = None if gid is None else np.empty(3 * T, dtype=bool)
+    for lo, cols in _row_blocks(tri, keys.dtype):
+        rows = tri[lo:lo + cols.shape[1]]
+        exact = rows.min() > 0 and rows.max() < 1 << n
+        a, b, c = cols if exact else rows.T
+        bad = a <= 0
+        bad |= a == b
+        bad |= b == c
+        x = a ^ b
+        x ^= c
+        bad |= x == 0
+        bad |= c >= 1 << n
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"malformed triangle at row {lo + i}: "
+                             f"{tuple(rows[i].tolist())}")
+        g = None if gid is None else gid.take(cols)
+        for s, (i, j) in enumerate(_SIDES):
+            at = slice(s * T + lo, s * T + lo + cols.shape[1])
+            line_keys(cols[i], cols[j], n, out=keys[at])
+            if g is not None:
+                np.equal(g[i], g[j], out=inside[at])
+    return keys, inside
+
+
+def _line_keys(tri: np.ndarray, n: int) -> np.ndarray:
+    """Line key of each of the 3T lines of the ascending-row triangles
+    ``tri``, side by side, in ``key_dtype(n)``."""
+    return _cover_keys(tri, n)[0]
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -315,21 +381,19 @@ def _verify_cover(d: Design, m: int, groups: np.ndarray | None) -> CoverReport:
     no line lies inside one and no group lookup is made.
     """
     n = d.n
-    cols = _triangle_columns(d.tri, n)
-    gid, internal, inside = None, 0, None
+    gid, internal = None, 0
     if groups is not None:
-        validate_spread(groups, n)
-        G, q = groups.shape
-        if q.bit_length() != m:
-            raise ValueError(f"spread dimension {q.bit_length()} != declared m={m}")
+        try:
+            validate_spread(groups, n)
+            G, q = groups.shape
+            if q.bit_length() != m:
+                raise ValueError(f"spread dimension {q.bit_length()} != declared m={m}")
+        except ValueError:
+            _cover_keys(d.tri, n)   # a malformed row is named before the spread
+            raise
         gid = group_ids(groups, n)
         internal = G * q * (q - 1) // 6
-        # a line lies inside a group iff two of its points do
-        g = [gid[col] for col in cols]
-        inside = np.concatenate([g[i] == g[j] for i, j in _SIDES])
-        del g
-    keys = _line_keys(cols.T, n)
-    del cols
+    keys, inside = _cover_keys(d.tri, n, gid)
     hits = _distinct(np.sort(keys[inside])) if inside is not None else keys[:0]
     del inside
     keys.sort()
@@ -370,18 +434,30 @@ def verify_gdd(g: Gdd) -> CoverReport:
 
 
 def _incidence_counts(tri: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vector counts of corner and of non-corner appearances: one
-    ``bincount`` over all corners and one per side's XOR, summed into
-    the 2^n accumulators."""
-    tri = np.asarray(tri, dtype=np.int64)
-    corner = np.bincount(tri.ravel(), minlength=1 << n)
-    if corner.size > 1 << n:
+    """Per-vector counts of corner and of non-corner appearances, added
+    up block by block on the row-block walk: one ``bincount`` of a
+    block's corners and one of its three side XORs.  A block holds at
+    least 2^n rows, so adding its counts costs no more than making them.
+    """
+    tri = np.asarray(tri)
+    size = 1 << n
+    corner = np.zeros(size, dtype=np.int64)
+    noncorner = np.zeros(size, dtype=np.int64)
+    in_range = True
+    step = max(_BLOCK_ROWS, size)
+    side = np.empty((3, min(tri.shape[0], step)), dtype=np.int64)
+    for _, cols in _row_blocks(tri, np.int64, step):
+        counts = np.bincount(cols.ravel(), minlength=size)
+        in_range = in_range and counts.size == size
+        if not in_range:
+            continue    # refused below, once every block is counted
+        corner += counts
+        x = side[:, :cols.shape[1]]
+        for s, (i, j) in enumerate(_SIDES):
+            np.bitwise_xor(cols[i], cols[j], out=x[s])
+        noncorner += np.bincount(x.ravel(), minlength=size)
+    if not in_range:
         raise ValueError("triangle vector out of range for declared dimension")
-    noncorner = np.zeros_like(corner)
-    side = np.empty(tri.shape[0], dtype=np.int64)
-    for i, j in _SIDES:
-        np.bitwise_xor(tri[:, i], tri[:, j], out=side)
-        noncorner += np.bincount(side, minlength=1 << n)
     return corner, noncorner
 
 

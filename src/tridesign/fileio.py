@@ -24,9 +24,10 @@ CR, VT, FF); blank lines are skipped and every other line holds exactly
 three tokens.  ``0x`` prefixes, underscores, signs and any other byte
 are refused with a ValueError naming the 1-based triangle line.
 
-Both directions work on numpy byte arrays in fixed-size chunks (rows on
-write, bytes cut at a newline on read), so the temporaries stay small
-however large the design is.
+Both directions work on numpy byte arrays in fixed-size chunks, small
+enough that each chunk's temporaries stay in cache however large the
+design is: a ``designs`` row block (2^15 rows) per encoded chunk, and
+256 KiB cut at a newline per parsed one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from importlib import resources
 
 import numpy as np
 
-from .designs import Design, Gdd
+from .designs import _BLOCK_ROWS, Design, Gdd
 from .gf2n import build_field
 from .lines import coset_exponents, coset_groups
 from .orbits import (FrobeniusCertificate, OrbitCertificate,
@@ -49,8 +50,8 @@ from .orbits import (FrobeniusCertificate, OrbitCertificate,
 FORMAT_HEADER = "tridesign-design v1"
 _MAX_N = 31                 # line keys fit an int64, corners an int32
 
-_WRITE_ROWS = 1 << 18       # triangle rows encoded per chunk
-_READ_BYTES = 1 << 22       # body bytes parsed per chunk, extended to a newline
+_WRITE_ROWS = _BLOCK_ROWS   # triangle rows encoded per chunk
+_READ_BYTES = 1 << 18       # body bytes parsed per chunk, extended to a newline
 _MAX_DIGITS = 15            # longer tokens could overflow int64
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)

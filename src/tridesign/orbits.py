@@ -262,15 +262,16 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate) -> Design 
             i, j = reps[r]
             raise error(f"rep ({i},{j}): {fault} key {rows[r, line, 0]}")
 
-    exp = ctx.exp_np
-    blocks = []
-    for i, j in reps:
-        col_a = exp
-        col_b = np.roll(exp, -i)
-        col_c = np.roll(exp, -j)
-        blocks.append(np.column_stack([col_a, col_b, col_c]))
-    tri = np.concatenate(blocks) if blocks else np.empty((0, 3), dtype=np.int64)
-    del blocks  # would double the footprint while the rows are sorted
+    # rep (i, j) scaled by xi^k is the row (xi^k, xi^(k+i), xi^(k+j)): the
+    # orbit's rows read three windows of the doubled exp table.  Corners
+    # lie below 2^MAX_DEGREE, so the rows Design sorts are int32.
+    exp2 = np.concatenate([ctx.exp_np, ctx.exp_np]).astype(np.int32)
+    tri = np.empty((len(reps) * M, 3), dtype=np.int32)
+    for r, (i, j) in enumerate(reps):
+        rows = tri[r * M:(r + 1) * M]
+        rows[:, 0] = exp2[:M]
+        rows[:, 1] = exp2[i:i + M]
+        rows[:, 2] = exp2[j:j + M]
 
     if m > 1:
         d = Gdd(n=n, poly=ctx.poly, tri=tri, m=m,

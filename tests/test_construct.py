@@ -226,17 +226,30 @@ def stream3():
 
 # Digests recorded with the scalar two-gather transport, before the
 # tower kernels were vectorized.
-@pytest.mark.parametrize("index, basis, digest", [
+_PINNED_PLANES = [
     (0, (1, 2), "761add68090ab5b1b492a460bfaca6f56aa10646902f7dd4997cd072c15b975c"),
     (2080, (3, 116), "dac726d515dd4592aa23276a82c3e6f37e2bf1e86c1db4ba18036d0a7d0c8741"),
     (4160, (2, 4), "e68f12099748593dbb43eca68391f9375adc1d43b30ff2b47056ccc7f524913c"),
-])
+]
+
+
+@pytest.mark.parametrize("index, basis, digest", _PINNED_PLANES)
 def test_plane_triangles_pinned(stream3, index, basis, digest):
     plane = next(itertools.islice(stream3.planes(), index, None))
     assert (plane.u, plane.v) == basis
     tri = stream3.plane_triangles(plane, canonical=False)
     assert tri.shape == (917280, 3) and tri.dtype == np.int64
     assert hashlib.sha256(tri.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("index", [index for index, _, _ in _PINNED_PLANES])
+def test_plane_triangles_canonical_sorts_each_row(stream3, index):
+    # the min/max network on row blocks is np.sort of each row
+    plane = next(itertools.islice(stream3.planes(), index, None))
+    raw = stream3.plane_triangles(plane, canonical=False)
+    canon = stream3.plane_triangles(plane)
+    assert canon.dtype == np.int64 and canon.flags.c_contiguous
+    assert np.array_equal(canon, np.sort(raw, axis=1))
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -60,7 +60,7 @@ def test_malformed_triangle_raises(design6):
     bad2[0] = (0, 2, 4)
     with pytest.raises(ValueError, match="malformed"):
         verify_design(Design(n=6, poly=design6.poly, tri=bad2))
-    # corners that an int32 column block would wrap onto a valid triangle
+    # corners that an int32 row block would wrap onto a valid triangle
     for wide in ((1 << 32) | 4, -(1 << 32) | 1):
         bad3 = design6.tri.copy()
         bad3[7] = (1, 2, wide)
@@ -460,7 +460,7 @@ def _traced_peak_mib(call, *args):
 
 # Peaks of these calls on frob13 (3.7M triangles) and gdd12-6 while they
 # still made their passes over the strided int64 columns of ``tri``; the
-# column-block kernels must not need more.
+# row-block kernels must not need more.
 @pytest.mark.parametrize("call, design, bound_mib", [
     (_normalize_triangles, "frob13_design", 142.2),
     (verify_design, "frob13_design", 125.3),
@@ -476,11 +476,12 @@ def test_peak_memory_bounds(call, design, bound_mib, request):
 def test_refusal_peak_memory(frob13_design):
     # one dropped row: the witness search lists partners of deficient
     # smallest points only, so refusing peaks where accepting frob13 does
-    # (99.5 MiB); the report is the one the prefix search gave
+    # (53.3 MiB: the line keys and their repeat mask, built on row blocks);
+    # the report is the one the prefix search gave
     d = Design(n=13, poly=frob13_design.poly, tri=frob13_design.tri[1:])
     reports = []
     peak = _traced_peak_mib(lambda: reports.append(verify_design(d)))
-    assert peak <= 101.0
+    assert peak <= 55.0
     assert reports[0].to_json_dict() == {
         "report": "cover", "ok": False, "kind": "design", "n": 13, "m": 1,
         "triangle_count": 3726904, "expected_triangles": 3726905,
@@ -544,3 +545,82 @@ def test_freed_heap_top_keeps_the_fixed_reserve():
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert abs(int(out) - tridesign._malloc.TOP_PAD) < 4 << 20
+
+
+def _block_outputs(d):
+    """Every output of the row-block kernels on ``d``: its reports, its
+    ledger and the canonical form and distinct-row count of a shuffled
+    copy of its rows with repeats."""
+    import tridesign.designs as D
+    rng = np.random.default_rng(d.triangle_count)
+    raw = d.tri[rng.integers(0, d.triangle_count, size=d.triangle_count + 9)][:, ::-1]
+    canon = _normalize_triangles(raw)
+    return (_report_dicts(d), charge_ledger(d.tri, d.n).tolist(), canon.tolist(),
+            distinct_row_count(canon), D.ascending_rows(raw).tolist())
+
+
+def _verify_error(d):
+    with pytest.raises(ValueError) as e:
+        verify_gdd(d) if isinstance(d, Gdd) else verify_design(d)
+    return str(e.value)
+
+
+def _with_rows(base, rows, groups=None):
+    """``base`` with the given rows replaced, in place of its normalized
+    rows, so a malformed row sits at a chosen position."""
+    d = Gdd(n=base.n, poly=base.poly, tri=base.tri, m=base.m,
+            groups=base.groups if groups is None else groups) \
+        if isinstance(base, Gdd) else Design(n=base.n, poly=base.poly, tri=base.tri)
+    for i, row in rows.items():
+        d.tri[i] = row
+    return d
+
+
+@pytest.mark.parametrize("base", ["design6", "gdd6_2", "frob7_design"])
+def test_block_size_does_not_change_outputs(base, request, monkeypatch):
+    # blocks of 1 and 7 rows cut every kernel's walk at other rows than
+    # the default block: reports, ledgers, canonical forms and error
+    # messages are the same
+    import tridesign.designs as D
+    base = request.getfixturevalue(base)
+    inputs = [base] + [_mutant(base, kind, seed) for seed in range(2)
+                       for kind in ("replaced", "dropped", "duplicated", "doubled")]
+    if isinstance(base, Gdd):
+        inputs.append(_group_line_mutant(base))
+        # a vector of group 1 put in group 0: no spread, and no longer the
+        # error named first once a row is malformed
+        broken = base.groups.copy()
+        broken[0, -1] = broken[1, 0]
+    faults = [
+        ({6: (1, 2, 3)}, "malformed triangle at row 6: (1, 2, 3)"),  # a block's last row
+        ({13: (0, 2, 4)}, "malformed triangle at row 13: (0, 2, 4)"),
+        # wraps to (1, 2, 4) in int32, after a fault in an earlier block
+        ({3: (1, 2, 2), 100: (1, 2, (1 << 32) | 4)}, "malformed triangle at row 3: (1, 2, 2)"),
+        ({100: (1, 2, (1 << 32) | 4)}, "malformed triangle at row 100: (1, 2, 4294967300)"),
+    ]
+    bad = [_with_rows(base, rows) for rows, _ in faults]
+    if isinstance(base, Gdd):
+        bad.append(_with_rows(base, {6: (1, 2, 3)}, broken))
+        bad.append(_with_rows(base, {}, broken))
+    whole = [_block_outputs(d) for d in inputs]
+    errors = [_verify_error(d) for d in bad]
+    assert errors[:len(faults)] == [message for _, message in faults]
+    if isinstance(base, Gdd):
+        assert errors[-2:] == [faults[0][1], "group 0 repeats a vector or overlaps "
+                               "another group"]
+    for rows in (1, 7):
+        monkeypatch.setattr(D, "_BLOCK_ROWS", rows)
+        assert [_block_outputs(d) for d in inputs] == whole
+        assert [_verify_error(d) for d in bad] == errors
+
+
+def test_block_size_does_not_change_a_fault_at_a_default_block_end(gdd12_6, monkeypatch):
+    # the last row of the first default block, reached at every block size
+    import tridesign.designs as D
+    end = D._BLOCK_ROWS - 1
+    d = _with_rows(Design(n=12, poly=gdd12_6.poly, tri=gdd12_6.tri), {end: (5, 9, 12)})
+    message = f"malformed triangle at row {end}: (5, 9, 12)"
+    assert _verify_error(d) == message
+    for rows in (1, 7):
+        monkeypatch.setattr(D, "_BLOCK_ROWS", rows)
+        assert _verify_error(d) == message
