@@ -6,7 +6,6 @@ the 2-dimensional subspaces of GF(2)^n into triples of subspaces with
 pairwise 1-dimensional intersections.
 """
 
-from . import _malloc
 from .construct import (GddStream, balanced_extension, fill_groups, gdd_6k_6,
                         product, product_census, trivial_design)
 from .datasets import (EmbeddedDataset, as_certificate, dataset_names,
@@ -26,5 +25,3 @@ from .xcover import (CoverSolution, LimitExceeded, Unsatisfiable,
                      XCoverInstance, check_solution, solve)
 
 __version__ = "0.1.0"
-
-_malloc.configure_malloc()

@@ -96,7 +96,6 @@ POLY6 = 0b1011011
 POLY7 = 0b10000011
 POLY12 = 0b1000011101011
 POLY13 = 0b10000000011011
-POLY19 = 0b10000000000000100111
 
 
 class DatasetError(ValueError):

@@ -12,8 +12,9 @@ The hot kernels make no pass over that whole array: at n = 13 it is
 89 MB, and a pass over it runs at DRAM speed.  They share one
 row-block walk (``_row_blocks``): it copies ``_BLOCK_ROWS`` rows at a
 time into one small contiguous (3, B) scratch block, int32 where the
-values allow it, and the kernel makes its passes there, in cache.  For the verifiers that dtype is the line-key dtype
-``key_dtype(n)``: int32 while a key fits (2n <= 31), int64 above.
+values allow it, and the kernel makes its passes there, in cache.  For
+the verifiers that dtype is the line-key dtype ``key_dtype(n)``: int32
+while a key fits (2n <= 31), int64 above.
 Only the outputs are full-size: the 3T line keys, the canonical form
 (whose row keys are packed and sorted in its own buffer), the
 incidence counts.

@@ -91,7 +91,7 @@ def _encode_rows(tri: np.ndarray, top: int):
     leading zeros.
     """
     width = max(1, (top.bit_length() + 3) // 4)
-    cols = np.arange(width + 1)
+    cols = np.arange(width + 1, dtype=np.int8)
     for lo in range(0, tri.shape[0], _WRITE_ROWS):
         v = tri[lo:lo + _WRITE_ROWS].ravel()
         cells = np.empty((v.size, width + 1), dtype=np.uint8)
@@ -252,6 +252,8 @@ def read_design(path: str) -> Design | Gdd:
     data = _read_bytes(path)
     header, body = _split_header(data)
     kind = header.get("kind", "design")
+    if kind not in ("design", "gdd"):
+        raise ValueError(f"design file kind {kind!r} is not 'design' or 'gdd'")
     n = _header_int(header, "n")
     m = _header_int(header, "m", default="1")
     poly = _header_int(header, "poly", base=16)

@@ -1,14 +1,9 @@
 import itertools
-import os
-import platform
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import tridesign
 from reference import canonical_line, searched_uncovered
 from tridesign.designs import (MAX_WITNESSES, Design, Gdd, _normalize_triangles,
                                charge_ledger, coverage_counts,
@@ -514,37 +509,6 @@ def test_witnesses_match_searched_reference(base, kind, request):
     assert not rep.ok
     assert rep.uncovered == searched_uncovered(d.tri, d.n, getattr(d, "groups", None),
                                                MAX_WITNESSES)
-
-
-_RESERVE_AFTER_FREE = """
-import os
-import numpy as np
-import tridesign
-
-def rss():
-    with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-
-before = rss()
-a = np.ones(30 << 20, np.uint8)   # by default, slides the trim threshold to 60 MB
-del a
-arrays = [np.ones(20 << 20, np.uint8) for _ in range(5)]
-del arrays
-print(rss() - before)
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
-def test_freed_heap_top_keeps_the_fixed_reserve():
-    """Once tridesign is imported, freeing 100 MB of kernel-sized arrays
-    leaves the fixed 64 MiB heap reserve resident.  (glibc's sliding
-    default left 40 MB here: what it keeps depends on the size of the
-    mapped blocks freed before.)"""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tridesign.__file__)))
-    out = subprocess.run([sys.executable, "-c", _RESERVE_AFTER_FREE],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert abs(int(out) - tridesign._malloc.TOP_PAD) < 4 << 20
 
 
 def _block_outputs(d):

@@ -547,6 +547,31 @@ def test_missing_header_key(key, tmp_path):
     assert run_cli("verify", "--in", str(p)) == 2
 
 
+@pytest.mark.parametrize("kind", ["banana", "GDD", ""])
+def test_unknown_kind_refused(kind, tmp_path, capsys):
+    # refused before the rows are parsed: the malformed row is never reached
+    from tridesign.gf2n import _build_field_cached
+    p = tmp_path / "bad.design"
+    p.write_text(_SMALL_DESIGN.replace("kind: design", f"kind: {kind}")
+                 .replace("1 2 4", "1 2 x"))
+    message = f"design file kind {kind!r} is not 'design' or 'gdd'"
+    before = _build_field_cached.cache_info().currsize
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_design(str(p))
+    assert run_cli("verify", "--in", str(p)) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert _build_field_cached.cache_info().currsize == before
+
+
+def test_missing_kind_reads_as_design(tmp_path):
+    p = tmp_path / "plain.design"
+    p.write_text(_SMALL_DESIGN.replace("kind: design\n", ""))
+    d = read_design(str(p))
+    assert type(d) is Design and d.kind == "design" and d.tri.tolist() == [[1, 2, 4]]
+
+
 @pytest.mark.parametrize("key, bad", [("n", "3.0"), ("m", "one"),
                                       ("poly", "0xzz"), ("count", "")])
 def test_non_integer_header_value(key, bad, tmp_path):

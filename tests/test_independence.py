@@ -8,6 +8,9 @@ the designs.  The modules are read as source and never imported.
 
 Output has one channel as well: only the command line writes to the
 terminal, and the library reports progress on the ``tridesign`` logger.
+Importing or calling the library leaves process-wide settings as it
+found them: no module loads ``ctypes`` (the C library's allocator, for
+one, is left alone) or sets interpreter or numpy globals.
 """
 
 import ast
@@ -91,3 +94,44 @@ def test_only_the_cli_writes_to_the_terminal(path):
 def test_terminal_write_scan_sees_the_cli():
     kinds = {kind for _, kind in _terminal_writes(PACKAGE / "cli.py")}
     assert kinds == {"print", "stderr"}
+
+
+_GLOBAL_SETTERS = {"sys": {"setrecursionlimit", "setswitchinterval"},
+                   "np": {"seterr", "set_printoptions"},
+                   "numpy": {"seterr", "set_printoptions"}}
+
+
+def _global_state_changes(source):
+    """``ctypes`` imports and calls of process-wide setters in ``source``,
+    by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "ctypes") for alias in node.names
+                      if alias.name.split(".")[0] == "ctypes"]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            root = node.module.split(".")[0]
+            if root == "ctypes":
+                found.append((node.lineno, "ctypes"))
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in _GLOBAL_SETTERS.get(root, ())]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.attr in _GLOBAL_SETTERS.get(node.value.id, ()):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_process_wide_settings(path):
+    found = _global_state_changes(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name}: {found}"
+
+
+def test_global_state_scan_sees_setters():
+    source = ("import ctypes\nfrom ctypes import CDLL\nimport sys\n"
+              "import numpy as np\nfrom sys import setswitchinterval\n"
+              "sys.setrecursionlimit(10**6)\nnp.seterr(all='ignore')\n"
+              "np.set_printoptions(precision=3)\n")
+    assert _global_state_changes(source) == [
+        (1, "ctypes"), (2, "ctypes"), (5, "setswitchinterval"),
+        (6, "sys.setrecursionlimit"), (7, "np.seterr"), (8, "np.set_printoptions")]
