@@ -69,9 +69,8 @@ def _or_families(terms, census: dict[str, int] | None = None):
     row.  The sizes are totalled, and must equal ``census`` when it is
     given, before the output is allocated; each term is then written
     straight into its slice of it.  The rows are int32, which the size
-    guards allow (every output has n <= 14); they stay alive while
-    ``Design`` normalizes them into int64, so half width lowers the
-    peak of that step.
+    guards allow (every output has n <= 14), the dtype of the canonical
+    rows ``Design`` normalizes them into.
     """
     sizes: dict[str, int] = {}
     for fam, left, right in terms:
@@ -283,8 +282,8 @@ def _plane_copy(ctx: FieldCtx, emb: np.ndarray, plane: PlaneBasis,
                 idx: np.ndarray) -> np.ndarray:
     """The (12,6) design carried into ``plane``: the corner with subfield
     coordinates (a, b) goes to a*u + b*v, read from the plane's
-    4096-point table in one gather.  Rows unsorted."""
-    table = span_grids(ctx, emb, [plane.u], [plane.v])[0]
+    4096-point table, as int32, in one gather.  Rows unsorted."""
+    table = span_grids(ctx, emb, [plane.u], [plane.v])[0].astype(np.int32)
     return table.take(idx)
 
 
@@ -439,8 +438,10 @@ def fill_groups(g: Gdd, filler: Design):
         exps = coset_exponents(ctx, g.m, g.groups)
     except ValueError as e:
         raise ConstructionError(f"{e}; cannot fill") from None
-    # tmaps[i, w]: the filler's vector w carried into group i, xi^e_i * emb[w]
-    tmaps = ctx.mul_np(ctx.exp_np[exps][:, None], embed_subfield(build_field(g.m), ctx))
+    # tmaps[i, w]: the filler's vector w carried into group i, xi^e_i * emb[w],
+    # int32 like the rows it fills
+    tmaps = ctx.mul_np(ctx.exp_np[exps][:, None],
+                       embed_subfield(build_field(g.m), ctx)).astype(np.int32)
     tri = np.concatenate([g.tri, tmaps[:, filler.tri].reshape(-1, 3)])
     if isinstance(filler, Gdd):
         fine = tmaps[:, filler.groups].reshape(-1, filler.groups.shape[1])

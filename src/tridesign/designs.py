@@ -1,15 +1,19 @@
 """Triangle designs, group-divisible triangle designs, and their
 construction-agnostic verifiers.
 
-A design is stored as an (T, 3) C-contiguous int64 array of corner
-triples (each row sorted ascending; rows sorted lexicographically).
-That order comes from one sort of packed int64 row keys
-(``_normalize_triangles``), and it is the only whole-design sort:
-repeated triangles are then adjacent rows (``distinct_row_count``),
-which is how expansions test that their orbits are distinct.
+A design is stored as an (T, 3) C-contiguous array of corner triples
+(each row sorted ascending; rows sorted lexicographically), int32 when
+every value fits one and int64 otherwise (``_row_dtype``).  Every
+design over GF(2)^n with n <= 31 is int32; only rows with a corner
+outside the int32 range, which no design has, are int64, and the
+verifiers name them as malformed.  The order comes from one sort of
+packed int64 row keys (``_normalize_triangles``), and it is the only
+whole-design sort: repeated triangles are then adjacent rows
+(``distinct_row_count``), which is how expansions test that their
+orbits are distinct.
 
 The hot kernels make no pass over that whole array: at n = 13 it is
-89 MB, and a pass over it runs at DRAM speed.  They share one
+45 MB, and a pass over it runs at DRAM speed.  They share one
 row-block walk (``_row_blocks``): it copies ``_BLOCK_ROWS`` rows at a
 time into one small contiguous (3, B) scratch block, int32 where the
 values allow it, and the kernel makes its passes there, in cache.  For
@@ -50,7 +54,7 @@ from .lines import (group_ids, key_dtype, key_rows, line_count, line_keys,
 
 MAX_WITNESSES = 10
 # Largest triangle count a construction or an expansion builds in memory
-# (a (T, 3) int64 array of 50M rows is 1.2 GB, before it is sorted).
+# (a (T, 3) int32 array of 50M rows is 600 MB).
 MAX_MATERIALIZED_TRIANGLES = 50_000_000
 
 
@@ -88,13 +92,28 @@ def _sort_rows(cols: np.ndarray) -> None:
     np.minimum(t, a, out=a)     # the smallest
 
 
+def _row_dtype(lo: int, hi: int) -> np.dtype:
+    """The dtype of canonical triangle rows whose values lie in [lo, hi]:
+    int32 when every value fits one, int64 otherwise."""
+    return np.dtype(np.int32 if -(1 << 31) <= lo and hi < 1 << 31 else np.int64)
+
+
+def _value_range(tri: np.ndarray) -> tuple[int, int]:
+    """(min, max) of the values of ``tri``; (0, 0) when it is empty."""
+    return (int(tri.min()), int(tri.max())) if tri.size else (0, 0)
+
+
 def ascending_rows(tri: np.ndarray) -> np.ndarray:
-    """A (T, 3) int64 copy of ``tri`` with each row sorted ascending
+    """A (T, 3) copy of ``tri`` with each row sorted ascending
     (``np.sort(tri, axis=1)``, which sorts one 3-element row at a time),
-    by the min/max network on the row-block walk."""
+    by the min/max network on the row-block walk.  The copy is int32
+    when every value fits one (read off the dtype when that is no wider),
+    int64 otherwise."""
     tri = np.asarray(tri)
-    out = np.empty(tri.shape, dtype=np.int64)
-    for lo, cols in _row_blocks(tri, np.int64):
+    dtype = np.dtype(np.int32) if np.can_cast(tri.dtype, np.int32) \
+        else _row_dtype(*_value_range(tri))
+    out = np.empty(tri.shape, dtype=dtype)
+    for lo, cols in _row_blocks(tri, dtype):
         _sort_rows(cols)
         out[lo:lo + cols.shape[1]] = cols.T
     return out
@@ -102,19 +121,20 @@ def ascending_rows(tri: np.ndarray) -> np.ndarray:
 
 def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
     """Canonical form of a (T, 3) corner array: each row ascending, rows
-    in lexicographic order, as a new C-contiguous int64 array.
+    in lexicographic order, as a new C-contiguous array in ``_row_dtype``
+    of its values.
 
     When every value lies in [0, 2^w) for w <= 21, a row (a, b, c)
     packs into one int64 key (a << 2w) | (b << w) | c whose order is the
-    row order.  Each block of the row-block walk is copied in as int32,
-    its rows sorted and packed into its slice of the T keys, which are
-    held in the output's own buffer; one in-place sort of the keys
-    replaces a three-column lexsort and its gather, and a second walk
-    unpacks them into the output rows, so the output is the one
-    full-size array made.  Keys that already ascend, as in a design file
-    read back, skip the sort.  Wider, negative and empty inputs take a
-    lexsort of one (3, T) copy of the columns.  All paths return the
-    same array.
+    row order, and the rows are int32.  Each block of the row-block walk
+    is copied in as int32, its rows sorted and packed into its slice of
+    the T keys, which are held in the output's own buffer; one in-place
+    sort of the keys replaces a three-column lexsort and its gather, and
+    a second walk unpacks them into the output rows, so the output is
+    the one full-size array made.  Keys that already ascend, as in a
+    design file read back, skip the sort.  Wider, negative and empty
+    inputs take a lexsort of one (3, T) copy of the columns.  All paths
+    return the same array.
     """
     tri = np.asarray(tri)
     if tri.ndim != 2 or tri.shape[1] != 3:
@@ -122,19 +142,22 @@ def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
     if not np.can_cast(tri.dtype, np.int64):
         tri = tri.astype(np.int64)
     T = tri.shape[0]
-    lo, hi = (int(tri.min()), int(tri.max())) if T else (0, 0)
+    lo, hi = _value_range(tri)
     bits = hi.bit_length()
     if T == 0 or 3 * bits > 63 or lo < 0:
-        cols = np.empty((3, T), dtype=np.int32 if 0 <= lo and hi < 1 << 31 else np.int64)
+        cols = np.empty((3, T), dtype=_row_dtype(lo, hi))
         cols[...] = tri.T
         _sort_rows(cols)
         order = np.lexsort(cols[::-1])
-        return np.ascontiguousarray(cols[:, order].T, dtype=np.int64)
-    # The keys live in the last third of the output's buffer: unpacking
-    # blocks in ascending order writes rows [lo, hi) to flat positions
-    # below 3 * hi <= 2T + hi, short of every key still to be read.
-    out = np.empty((T, 3), dtype=np.int64)
-    key = out.reshape(-1)[2 * T:]
+        return np.ascontiguousarray(cols[:, order].T)
+    # The 12T-byte int32 rows share one buffer with the 8T bytes of keys,
+    # which fill its end, 8-byte aligned (one spare int32 when T is odd):
+    # key j starts at byte 4T + 8j or later.  Unpacking blocks in
+    # ascending order writes rows [s, e) to bytes below 12e <= 4T + 8e,
+    # short of every key still to be read.
+    buf = np.empty(3 * T + T % 2, dtype=np.int32)
+    out = buf[:3 * T].reshape(T, 3)
+    key = buf[T + T % 2:].view(np.int64)
     ascending = True
     for start, cols in _row_blocks(tri, np.int32):
         _sort_rows(cols)
@@ -168,10 +191,11 @@ def distinct_row_count(tri: np.ndarray) -> int:
     Equal rows are adjacent after normalization, so this is T minus the
     number of rows equal to their predecessor; no second sort is needed.
     A block's first row is compared with the last row of the block
-    before it.
+    before it.  The blocks keep the input's dtype.
     """
+    tri = np.asarray(tri)
     same = 0
-    for lo, cols in _row_blocks(tri, np.int64):
+    for lo, cols in _row_blocks(tri, tri.dtype):
         eq = cols[0, 1:] == cols[0, :-1]
         eq &= cols[1, 1:] == cols[1, :-1]
         eq &= cols[2, 1:] == cols[2, :-1]

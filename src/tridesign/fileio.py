@@ -54,7 +54,10 @@ _WRITE_ROWS = _BLOCK_ROWS   # triangle rows encoded per chunk
 _READ_BYTES = 1 << 18       # body bytes parsed per chunk, extended to a newline
 _MAX_DIGITS = 15            # longer tokens could overflow int64
 
-_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# cell code -> output byte: nibbles 0..15 to hex digits, 16 to a space and
+# 17 to a newline.  A ``bytes.translate`` table, so the encoder's cells
+# hold plain nibbles and no per-digit gather is made.
+_HEX_CELL = b"0123456789abcdef \n" + bytes(range(18, 256))
 # byte -> nibble value as an int8; -1 for ASCII whitespace, -2 for anything
 # else.  A ``bytes.translate`` table, so the lookup is one C loop per chunk.
 _NIBBLE = np.full(256, -2, dtype=np.int8)
@@ -86,9 +89,10 @@ def _open_write(path: str) -> io.BufferedIOBase:
 def _encode_rows(tri: np.ndarray, top: int):
     """Yield the rows as ``f"{a:x} {b:x} {c:x}\\n"`` text, a chunk at a time.
 
-    Each value is laid out right-aligned in a fixed number of hex digits
-    (enough for ``top``, the largest value), then a keep-mask drops its
-    leading zeros.
+    Each value is laid out right-aligned in a fixed number of nibble
+    cells (enough for ``top``, the largest value) and a separator cell,
+    in the rows' own dtype; a keep-mask drops its leading zeros, and one
+    ``translate`` turns the kept cells into text.
     """
     width = max(1, (top.bit_length() + 3) // 4)
     cols = np.arange(width + 1, dtype=np.int8)
@@ -97,16 +101,17 @@ def _encode_rows(tri: np.ndarray, top: int):
         cells = np.empty((v.size, width + 1), dtype=np.uint8)
         ndig = np.ones(v.size, dtype=np.int8)
         for k in range(width):
-            cells[:, width - 1 - k] = _HEX_DIGITS[(v >> (4 * k)) & 15]
+            np.bitwise_and(v >> (4 * k), 15, out=cells[:, width - 1 - k],
+                           casting="unsafe")
             if k:
                 ndig += v >= (1 << (4 * k))
-        cells[:, width] = ord(" ")
-        cells[2::3, width] = ord("\n")
-        yield cells[cols >= width - ndig[:, None]].tobytes()
+        cells[:, width] = 16        # a space
+        cells[2::3, width] = 17     # a newline
+        yield cells[cols >= width - ndig[:, None]].tobytes().translate(_HEX_CELL)
 
 
 def write_design(d: Design, path: str) -> None:
-    tri = np.asarray(d.tri, dtype=np.int64)
+    tri = np.asarray(d.tri)     # encoded in its own dtype, not widened
     if tri.size and int(tri.min()) < 0:
         raise ValueError("negative corner value; corners are vectors of GF(2)^n")
     top = int(tri.max()) if tri.size else 0

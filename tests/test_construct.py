@@ -8,15 +8,18 @@ import pytest
 from tridesign.construct import (ConstructionError, GddStream, _extension_rows,
                                  balanced_extension, fill_groups, gdd_6k_6,
                                  product, product_census, trivial_design)
-from tridesign.designs import (Design, Gdd, charge_ledger, verify_balanced,
-                               verify_design, verify_gdd)
+from tridesign.designs import (Design, Gdd, ascending_rows, charge_ledger,
+                               verify_balanced, verify_design, verify_gdd)
 from tridesign.designs import _line_keys
+from tridesign.fileio import read_design, write_design
 from tridesign.gf2n import build_field, embed_subfield
 from tridesign.lines import canonical_plane_basis
 
 
-def _tri_sha(d):
-    return hashlib.sha256(d.tri.tobytes()).hexdigest()
+def _sha(tri):
+    """sha256 of the rows as int64 values, so a digest does not depend on
+    the rows' dtype."""
+    return hashlib.sha256(tri.astype(np.int64).tobytes()).hexdigest()
 
 
 def _linear_relabel(d, seed):
@@ -63,7 +66,7 @@ def test_product_pinned_output(case, design6):
     factors = {"6": design6, "1": trivial_design()}
     left, right = (factors[c] for c in case.split("x"))
     out, census = product(left, right, with_census=True)
-    assert (_tri_sha(out), census) == _PRODUCT_PINS[case]
+    assert (_sha(out.tri), census) == _PRODUCT_PINS[case]
 
 
 @pytest.mark.parametrize("seed,digest", [
@@ -73,7 +76,7 @@ def test_product_pinned_output(case, design6):
 def test_balanced_extension_pinned_output(seed, digest, frob7_design, design6):
     base = frob7_design if seed is None else _linear_relabel(frob7_design, seed)
     out = balanced_extension(base)
-    assert _tri_sha(out) == digest
+    assert _sha(out.tri) == digest
     led = _abcde_ledger(base)
     expected = {**{v: 2 for v in range(1, 32)}, 32: -31,
                 **{v: -1 for v in range(33, 64)}}
@@ -238,8 +241,8 @@ def test_plane_triangles_pinned(stream3, index, basis, digest):
     plane = next(itertools.islice(stream3.planes(), index, None))
     assert (plane.u, plane.v) == basis
     tri = stream3.plane_triangles(plane, canonical=False)
-    assert tri.shape == (917280, 3) and tri.dtype == np.int64
-    assert hashlib.sha256(tri.tobytes()).hexdigest() == digest
+    assert tri.shape == (917280, 3) and tri.dtype == np.int32
+    assert _sha(tri) == digest
 
 
 @pytest.mark.parametrize("index", [index for index, _, _ in _PINNED_PLANES])
@@ -248,7 +251,7 @@ def test_plane_triangles_canonical_sorts_each_row(stream3, index):
     plane = next(itertools.islice(stream3.planes(), index, None))
     raw = stream3.plane_triangles(plane, canonical=False)
     canon = stream3.plane_triangles(plane)
-    assert canon.dtype == np.int64 and canon.flags.c_contiguous
+    assert canon.dtype == np.int32 and canon.flags.c_contiguous
     assert np.array_equal(canon, np.sort(raw, axis=1))
 
 
@@ -265,8 +268,69 @@ def test_stream_count_refuses_bad_plane_enumeration(stream3, monkeypatch, edit, 
 
 
 def test_gdd_tower_k2_pinned():
-    assert _tri_sha(gdd_6k_6(2)) == \
+    assert _sha(gdd_6k_6(2).tri) == \
         "163bfaa9c2984524748b22a0256240d672172ab90f2b59ea8163918e248a005e"
+
+
+def _plane0_rows(request, canonical):
+    s = request.getfixturevalue("stream3")
+    return s.plane_triangles(next(s.planes()), canonical=canonical)
+
+
+def _read_back_rows(request, suffix):
+    path = str(request.getfixturevalue("tmp_path") / f"frob7.design{suffix}")
+    write_design(request.getfixturevalue("frob7_design"), path)
+    return read_design(path).tri
+
+
+_FROB7_SHA = "8d1868868aa1d17c45fb0467c74e0a5741d36e7ee24ec723f9e6df298e751577"
+_GDD12_SHA = "163bfaa9c2984524748b22a0256240d672172ab90f2b59ea8163918e248a005e"
+_PLANE0_SHA = "fc9d960492e232198015dac3a4a477ca1a75bef525ec8ac7e0439ffb4a3fb49e"
+
+# Every producer of triangle rows, with the sha256 of its rows as int64
+# values, recorded while canonical forms were int64.
+_ROW_PRODUCERS = {
+    "expand_special-design6": (
+        lambda r: r.getfixturevalue("design6").tri,
+        "23d5df5481d3224fd12d63946cdc887ee063743caf2a61ebf4a73c4d63166e72"),
+    "expand_special-gdd6-2": (
+        lambda r: r.getfixturevalue("gdd6_2").tri,
+        "eaaecf17153a286165d5cfff19b4838244a6c79284f44a5a4eb6ae7a3d08e2a1"),
+    "expand_certificate-frob7": (lambda r: r.getfixturevalue("frob7_design").tri,
+                                 _FROB7_SHA),
+    "expand_certificate-gdd12-6": (lambda r: r.getfixturevalue("gdd12_6").tri,
+                                   _GDD12_SHA),
+    "product": (
+        lambda r: product(r.getfixturevalue("design6"), r.getfixturevalue("design6")).tri,
+        _PRODUCT_PINS["6x6"][0]),
+    "balanced_extension": (
+        lambda r: balanced_extension(r.getfixturevalue("frob7_design")).tri,
+        "a10e81955c59cbab6a5d36a5ea0858df411630e288500979d34afdbc7c37c8d8"),
+    "fill_groups-gdd6-2": (
+        lambda r: fill_groups(gdd_6k_6(2), r.getfixturevalue("gdd6_2")).tri,
+        "a09d826b399526f72df9e3cdb6501d610f1622696adb669c69824d8a66d2f3e6"),
+    "fill_groups-design6": (
+        lambda r: fill_groups(gdd_6k_6(2), r.getfixturevalue("design6")).tri,
+        "f466b3064a435a07a8d820b3cf547906bc5881972c399792a340b81ef7958bb7"),
+    "gdd_6k_6-2": (lambda r: gdd_6k_6(2).tri, _GDD12_SHA),
+    "read_design": (lambda r: _read_back_rows(r, ""), _FROB7_SHA),
+    "read_design-gz": (lambda r: _read_back_rows(r, ".gz"), _FROB7_SHA),
+    "plane_triangles-raw": (lambda r: _plane0_rows(r, False), _PINNED_PLANES[0][2]),
+    "plane_triangles-canonical": (lambda r: _plane0_rows(r, True), _PLANE0_SHA),
+    "ascending_rows": (lambda r: ascending_rows(_plane0_rows(r, False)), _PLANE0_SHA),
+    "ascending_rows-from-int64": (
+        lambda r: ascending_rows(_plane0_rows(r, False).astype(np.int64)), _PLANE0_SHA),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(_ROW_PRODUCERS))
+def test_producers_return_int32_rows(producer, request):
+    # every corner fits an int32, so no producer widens its rows, and the
+    # values are the ones the int64 rows had
+    make, digest = _ROW_PRODUCERS[producer]
+    tri = make(request)
+    assert tri.dtype == np.int32 and tri.flags.c_contiguous and tri.shape[1:] == (3,)
+    assert _sha(tri) == digest
 
 
 def _scalar_pulled_key(s, x, y):

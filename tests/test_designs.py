@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from reference import canonical_line, searched_uncovered
+from tridesign.construct import balanced_extension
 from tridesign.designs import (MAX_WITNESSES, Design, Gdd, _normalize_triangles,
                                charge_ledger, coverage_counts,
                                distinct_row_count, expected_triangle_count,
                                verify_balanced, verify_design, verify_gdd)
+from tridesign.fileio import read_design, write_design
 from tridesign.lines import desarguesian_spread, group_ids
 
 
@@ -57,7 +59,7 @@ def test_malformed_triangle_raises(design6):
         verify_design(Design(n=6, poly=design6.poly, tri=bad2))
     # corners that an int32 row block would wrap onto a valid triangle
     for wide in ((1 << 32) | 4, -(1 << 32) | 1):
-        bad3 = design6.tri.copy()
+        bad3 = design6.tri.astype(np.int64)     # int32 rows cannot hold it
         bad3[7] = (1, 2, wide)
         d = Design(n=6, poly=design6.poly, tri=bad3)
         row = int(np.flatnonzero((d.tri == wide).any(axis=1))[0])
@@ -199,6 +201,14 @@ def _lexsort_reference(tri):
     return tri[np.lexsort((tri[:, 2], tri[:, 1], tri[:, 0]))]
 
 
+def _rule_dtype(tri):
+    """The canonical row dtype of ``tri``'s values: int32 when every value
+    fits one, else int64."""
+    tri = np.asarray(tri, dtype=np.int64)
+    fits = tri.size == 0 or (tri.min() >= -(1 << 31) and tri.max() < 1 << 31)
+    return np.int32 if fits else np.int64
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("high", [1 << 6, 1 << 13, 1 << 21, 1 << 22, 1 << 40])
 def test_normalize_matches_lexsort(seed, high):
@@ -210,7 +220,7 @@ def test_normalize_matches_lexsort(seed, high):
     tri[0] = (high - 1, 0, high - 1)
     before = tri.copy()
     out = _normalize_triangles(tri)
-    assert out.dtype == np.int64 and out.flags.c_contiguous
+    assert out.dtype == _rule_dtype(before) and out.flags.c_contiguous
     assert np.array_equal(out, _lexsort_reference(before))
     assert np.array_equal(tri, before)  # input left untouched
 
@@ -224,7 +234,7 @@ def test_normalize_negative_and_empty():
              np.empty((0, 3), dtype=np.int32), np.empty((0, 3), dtype=np.int64)]
     for case in cases:
         out = _normalize_triangles(case)
-        assert out.dtype == np.int64 and out.flags.c_contiguous
+        assert out.dtype == _rule_dtype(case) and out.flags.c_contiguous
         assert out.shape == case.shape and not np.shares_memory(out, case)
         assert np.array_equal(out, _lexsort_reference(case))
     with pytest.raises(ValueError, match="shape"):
@@ -254,13 +264,50 @@ def test_normalize_dtype_boundaries(dtype, top):
     tri = _boundary_input(dtype, top)
     before = tri.copy()
     out = _normalize_triangles(tri)
-    assert out.dtype == np.int64 and out.flags.c_contiguous
+    assert out.dtype == _rule_dtype(before) and out.flags.c_contiguous
     assert np.array_equal(out, _lexsort_reference(before))
     assert not np.shares_memory(out, tri)
     assert np.array_equal(tri, before)  # input left untouched
     # already canonical rows skip the sort but still come back as a copy
     again = _normalize_triangles(out)
     assert np.array_equal(again, out) and not np.shares_memory(again, out)
+
+
+@pytest.mark.parametrize("kernel", ["_normalize_triangles", "ascending_rows"])
+@pytest.mark.parametrize("corner, dtype", [
+    ((1 << 31) - 1, np.int32),      # widest int32 value
+    (-5, np.int32),                 # negative, in range
+    (-(1 << 31), np.int32),         # most negative int32 value
+    (1 << 31, np.int64),            # first value above the int32 range
+    (-(1 << 31) - 1, np.int64),     # first value below it
+])
+def test_row_dtype_boundaries(kernel, corner, dtype):
+    # rows are int32 exactly when every value fits one, whatever the
+    # input dtype, and hold the input's values either way
+    import tridesign.designs as D
+    rng = np.random.default_rng(1)
+    tri = rng.integers(1, 1 << 12, size=(100, 3), dtype=np.int64)
+    tri[17] = (9, corner, 3)
+    out = getattr(D, kernel)(tri)
+    assert out.dtype == dtype and out.flags.c_contiguous
+    want = _lexsort_reference(tri) if kernel == "_normalize_triangles" \
+        else np.sort(tri, axis=1)
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 1001, 1002])
+def test_normalize_rows_share_their_buffer_with_the_keys(T, monkeypatch):
+    # the int64 row keys fill the end of the int32 output's buffer (one
+    # spare int32 when T is odd, to align them); blocks of 7 rows unpack
+    # next to keys still to be read at every offset
+    import tridesign.designs as D
+    monkeypatch.setattr(D, "_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(T)
+    tri = rng.integers(0, 1 << 21, size=(T, 3), dtype=np.int64)
+    out = _normalize_triangles(tri)
+    assert out.dtype == np.int32 and out.flags.c_contiguous
+    assert np.array_equal(out, _lexsort_reference(tri))
+    assert out.base.nbytes == 4 * (3 * T + T % 2)    # no other full-size array
 
 
 def test_distinct_row_count_finds_planted_repeat():
@@ -453,19 +500,36 @@ def _traced_peak_mib(call, *args):
         tracemalloc.stop()
 
 
-# Peaks of these calls on frob13 (3.7M triangles) and gdd12-6 while they
-# still made their passes over the strided int64 columns of ``tri``; the
-# row-block kernels must not need more.
+# Bounds on the traced peaks of these calls on frob13 (3.7M triangles),
+# gdd12-6 and frob7.  The verifier bounds are their peaks from before the
+# row-block kernels.  The canonical form of frob13 is one int32 (T, 3)
+# array of 42.65 MiB that holds its own sort keys (43.3 MiB traced; 85.9
+# with int64 rows), and the +6 extension of frob7 keeps its rows int32
+# throughout (96.0 MiB traced; 138.6 with int64 canonical rows).
 @pytest.mark.parametrize("call, design, bound_mib", [
-    (_normalize_triangles, "frob13_design", 142.2),
+    (_normalize_triangles, "frob13_design", 45.0),
     (verify_design, "frob13_design", 125.3),
     (verify_balanced, "frob13_design", 170.7),
     (verify_gdd, "gdd12_6", 56.0),
+    (balanced_extension, "frob7_design", 100.0),
 ])
 def test_peak_memory_bounds(call, design, bound_mib, request):
     d = request.getfixturevalue(design)
     arg = d.tri if call is _normalize_triangles else d
     assert _traced_peak_mib(call, arg) <= bound_mib
+
+
+def test_design_file_peak_memory_bounds(frob13_design, tmp_path):
+    # the writer encodes the int32 rows in their own dtype, a row block at
+    # a time (traced: 2.0 MiB; an int64 copy of the rows would be 85 MiB);
+    # the reader peaks with the 50 MB text next to its parsed int32 rows
+    # (95.9 MiB), no longer with an int64 canonical form next to those
+    # rows (128.6 MiB)
+    path = str(tmp_path / "frob13.design")
+    assert _traced_peak_mib(write_design, frob13_design, path) <= 2.5
+    read = []
+    assert _traced_peak_mib(lambda: read.append(read_design(path))) <= 100.0
+    assert np.array_equal(read[0].tri, frob13_design.tri)
 
 
 def test_refusal_peak_memory(frob13_design):
@@ -535,6 +599,8 @@ def _with_rows(base, rows, groups=None):
     d = Gdd(n=base.n, poly=base.poly, tri=base.tri, m=base.m,
             groups=base.groups if groups is None else groups) \
         if isinstance(base, Gdd) else Design(n=base.n, poly=base.poly, tri=base.tri)
+    if any(not -(1 << 31) <= v < 1 << 31 for row in rows.values() for v in row):
+        d.tri = d.tri.astype(np.int64)      # int32 rows cannot hold the corner
     for i, row in rows.items():
         d.tri[i] = row
     return d

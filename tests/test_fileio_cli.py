@@ -606,6 +606,8 @@ def _reference_read(data: bytes) -> dict:
             break
         key, _, value = line.partition(":")
         header[key.strip()] = value.strip()
+    if header.get("kind", "design") not in ("design", "gdd"):
+        raise ValueError("kind")
     try:
         n = int(header["n"])
         int(header.get("m", "1"))
