@@ -76,7 +76,8 @@ def cmd_search(args) -> int:
         if args.group == "singer":
             cert = search.search_singer(args.n, args.m,
                                         node_limit=args.node_limit,
-                                        time_limit=args.time_limit)
+                                        time_limit=args.time_limit,
+                                        allow_long=args.allow_long)
         else:
             cert = search.search_frobenius(args.n,
                                            node_limit=args.node_limit,

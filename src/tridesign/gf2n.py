@@ -62,12 +62,13 @@ class FieldCtx:
     ``zech_np[k]`` (``zech_np[0] = -1``) over 0..2^n - 2, and
     ``log_np[x]`` over 0..2^n - 1 (``log_np[0] = -1``).  That is 24 B
     per element, so n = 19 takes 12.6 MB and n = 25 0.8 GB; the cap
-    is n = 28.  Scalar methods return Python ints; ``mul``, ``inv``, ``pow``
-    and ``log`` refuse an element outside 0..2^n - 1 (ValueError).
+    is n = 28.  A field holds these three tables and nothing else: an
+    array derived from them, such as gamma keys, lives with its caller.
+    Scalar methods return Python ints; ``mul``, ``inv``, ``pow`` and
+    ``log`` refuse an element outside 0..2^n - 1 (ValueError).
     """
 
-    __slots__ = ("n", "poly", "order", "exp_np", "log_np", "zech_np",
-                 "_np_cache")
+    __slots__ = ("n", "poly", "order", "exp_np", "log_np", "zech_np")
 
     def __init__(self, n: int, poly: int, exp_np: np.ndarray,
                  log_np: np.ndarray, zech_np: np.ndarray):
@@ -79,7 +80,6 @@ class FieldCtx:
         self.exp_np = exp_np
         self.log_np = log_np
         self.zech_np = zech_np
-        self._np_cache: dict[str, np.ndarray] = {}
 
     # -- element arithmetic -------------------------------------------------
 
@@ -122,15 +122,6 @@ class FieldCtx:
         return int(self.zech_np[k])
 
     # -- bulk views ----------------------------------------------------------
-
-    def cached(self, name: str, build) -> np.ndarray:
-        """The read-only array ``build(self)``, built once per field."""
-        arr = self._np_cache.get(name)
-        if arr is None:
-            arr = build(self)
-            arr.setflags(write=False)
-            self._np_cache[name] = arr
-        return arr
 
     def mul_np(self, x, y) -> np.ndarray:
         """Elementwise (broadcast) product of two integer arrays."""

@@ -13,8 +13,9 @@ s1 + s2 + s3 = 0 exist, so a multiplicative-invariant design is the
 same thing as a partition of the exponent ring into such 18-sets.
 Adding the squaring automorphism coarsens gamma-sets into unions of
 2-cyclotomic classes (cy_gamma), shrinking the search by a factor n.
-``gamma_rows`` computes gamma-sets from the Zech table, for a few
-residues or, as ``gamma_table``, for all of them at once.
+``gamma_rows`` computes the gamma-sets of given residues from the Zech
+table; no table of every residue's gamma-set is kept (the searches
+take the gamma key of every residue as one int32 running minimum).
 
 Certificates are the compact generator-exponent encodings of those
 partitions; ``expand_certificate`` turns them back into full designs
@@ -53,24 +54,19 @@ def gamma_rows(ctx: FieldCtx, k) -> np.ndarray:
     return rows
 
 
-def gamma_table(ctx: FieldCtx) -> np.ndarray:
-    """``gamma_rows`` of every residue, built once per field: row 0 is a
-    sentinel of zeros, so ``gamma_table(ctx)[:, 0]`` is the gamma key of
-    every residue."""
-    return ctx.cached("gamma", lambda c: gamma_rows(c, np.arange(c.order)))
-
-
 def cyclotomic_class_sizes(n: int, r) -> np.ndarray:
     """Size of the 2-cyclotomic class of each residue r mod 2^n - 1.
 
     The size divides every d | n with 2^d r = r, that is with r a
     multiple of (2^n - 1) / (2^d - 1) (r in the subfield GF(2^d)), and
     is the least such d; so one modulo per divisor gives it, with no
-    doubling walk.
+    doubling walk.  Sizes come in the residues' dtype: int32 residues
+    stay int32, any other input is taken as int64.
     """
     M = (1 << n) - 1
-    r = np.asarray(r, dtype=np.int64)
-    size = np.full(r.shape, n, dtype=np.int64)
+    r = np.asarray(r)
+    r = r if r.dtype == np.int32 else r.astype(np.int64, copy=False)
+    size = np.full(r.shape, n, dtype=r.dtype)
     for d in range(n - 1, 0, -1):   # the least divisor is written last
         if n % d == 0:
             size[r % (M // ((1 << d) - 1)) == 0] = d
@@ -196,7 +192,7 @@ def check_admissible(n: int, m: int) -> None:
 def exponent_universe(M: int, m: int) -> np.ndarray:
     """Residues mod M = 2^n - 1 off the spread of m-dimensional groups,
     i.e. not multiples of M / (2^m - 1); for m = 1 all but 0."""
-    return np.arange(M) % (M // ((1 << m) - 1)) != 0
+    return np.arange(M, dtype=np.int32) % (M // ((1 << m) - 1)) != 0
 
 
 def _rep_gamma_rows(ctx: FieldCtx, reps) -> np.ndarray:

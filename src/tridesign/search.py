@@ -9,13 +9,17 @@ per 2-cyclotomic class size t, and a solution is a pair list (a, b)
 whose combined sweep tiles the exponent ring.  The first problem is
 the stratum t = 1 of the gamma-sets themselves.
 
-One builder, ``_orbit_items``, reads the items of every stratum from
-the field's one gamma table (``orbits.gamma_table``).  The cy_gamma
-keys come from doubling residues, which maps the key column onto two
-strided halves of itself, and the class sizes by arithmetic
+One builder, ``_orbit_items``, makes the items of every stratum from
+one int32 column of gamma keys, ``_gamma_keys``: a running minimum over
+the six residues of each gamma-set, read from the Zech table, so no
+whole-field table of gamma rows is built; the full rows are read for
+the item keys only (``orbits.gamma_rows``).  The cy_gamma keys come
+from doubling residues, which maps the key column onto two strided
+halves of itself, and the class sizes by arithmetic
 (``orbits.cyclotomic_class_sizes``).  An item's key is a residue, so
 ``_closure_items`` numbers the keys by a dense rank (a cumulative sum
-over a mark per residue) with no sort.
+over a mark per residue) with no sort.  Every residue array of the
+build is int32.
 
 One int32 kernel, ``_item_triples``, gives the triples of a run of item
 pairs (a, p), each with its first witness: the third residue of every
@@ -24,10 +28,11 @@ as ``item << bits | cell``, and one row sort per pair brings each third
 item's first witness to the front.  ``_candidate_triples`` runs it over
 every pair a < p, in chunks of bounded size, to build an exact-cover
 instance; above ``LAZY_STRATUM_THRESHOLD`` items ``_LazySource`` runs
-it on demand over an item and its uncovered partners, offering the
-same candidates in the same order.  ``_solve_strata`` makes that
-choice for every stratum of both searches, and logs each stratum's
-progress as ``stratum (m=M, t=T): ...`` on this module's logger.
+it on demand over an item and its uncovered partners, one fixed window
+of partners at a time, offering the same candidates in the same order.
+``_solve_strata`` makes that choice for every stratum of both searches,
+and logs each stratum's progress as ``stratum (m=M, t=T): ...`` on this
+module's logger.
 
 Both searches re-check the orbit-level partition on their own output
 with ``orbits.orbit_cover_counts`` before returning a certificate.
@@ -42,7 +47,7 @@ import numpy as np
 from .gf2n import FieldCtx, build_field
 from .orbits import (FrobeniusCertificate, OrbitCertificate, check_admissible,
                      cyclotomic_class_sizes, exponent_universe, frobenius_reps,
-                     gamma_table, orbit_cover_counts)
+                     gamma_rows, orbit_cover_counts)
 from .xcover import (LimitExceeded, Unsatisfiable, XCoverInstance,
                      check_solution, dfs, solve)
 
@@ -83,6 +88,27 @@ def stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
                       kind="stable")
 
 
+def _gamma_keys(ctx: FieldCtx) -> np.ndarray:
+    """The gamma key, the least residue of gamma(k), of every residue k
+    as one int32 array, 0 at k = 0 (gamma is undefined there).
+
+    A running minimum over the columns k, M - k, Z(k), Z(M - k), M - Z(k)
+    and M - Z(M - k): over the residues 1..M - 1 the column of M - k is
+    that of k reversed, so Z(M - k) is the reversed Zech column and one
+    int32 copy of it serves all four Zech columns.
+    """
+    M = ctx.order
+    key = np.arange(M, dtype=np.int32)
+    k = key[1:]
+    np.minimum(k, M - k, out=k)
+    zech = ctx.zech_np[1:].astype(np.int32)
+    for _ in range(2):      # Z(k) and Z(M - k), then M - Z(k) and M - Z(M - k)
+        np.minimum(k, zech, out=k)
+        np.minimum(k, zech[::-1], out=k)
+        np.subtract(M, zech, out=zech)
+    return key
+
+
 def _closure_items(key: np.ndarray, inside: np.ndarray, size: int):
     """One item per distinct ``key`` of the residues ``inside``: the keys,
     residue -> item index (-1 outside), and each item's residues sorted,
@@ -91,10 +117,12 @@ def _closure_items(key: np.ndarray, inside: np.ndarray, size: int):
     mark = np.zeros(key.size, dtype=bool)
     mark[key[inside]] = True
     keys = np.flatnonzero(mark).astype(key.dtype, copy=False)
-    owner = (np.cumsum(mark) - 1)[key[inside]]
+    rank = np.cumsum(mark, dtype=np.int32)
+    rank -= 1
+    owner = rank[key[inside]]
     if (np.bincount(owner, minlength=keys.size) != size).any():
         raise AssertionError(f"a closure set is not {size} residues")
-    item_of = np.full(key.size, -1, dtype=np.int64)
+    item_of = np.full(key.size, -1, dtype=np.int32)
     item_of[inside] = owner
     members = np.flatnonzero(inside)[stable_argsort(owner, keys.size)]
     return keys, item_of, members.reshape(-1, size)
@@ -115,8 +143,7 @@ def _orbit_items(ctx: FieldCtx, inside: np.ndarray, t: int):
     Class size is constant on a cy_gamma-set, and t - 1 doublings sweep
     the orbit.
     """
-    table = gamma_table(ctx)
-    col = table[:, 0].astype(np.int32)
+    col = _gamma_keys(ctx)
     key = col.copy()
     nxt = np.empty_like(col)
     half = (ctx.order + 1) // 2
@@ -125,8 +152,9 @@ def _orbit_items(ctx: FieldCtx, inside: np.ndarray, t: int):
         nxt[half:] = col[1::2]
         col, nxt = nxt, col
         np.minimum(key, col, out=key)
+    del col, nxt    # only the key column is read from here on
     keys, item_of, members = _closure_items(key, inside, 6 * t)
-    return item_of, table[keys][:, :, None], members[:, None, :]
+    return item_of, gamma_rows(ctx, keys)[:, :, None], members[:, None, :]
 
 
 class _Kernel:
@@ -242,11 +270,13 @@ class _LazySource:
     of a from ``_candidate_triples``, in order and with their witnesses,
     less those touching a covered item; they are generated one batch of
     uncovered partners at a time, by the same kernel on a table in which
-    the residues of covered items read as outside the problem.  The item
-    branched on is the smallest uncovered one; a cursor per open node
-    remembers where the scan for it stopped, since covering only ever
-    moves it forward.  The triple set is dense enough that the first fit
-    almost always extends; backtracking handles the rare dead end.
+    the residues of covered items read as outside the problem, and the
+    partners are read from the ``covered`` flags one window of
+    ``window`` items at a time.  The item branched on is the smallest
+    uncovered one; a cursor per open node remembers where the scan for
+    it stopped, since covering only ever moves it forward.  The triple
+    set is dense enough that the first fit almost always extends;
+    backtracking handles the rare dead end.
     """
 
     def __init__(self, M: int, item_of: np.ndarray, first: np.ndarray,
@@ -254,6 +284,9 @@ class _LazySource:
         self.kernel = _Kernel(M, item_of, first, second)
         self.n_items = len(first)
         self.batch = max(1, _LAZY_CELLS // self.kernel.cells.size)
+        # items per scan of the covered flags: an open node holds the
+        # uncovered partners of one window, not of every item past its own
+        self.window = 64 * self.batch
         self.covered = np.zeros(self.n_items, dtype=bool)
         self.cursor = [0]
 
@@ -265,18 +298,19 @@ class _LazySource:
         return pos if pos < covered.size else None
 
     def candidates(self, a: int):
-        # the generator only runs while this node's own state is applied,
-        # so the flags read here stay valid across its batches
-        k = self.kernel
+        # the generator only resumes while this node's own state is
+        # applied, so each window reads the flags the first one read
+        k, covered = self.kernel, self.covered
         bits, mask, neg_first = k.bits, (1 << k.bits) - 1, k.neg_first[a]
-        free = np.flatnonzero(~self.covered[a + 1:]) + (a + 1)  # items before a are covered
-        for lo in range(0, free.size, self.batch):
-            p = free[lo:lo + self.batch]
-            i, v = _item_triples(k, neg_first + k.neg_second[p], p)
-            for j in range(v.size):     # first fit mostly takes the first
-                q, x = int(p[i[j]]), int(v[j])
-                s1, s2 = k.witness(a, q, x & mask)
-                yield (a, q, x >> bits), (int(s1), int(s2))
+        for start in range(a + 1, covered.size, self.window):  # items before a are covered
+            free = np.flatnonzero(~covered[start:start + self.window]) + start
+            for lo in range(0, free.size, self.batch):
+                p = free[lo:lo + self.batch]
+                i, v = _item_triples(k, neg_first + k.neg_second[p], p)
+                for j in range(v.size):     # first fit mostly takes the first
+                    q, x = int(p[i[j]]), int(v[j])
+                    s1, s2 = k.witness(a, q, x & mask)
+                    yield (a, q, x >> bits), (int(s1), int(s2))
 
     def cover(self, cand) -> None:
         items = list(cand[0])
@@ -302,7 +336,8 @@ def _stratum_items(ctx: FieldCtx, m: int, t: int):
     if t == 1:
         item_of, gam, members = _orbit_items(ctx, exponent_universe(ctx.order, m), 1)
         return item_of, members, gam
-    return _orbit_items(ctx, cyclotomic_class_sizes(ctx.n, np.arange(ctx.order)) == t, t)
+    sizes = cyclotomic_class_sizes(ctx.n, np.arange(ctx.order, dtype=np.int32))
+    return _orbit_items(ctx, sizes == t, t)
 
 
 def _instance(ctx: FieldCtx, m: int, t: int) -> XCoverInstance:
@@ -368,10 +403,22 @@ def _check_partition(ctx: FieldCtx, reps, m: int) -> None:
                              f"{counts[r]} times")
 
 
+def _check_long_run(n: int, allow_long: bool) -> None:
+    """Refuse n >= 19 unless ``allow_long``: such a search runs long."""
+    if n >= 19 and not allow_long:
+        raise ValueError(f"n={n} is a long run; pass allow_long=True "
+                         "(CLI: --allow-long) to proceed")
+
+
 def search_singer(n: int, m: int, node_limit: int | None = None,
-                  time_limit: float | None = None) -> OrbitCertificate:
-    """Find generator reps whose multiplicative orbits tile the non-group lines."""
+                  time_limit: float | None = None,
+                  allow_long: bool = False) -> OrbitCertificate:
+    """Find generator reps whose multiplicative orbits tile the non-group lines.
+
+    n >= 19 is refused, before any field is built, unless ``allow_long``.
+    """
     check_admissible(n, m)
+    _check_long_run(n, allow_long)
     ctx = build_field(n)
     witnesses = _solve_strata(ctx, m, {1: ((1 << n) - (1 << m)) // 6},
                               node_limit, time_limit)
@@ -414,7 +461,8 @@ def search_frobenius(n: int, node_limit: int | None = None,
     """Find pairs (a, b) whose multiplicative+squaring sweep tiles Z_{2^n-1}*.
 
     Strata (one per cyclotomic class size > 1) are checked for the
-    18-divisibility obstruction up front and solved independently.
+    18-divisibility obstruction up front and solved independently; n >=
+    19 is refused, before any field is built, unless ``allow_long``.
     """
     if n % 6 != 1:
         raise ValueError(f"n={n} rejected: need n congruent to 1 mod 6")
@@ -422,9 +470,7 @@ def search_frobenius(n: int, node_limit: int | None = None,
     bad = {t: c for t, c in strata.items() if t > 1 and c % 18}
     if bad:
         raise InfeasibleStratumError(n, strata, bad)
-    if n >= 19 and not allow_long:
-        raise ValueError(f"n={n} is a long run; pass allow_long=True "
-                         "(CLI: --allow-long) to proceed")
+    _check_long_run(n, allow_long)
     ctx = build_field(n)
     pairs = _solve_strata(ctx, 1, {t: c // 18 * 3 for t, c in strata.items() if t > 1},
                           node_limit, time_limit)

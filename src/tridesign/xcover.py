@@ -42,7 +42,8 @@ def _first_row(bad: np.ndarray) -> int:
 @dataclass
 class XCoverInstance:
     """``__post_init__`` validates ``subsets`` and holds it as one
-    read-only (S, k) int32 array, row s the items of subset s."""
+    read-only (S, k) int32 array, row s the items of subset s: a view of
+    an int32 array given, with no copy."""
 
     n_items: int
     subsets: Sequence
@@ -66,7 +67,7 @@ class XCoverInstance:
         # int32 items halve the transient arrays of the solver's build,
         # which sets the search's peak memory on ~1.3M-subset instances;
         # the rows before the first out-of-range one convert exactly
-        self.subsets = rows.astype(np.int32)
+        self.subsets = rows.astype(np.int32, copy=False).view()
         self.subsets.flags.writeable = False
         step = np.diff(self.subsets, axis=1)
         s_idx, _, fault = min(

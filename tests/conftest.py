@@ -1,9 +1,23 @@
+import tracemalloc
+
 import pytest
 
 from tridesign.construct import product
 from tridesign.datasets import as_certificate, expand_special, load_dataset
 from tridesign.gf2n import build_field
 from tridesign.orbits import expand_certificate
+
+
+def traced_peak_mib(call, *args):
+    """Peak traced allocation of ``call(*args)`` above the level it
+    started from, in MiB (numpy reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return (tracemalloc.get_traced_memory()[1] - start) / (1 << 20)
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -179,7 +179,7 @@ def closure_items(key: np.ndarray, inside: np.ndarray, size: int):
     ascending, as an (items, size) array."""
     keys = np.unique(key[inside])
     owner = np.searchsorted(keys, key[inside])
-    item_of = np.full(key.size, -1, dtype=np.int64)
+    item_of = np.full(key.size, -1, dtype=np.int32)    # item indices, like residues, fit int32
     item_of[inside] = owner
     members = np.flatnonzero(inside)[np.argsort(owner, kind="stable")]
     return keys, item_of, members.reshape(-1, size)

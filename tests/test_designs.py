@@ -1,9 +1,9 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak_mib
 from reference import canonical_line, searched_uncovered
 from tridesign.construct import balanced_extension
 from tridesign.designs import (MAX_WITNESSES, Design, Gdd, _normalize_triangles,
@@ -445,7 +445,7 @@ def test_uncovered_witnesses_at_n31(design6):
     # the wide path; only the partners the witnesses need are listed
     d, covered, want = _large_n_case(design6, 31)
     reports = []
-    peak = _traced_peak_mib(lambda: reports.append(verify_design(d)))
+    peak = traced_peak_mib(lambda: reports.append(verify_design(d)))
     assert peak <= 1.0
     assert not reports[0].ok and reports[0].lines_seen == len(covered)
     assert reports[0].uncovered == want
@@ -488,18 +488,6 @@ def test_key_dtype_does_not_change_reports(base, request, monkeypatch):
     assert [_report_dicts(d) for d in inputs] == narrow
 
 
-def _traced_peak_mib(call, *args):
-    """Peak traced allocation of ``call(*args)`` above the level it
-    started from, in MiB (numpy reports its buffers to tracemalloc)."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        call(*args)
-        return (tracemalloc.get_traced_memory()[1] - start) / (1 << 20)
-    finally:
-        tracemalloc.stop()
-
-
 # Bounds on the traced peaks of these calls on frob13 (3.7M triangles),
 # gdd12-6 and frob7.  The verifier bounds are their peaks from before the
 # row-block kernels.  The canonical form of frob13 is one int32 (T, 3)
@@ -516,7 +504,7 @@ def _traced_peak_mib(call, *args):
 def test_peak_memory_bounds(call, design, bound_mib, request):
     d = request.getfixturevalue(design)
     arg = d.tri if call is _normalize_triangles else d
-    assert _traced_peak_mib(call, arg) <= bound_mib
+    assert traced_peak_mib(call, arg) <= bound_mib
 
 
 def test_design_file_peak_memory_bounds(frob13_design, tmp_path):
@@ -526,9 +514,9 @@ def test_design_file_peak_memory_bounds(frob13_design, tmp_path):
     # (95.9 MiB), no longer with an int64 canonical form next to those
     # rows (128.6 MiB)
     path = str(tmp_path / "frob13.design")
-    assert _traced_peak_mib(write_design, frob13_design, path) <= 2.5
+    assert traced_peak_mib(write_design, frob13_design, path) <= 2.5
     read = []
-    assert _traced_peak_mib(lambda: read.append(read_design(path))) <= 100.0
+    assert traced_peak_mib(lambda: read.append(read_design(path))) <= 100.0
     assert np.array_equal(read[0].tri, frob13_design.tri)
 
 
@@ -539,7 +527,7 @@ def test_refusal_peak_memory(frob13_design):
     # the report is the one the prefix search gave
     d = Design(n=13, poly=frob13_design.poly, tri=frob13_design.tri[1:])
     reports = []
-    peak = _traced_peak_mib(lambda: reports.append(verify_design(d)))
+    peak = traced_peak_mib(lambda: reports.append(verify_design(d)))
     assert peak <= 55.0
     assert reports[0].to_json_dict() == {
         "report": "cover", "ok": False, "kind": "design", "n": 13, "m": 1,

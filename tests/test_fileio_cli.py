@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak_mib
 from reference import cy_gamma, gamma
 from tridesign import fileio
 from tridesign.cli import main
@@ -117,9 +118,15 @@ def test_cli_gamma_json(capsys):
 
 
 def test_cli_gamma_builds_no_table(capsys):
-    from tridesign.gf2n import build_field
-    assert run_cli("gamma", "--n", "11", "--k", "5") == 0
-    assert "gamma" not in build_field(11)._np_cache
+    # one gamma-set from the Zech table: the rows of every residue at
+    # n = 19 would hold 24 MiB (60.0 MiB traced to build them); the
+    # command peaks at 0.07 MiB once the field is built
+    build_field(19)
+    codes = []
+    assert traced_peak_mib(lambda: codes.append(
+        run_cli("gamma", "--n", "19", "--k", "5"))) <= 1.0
+    assert codes == [0]
+    assert capsys.readouterr().out.startswith("gamma(5) = [5, 183623, ")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 8])
@@ -427,6 +434,10 @@ def test_cli_progress_lines(argv, progress, tmp_path, capsys):
                  id="gdd6k-sample"),
     pytest.param(("verify", "--in", "missing.design"), None, id="missing-file"),
     pytest.param(("gamma", "--n", "6", "--k", "63"), "gamma undefined at 0", id="gamma"),
+    *(pytest.param(("search", group, "--n", "19", "--time-limit", "0", "--out", "F"),
+                   "n=19 is a long run; pass allow_long=True (CLI: --allow-long) "
+                   "to proceed", id=f"search-{group}-long")
+      for group in ("singer", "frobenius")),
 ])
 def test_cli_usage_refusals_start_with_error(argv, message, design6, monkeypatch,
                                              tmp_path, capsys):
@@ -439,6 +450,18 @@ def test_cli_usage_refusals_start_with_error(argv, message, design6, monkeypatch
     if message is not None:
         assert err == f"error: {message}\n"
     assert not (tmp_path / "F").exists()
+
+
+@pytest.mark.parametrize("group, t", [("singer", 1), ("frobenius", 19)])
+def test_cli_search_allow_long_reaches_the_search(group, t, tmp_path, capsys):
+    # --allow-long lifts the n >= 19 refusal of either search: the search
+    # starts and stops on its time limit
+    out = tmp_path / "c.json"
+    assert run_cli("search", group, "--n", "19", "--allow-long", "--time-limit", "0",
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().out == (
+        f"stratum (m=1, t={t}) stopped: time limit after 1 nodes\n")
+    assert not out.exists()
 
 
 def test_cli_gdd6k_k1(tmp_path, capsys):

@@ -9,8 +9,7 @@ from tridesign.gf2n import _build_field_cached, build_field
 from tridesign.orbits import (FrobeniusCertificate, OrbitCertificate,
                               OrbitCollisionError, certificate_from_json_dict,
                               cyclotomic_class_sizes, expand_certificate,
-                              frobenius_reps, gamma_rows, gamma_table,
-                              orbit_cover_counts)
+                              frobenius_reps, gamma_rows, orbit_cover_counts)
 
 
 def gamma_oracle(ctx, k):
@@ -74,6 +73,8 @@ def test_cyclotomic_class_sizes_match_orbits(n):
     assert 0 in r and set(subfields) <= set(r.tolist())
     sizes = cyclotomic_class_sizes(n, r)
     assert sizes.tolist() == [len(cyclotomic_class(n, x)) for x in r.tolist()]
+    narrow = cyclotomic_class_sizes(n, r.astype(np.int32))  # int32 stays int32
+    assert narrow.dtype == np.int32 and np.array_equal(narrow, sizes)
 
 
 def test_frobenius_reps_names_first_mixed_pair(f13):
@@ -238,8 +239,9 @@ def test_orbit_key_degenerate_line(f6):
 
 @pytest.mark.parametrize("n", [6, 7, 8, 12, 13])
 def test_gamma_table_matches_scalar_gamma(n):
+    # the gamma rows of every residue, built on demand (no table is kept)
     ctx = build_field(n)
-    table = gamma_table(ctx)
+    table = gamma_rows(ctx, np.arange(ctx.order))
     assert table.shape == (ctx.order, 6)
     assert not table[0].any()   # sentinel row
     degenerate = 0
@@ -251,7 +253,6 @@ def test_gamma_table_matches_scalar_gamma(n):
             degenerate += 1
             assert row == tuple(sorted(gamma(ctx, k) * 3))
     assert degenerate == (2 if n % 2 == 0 else 0)
-    assert gamma_table(ctx) is table   # cached with the field
 
 
 @pytest.mark.parametrize("n", [6, 7, 13])
@@ -261,7 +262,7 @@ def test_gamma_rows_of_some_residues_are_table_rows(n):
     k[:2] = 0, ctx.order - 1
     rows = gamma_rows(ctx, k)
     assert rows.shape == (50, 6)
-    assert np.array_equal(rows, gamma_table(ctx)[k])
+    assert np.array_equal(rows, gamma_rows(ctx, np.arange(ctx.order))[k])
     assert gamma_rows(ctx, []).shape == (0, 6)
 
 

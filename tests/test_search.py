@@ -6,10 +6,11 @@ import numpy as np
 
 import pytest
 
+from conftest import traced_peak_mib
 from reference import (closure_items, cy_gamma_key, gamma_key, is_triangle_orbit,
                        item_triples)
 from tridesign.designs import Gdd, verify_design, verify_gdd
-from tridesign.gf2n import DEFAULT_POLYS, build_field
+from tridesign.gf2n import DEFAULT_POLYS, _build_field_cached, build_field
 from tridesign.orbits import OrbitCertificate, expand_certificate
 from tridesign.search import (InfeasibleStratumError, _stratum_items,
                               frobenius_problem, frobenius_strata,
@@ -64,6 +65,19 @@ def test_search_frobenius_19_gated():
         search_frobenius(19)
 
 
+def test_search_singer_19_gated():
+    # the Singer search refuses a long run as the Frobenius one does,
+    # before it builds a field (the time limit ends an ungated search)
+    before = _build_field_cached.cache_info()
+    with pytest.raises(ValueError) as singer:
+        search_singer(19, 1, time_limit=0)
+    assert _build_field_cached.cache_info() == before
+    with pytest.raises(ValueError) as frobenius:
+        search_frobenius(19)
+    assert str(singer.value) == str(frobenius.value) == (
+        "n=19 is a long run; pass allow_long=True (CLI: --allow-long) to proceed")
+
+
 def test_singer_candidates_match_brute_force(f7):
     inst = singer_problem(f7, 1)
     keys = _singer_keys(f7, 1)
@@ -74,6 +88,22 @@ def test_singer_candidates_match_brute_force(f7):
         if is_triangle_orbit(f7, keys[t[0]], keys[t[1]], keys[t[2]]):
             brute.add(t)
     assert generated == brute
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 12, 13])
+def test_gamma_keys_match_scalar_gamma_key(n):
+    # the running minimum gives the scalar key at every residue: 0 at
+    # residue 0, min(k, -k) at the degenerate 3k = 0 of even n
+    import tridesign.search as S
+    ctx = build_field(n)
+    M = ctx.order
+    keys = S._gamma_keys(ctx)
+    assert keys.dtype == np.int32 and keys.shape == (M,)
+    assert keys[0] == 0
+    assert keys[1:].tolist() == [gamma_key(ctx, k) for k in range(1, M)]
+    degenerate = [k for k in range(1, M) if 3 * k % M == 0]
+    assert len(degenerate) == (2 if n % 2 == 0 else 0)
+    assert [int(keys[k]) for k in degenerate] == [min(k, M - k) for k in degenerate]
 
 
 def test_search_singer_7_1():
@@ -227,16 +257,45 @@ def test_lazy_stratum_path_matches_contract(monkeypatch):
 def test_lazy_candidates_match_materialized(monkeypatch, problem, cells):
     # with nothing covered, the lazy source offers each item exactly the
     # materialized triples of that item, in order and with the same
-    # witnesses, whatever the batch of partners per kernel call
+    # witnesses, whatever the batch of partners per kernel call and the
+    # window of partners per scan: the default one, and 5 and 7 items,
+    # fewer than the problem's 42 or 105 and (but for 1 cell, a batch of
+    # one partner) ending inside a batch
     import tridesign.search as S
     if cells is not None:
         monkeypatch.setattr(S, "_LAZY_CELLS", cells)
     M, item_of, first, second = _problem_items(problem)
     triples, tags = S._candidate_triples(M, item_of, first, second)
     source = S._LazySource(M, item_of, first, second)
-    lazy = [cand for a in range(source.n_items) for cand in source.candidates(a)]
-    assert [trip for trip, _ in lazy] == list(map(tuple, triples.tolist()))
-    assert [pair for _, pair in lazy] == list(map(tuple, tags.tolist()))
+    for window in (source.window, 5, 7):
+        source.window = window
+        lazy = [cand for a in range(source.n_items) for cand in source.candidates(a)]
+        assert [trip for trip, _ in lazy] == list(map(tuple, triples.tolist()))
+        assert [pair for _, pair in lazy] == list(map(tuple, tags.tolist()))
+
+
+@pytest.mark.parametrize("window", [None, 5])
+@pytest.mark.parametrize("problem, nodes", [((7, 1), 8), ((8, 2), 18), ((12, 6), 353),
+                                            (13, 35)], ids=str)
+def test_forced_lazy_node_counts(monkeypatch, problem, nodes, window):
+    # first fit walks one fixed tree on every problem forced onto the
+    # lazy source, with its own window of partners or one of 5 items
+    # (inside a batch of 28 Singer or 2 Frobenius partners)
+    import tridesign.search as S
+    monkeypatch.setattr(S, "LAZY_STRATUM_THRESHOLD", 10)
+    if window is not None:
+        class Windowed(S._LazySource):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.window = window
+
+        monkeypatch.setattr(S, "_LazySource", Windowed)
+    calls = _spy(monkeypatch, S, "dfs")
+    if isinstance(problem, tuple):
+        S.search_singer(*problem)
+    else:
+        S.search_frobenius(problem)
+    assert [r.nodes for _, r in calls] == [nodes]
 
 
 def test_lazy_stratum_respects_limits(monkeypatch):
@@ -244,6 +303,21 @@ def test_lazy_stratum_respects_limits(monkeypatch):
     monkeypatch.setattr(S, "LAZY_STRATUM_THRESHOLD", 10)
     with pytest.raises(S.SearchLimitExceeded, match="node limit"):
         S.search_frobenius(13, node_limit=3)
+
+
+def test_n19_search_peak_memory():
+    # traced peaks of the n = 19 Frobenius stratum: the item build reads
+    # the gamma rows of the item keys only (23.0 MiB; 60.5 when it read
+    # the rows of every residue), and the lazy DFS holds one window of
+    # partners per open node (5.9 MiB over its start; 32.0 when each
+    # node held all its uncovered partners)
+    import tridesign.search as S
+    ctx = build_field(19)
+    items, results = [], []
+    assert traced_peak_mib(lambda: items.append(S._stratum_items(ctx, 1, 19))) <= 26.0
+    source = S._LazySource(ctx.order, *items[0])
+    assert traced_peak_mib(lambda: results.append(S.dfs(source))) <= 8.0
+    assert results[0].nodes == 1660
 
 
 def test_search_frobenius_19_long_run():
@@ -372,6 +446,7 @@ def test_lazy_candidates_match_reference_after_covers(problem):
     import tridesign.search as S
     M, item_of, first, second = _problem_items(problem)
     source = S._LazySource(M, item_of, first, second)
+    default_window = source.window
     rng = np.random.default_rng(2024)
     stack, depth = [], 0
     for _ in range(60):
@@ -383,8 +458,11 @@ def test_lazy_candidates_match_reference_after_covers(problem):
             continue
         for a in sorted({int(free[0]), int(rng.choice(free))}):
             partners = free[free > a]
-            assert list(source.candidates(a)) == (_reference_triples(
-                M, live_of, first, second, a, partners) if partners.size else [])
+            want = (_reference_triples(M, live_of, first, second, a, partners)
+                    if partners.size else [])
+            for window in (3, 5, default_window):   # edges among covered items
+                source.window = window
+                assert list(source.candidates(a)) == want
         offers = list(source.candidates(int(free[0])))
         if offers and (not stack or rng.random() < 0.7):
             cand = offers[int(rng.integers(len(offers)))]
