@@ -1,16 +1,14 @@
 """Triangle designs, group-divisible triangle designs, and their
 construction-agnostic verifiers.
 
-A design is stored as an (T, 3) C-contiguous array of corner triples
-(each row sorted ascending; rows sorted lexicographically), int32 when
-every value fits one and int64 otherwise (``_row_dtype``).  Every
-design over GF(2)^n with n <= 31 is int32; only rows with a corner
-outside the int32 range, which no design has, are int64, and the
-verifiers name them as malformed.  The order comes from one sort of
-packed int64 row keys (``_normalize_triangles``), and it is the only
-whole-design sort: repeated triangles are then adjacent rows
-(``distinct_row_count``), which is how expansions test that their
-orbits are distinct.
+A design is stored as an (T, 3) C-contiguous int32 array of corner
+triples (each row sorted ascending; rows sorted lexicographically).
+Every vector of GF(2)^n with n <= 31 fits an int32, so a corner
+outside the int32 range is refused, its row named, before any row is
+stored.  The order comes from one sort of packed int64 row keys
+(``_normalize_triangles``), and it is the only whole-design sort:
+repeated triangles are then adjacent rows (``distinct_row_count``),
+which is how expansions test that their orbits are distinct.
 
 The hot kernels make no pass over that whole array: at n = 13 it is
 45 MB, and a pass over it runs at DRAM speed.  They share one
@@ -92,28 +90,26 @@ def _sort_rows(cols: np.ndarray) -> None:
     np.minimum(t, a, out=a)     # the smallest
 
 
-def _row_dtype(lo: int, hi: int) -> np.dtype:
-    """The dtype of canonical triangle rows whose values lie in [lo, hi]:
-    int32 when every value fits one, int64 otherwise."""
-    return np.dtype(np.int32 if -(1 << 31) <= lo and hi < 1 << 31 else np.int64)
-
-
 def _value_range(tri: np.ndarray) -> tuple[int, int]:
-    """(min, max) of the values of ``tri``; (0, 0) when it is empty."""
-    return (int(tri.min()), int(tri.max())) if tri.size else (0, 0)
+    """(min, max) of the values of ``tri``, (0, 0) when it is empty;
+    ValueError naming the first row with a value outside the int32 range."""
+    lo, hi = (int(tri.min()), int(tri.max())) if tri.size else (0, 0)
+    if lo < -(1 << 31) or hi >= 1 << 31:
+        r = int(np.argmax(((tri < -(1 << 31)) | (tri >= 1 << 31)).any(axis=1)))
+        raise ValueError(f"triangle row {r} {tuple(tri[r].tolist())} has a "
+                         "corner outside the int32 range")
+    return lo, hi
 
 
 def ascending_rows(tri: np.ndarray) -> np.ndarray:
-    """A (T, 3) copy of ``tri`` with each row sorted ascending
+    """A (T, 3) int32 copy of ``tri`` with each row sorted ascending
     (``np.sort(tri, axis=1)``, which sorts one 3-element row at a time),
-    by the min/max network on the row-block walk.  The copy is int32
-    when every value fits one (read off the dtype when that is no wider),
-    int64 otherwise."""
+    by the min/max network on the row-block walk."""
     tri = np.asarray(tri)
-    dtype = np.dtype(np.int32) if np.can_cast(tri.dtype, np.int32) \
-        else _row_dtype(*_value_range(tri))
-    out = np.empty(tri.shape, dtype=dtype)
-    for lo, cols in _row_blocks(tri, dtype):
+    if not np.can_cast(tri.dtype, np.int32):
+        _value_range(tri)
+    out = np.empty(tri.shape, dtype=np.int32)
+    for lo, cols in _row_blocks(tri, np.int32):
         _sort_rows(cols)
         out[lo:lo + cols.shape[1]] = cols.T
     return out
@@ -121,8 +117,8 @@ def ascending_rows(tri: np.ndarray) -> np.ndarray:
 
 def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
     """Canonical form of a (T, 3) corner array: each row ascending, rows
-    in lexicographic order, as a new C-contiguous array in ``_row_dtype``
-    of its values.
+    in lexicographic order, as a new C-contiguous int32 array.  A value
+    outside the int32 range is refused, its row named.
 
     When every value lies in [0, 2^w) for w <= 21, a row (a, b, c)
     packs into one int64 key (a << 2w) | (b << w) | c whose order is the
@@ -133,8 +129,8 @@ def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
     a second walk unpacks them into the output rows, so the output is
     the one full-size array made.  Keys that already ascend, as in a
     design file read back, skip the sort.  Wider, negative and empty
-    inputs take a lexsort of one (3, T) copy of the columns.  All paths
-    return the same array.
+    inputs take a lexsort of one int32 (3, T) copy of the columns.  All
+    paths return the same array.
     """
     tri = np.asarray(tri)
     if tri.ndim != 2 or tri.shape[1] != 3:
@@ -145,7 +141,7 @@ def _normalize_triangles(tri: np.ndarray) -> np.ndarray:
     lo, hi = _value_range(tri)
     bits = hi.bit_length()
     if T == 0 or 3 * bits > 63 or lo < 0:
-        cols = np.empty((3, T), dtype=_row_dtype(lo, hi))
+        cols = np.empty((3, T), dtype=np.int32)
         cols[...] = tri.T
         _sort_rows(cols)
         order = np.lexsort(cols[::-1])
@@ -266,18 +262,15 @@ def _cover_keys(tri: np.ndarray, n: int, gid: np.ndarray | None = None):
     whether each line lies inside a group of the spread with
     ``group_ids`` ``gid`` (two of its points do), None without ``gid``.
 
-    One row-block walk in the key dtype builds both.  A row is
+    One row-block walk in the key dtype builds both; the rows are int32
+    and the key dtype no narrower, so the block copy is exact.  A row is
     malformed iff a <= 0, a == b, b == c, a ^ b ^ c == 0 or c >= 2^n.
-    Values outside [1, 2^n) would not survive the narrowing copy, so a
-    block holding one is checked on ``tri`` itself.
     """
     T = tri.shape[0]
     keys = np.empty(3 * T, dtype=key_dtype(n))
     inside = None if gid is None else np.empty(3 * T, dtype=bool)
     for lo, cols in _row_blocks(tri, keys.dtype):
-        rows = tri[lo:lo + cols.shape[1]]
-        exact = rows.min() > 0 and rows.max() < 1 << n
-        a, b, c = cols if exact else rows.T
+        a, b, c = cols
         bad = a <= 0
         bad |= a == b
         bad |= b == c
@@ -288,7 +281,7 @@ def _cover_keys(tri: np.ndarray, n: int, gid: np.ndarray | None = None):
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"malformed triangle at row {lo + i}: "
-                             f"{tuple(rows[i].tolist())}")
+                             f"{tuple(cols[:, i].tolist())}")
         g = None if gid is None else gid.take(cols)
         for s, (i, j) in enumerate(_SIDES):
             at = slice(s * T + lo, s * T + lo + cols.shape[1])
@@ -463,26 +456,27 @@ def _incidence_counts(tri: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     up block by block on the row-block walk: one ``bincount`` of a
     block's corners and one of its three side XORs.  A block holds at
     least 2^n rows, so adding its counts costs no more than making them.
+    The 2^n-entry counters are refused, before they exist, past the
+    element budget of the other materializations.
     """
     tri = np.asarray(tri)
     size = 1 << n
+    if size > MAX_MATERIALIZED_TRIANGLES:
+        raise ValueError(f"balance counters for n={n} need 2^{n} entries each, "
+                         f"more than {MAX_MATERIALIZED_TRIANGLES}")
     corner = np.zeros(size, dtype=np.int64)
     noncorner = np.zeros(size, dtype=np.int64)
-    in_range = True
     step = max(_BLOCK_ROWS, size)
     side = np.empty((3, min(tri.shape[0], step)), dtype=np.int64)
     for _, cols in _row_blocks(tri, np.int64, step):
         counts = np.bincount(cols.ravel(), minlength=size)
-        in_range = in_range and counts.size == size
-        if not in_range:
-            continue    # refused below, once every block is counted
+        if counts.size != size:
+            raise ValueError("triangle vector out of range for declared dimension")
         corner += counts
         x = side[:, :cols.shape[1]]
         for s, (i, j) in enumerate(_SIDES):
             np.bitwise_xor(cols[i], cols[j], out=x[s])
         noncorner += np.bincount(x.ravel(), minlength=size)
-    if not in_range:
-        raise ValueError("triangle vector out of range for declared dimension")
     return corner, noncorner
 
 

@@ -123,9 +123,10 @@ def validate_spread(groups, n: int) -> None:
     """Raise unless the groups partition GF(2)^n \\ {0} into m-subspaces.
 
     Names the first group with a vector outside 1..2^n - 1, a vector
-    that occurs twice in the spread, or a pair whose XOR lies outside
-    the group: 2^m - 1 distinct nonzero vectors closed under XOR are an
-    m-subspace less 0.  Sound groups cover iff G (2^m - 1) = 2^n - 1.
+    that occurs twice in the spread, or one that is no m-subspace less
+    0: that holds iff the m pivots at sorted positions 2^k - 1 have
+    strictly increasing top bits (so are independent) and the group is
+    closed under XOR by each.  Sound groups cover iff G (2^m - 1) = 2^n - 1.
     """
     groups = spread_rows(groups)
     G, q = groups.shape
@@ -134,10 +135,12 @@ def validate_spread(groups, n: int) -> None:
     gid, own = group_ids(vec, n), np.arange(G, dtype=np.int32)[:, None]
     # a vector in two groups is assigned to only one of them; rows ascend
     shared = (gid[vec] != own).any(axis=1) | (vec[:, 1:] == vec[:, :-1]).any(axis=1)
-    # only a closed sound group has every pair XOR assigned to its own row
-    unclosed = np.zeros(G, dtype=bool)
-    for i in range(q - 1):
-        unclosed |= (gid[vec[:, i:i + 1] ^ vec[:, i + 1:]] != own).any(axis=1)
+    pivots = vec[:, (1 << np.arange(q.bit_length())) - 1]
+    top = np.frexp(pivots.astype(np.float64))[1]
+    unclosed = (top[:, 1:] <= top[:, :-1]).any(axis=1)
+    for k in range(pivots.shape[1]):
+        x = vec ^ pivots[:, k:k + 1]    # 0 at the pivot itself
+        unclosed |= ((gid[x] != own) & (x != 0)).any(axis=1)
     faulty = np.flatnonzero(~inside.all(axis=1) | shared | unclosed)
     if faulty.size:
         i = int(faulty[0])

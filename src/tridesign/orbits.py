@@ -18,8 +18,10 @@ table; no table of every residue's gamma-set is kept (the searches
 take the gamma key of every residue as one int32 running minimum).
 
 Certificates are the compact generator-exponent encodings of those
-partitions; ``expand_certificate`` turns them back into full designs
-and re-checks the orbit structure while doing so.
+partitions.  Every certificate answers ``reps``, the partition's Singer
+reps (a Frobenius certificate unfolds its pairs by the squaring map);
+``expand_certificate`` turns them back into full designs and re-checks
+the orbit structure while doing so.
 """
 
 from __future__ import annotations
@@ -104,6 +106,29 @@ class FrobeniusCertificate:
     def m(self) -> int:
         return 1
 
+    @property
+    def reps(self) -> tuple[tuple[int, int], ...]:
+        """The Singer reps (2^j a, -2^j b) mod 2^n - 1 of the pairs, in
+        pair order, j below each pair's cyclotomic class size, so each
+        line orbit is produced exactly once.  A pair whose residues a,
+        -b and a + b lie in classes of different sizes is refused."""
+        M = (1 << self.n) - 1
+        res = np.array([(a % M, -b % M, (a + b) % M) for a, b in self.pairs],
+                       dtype=np.int64).reshape(-1, 3)
+        sizes = cyclotomic_class_sizes(self.n, res)
+        bad = np.flatnonzero((sizes != sizes[:, :1]).any(axis=1))
+        if bad.size:
+            (a, b), (t, tb, tc) = self.pairs[bad[0]], sizes[bad[0]].tolist()
+            raise OrbitCollisionError(
+                f"pair ({a},{b}): class sizes differ ({t},{tb},{tc})")
+        # pair i sweeps j = 0 .. t_i - 1, pairs in their given order
+        t = sizes[:, 0]
+        pair = np.repeat(np.arange(len(res)), t)
+        j = np.arange(pair.size) - np.repeat(np.cumsum(t) - t, t)
+        a = (res[pair, 0] << j) % M
+        b = (res[pair, 1] << j) % M
+        return tuple(zip(a.tolist(), b.tolist()))
+
     def to_json_dict(self) -> dict:
         return {"kind": "frobenius", "n": self.n, "m": 1,
                 "poly": hex(self.poly), "pairs": [list(p) for p in self.pairs]}
@@ -154,31 +179,6 @@ def certificate_from_json_dict(d: dict) -> OrbitCertificate | FrobeniusCertifica
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
-def frobenius_reps(ctx: FieldCtx, pairs) -> list[tuple[int, int]]:
-    """Normalize (a, b) pairs to Singer reps (2^j a, -2^j b).
-
-    The squaring sweep runs over the cyclotomic class size of the
-    pair, so each line orbit is produced exactly once.
-    """
-    M = ctx.order
-    pairs = list(pairs)
-    res = np.array([(a % M, -b % M, (a + b) % M) for a, b in pairs],
-                   dtype=np.int64).reshape(-1, 3)
-    sizes = cyclotomic_class_sizes(ctx.n, res)
-    bad = np.flatnonzero((sizes != sizes[:, :1]).any(axis=1))
-    if bad.size:
-        (a, b), (t, tb, tc) = pairs[bad[0]], sizes[bad[0]].tolist()
-        raise OrbitCollisionError(
-            f"pair ({a},{b}): class sizes differ ({t},{tb},{tc})")
-    # pair i sweeps j = 0 .. t_i - 1, pairs in their given order
-    t = sizes[:, 0]
-    pair = np.repeat(np.arange(len(res)), t)
-    j = np.arange(pair.size) - np.repeat(np.cumsum(t) - t, t)
-    a = (res[pair, 0] << j) % M
-    b = (res[pair, 1] << j) % M
-    return list(zip(a.tolist(), b.tolist()))
-
-
 def check_admissible(n: int, m: int) -> None:
     """Refuse (n, m) unless m divides n and 6 divides n - m, the
     conditions for a Singer-invariant (n, m) design to exist."""
@@ -222,30 +222,26 @@ def expand_certificate(cert: OrbitCertificate | FrobeniusCertificate) -> Design 
     """Expand a certificate into the full design it encodes, a GDD over
     the spread of m-dimensional groups when m > 1.
 
-    Every generator triangle is scaled through all 2^n - 1 field
-    elements; each orbit must contribute exactly that many distinct
-    triangles, and no line of a representative may sit inside a
-    spread group.  Violations raise rather than silently merging.
+    Every Singer rep of the certificate (``cert.reps``) is scaled
+    through all 2^n - 1 field elements; each orbit must contribute
+    exactly that many distinct triangles, and no line of a rep may sit
+    inside a spread group.  Violations raise rather than silently
+    merging.
     """
     n, m = cert.n, cert.m
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree {n} out of range 1..{MAX_DEGREE}")
     check_admissible(n, m)
     M = (1 << n) - 1
-    rep_count = len(cert.pairs) * n if isinstance(cert, FrobeniusCertificate) \
-        else len(cert.reps)
-    if rep_count * M > MAX_MATERIALIZED_TRIANGLES:
+    reps = cert.reps
+    if len(reps) * M > MAX_MATERIALIZED_TRIANGLES:
         raise ValueError(
-            f"expansion of {rep_count} orbits over 2^{n}-1 multipliers "
-            f"({rep_count * M} triangles) is too large to materialize; "
+            f"expansion of {len(reps)} orbits over 2^{n}-1 multipliers "
+            f"({len(reps) * M} triangles) is too large to materialize; "
             "verify at the orbit level instead")
     ctx = build_field(n, cert.poly)
-    if isinstance(cert, FrobeniusCertificate):
-        reps = frobenius_reps(ctx, cert.pairs)
-        provenance = f"expand frobenius n={n} ({len(cert.pairs)} pairs)"
-    else:
-        reps = [(i % M, j % M) for i, j in cert.reps]
-        provenance = f"expand singer n={n} m={m} ({len(reps)} reps)"
+    reps = [(i % M, j % M) for i, j in reps]
+    provenance = f"expand n={n} m={m} ({len(reps)} reps)"
 
     counts = orbit_cover_counts(ctx, reps)
     for bad, error, fault in (

@@ -46,8 +46,8 @@ import numpy as np
 
 from .gf2n import FieldCtx, build_field
 from .orbits import (FrobeniusCertificate, OrbitCertificate, check_admissible,
-                     cyclotomic_class_sizes, exponent_universe, frobenius_reps,
-                     gamma_rows, orbit_cover_counts)
+                     cyclotomic_class_sizes, exponent_universe, gamma_rows,
+                     orbit_cover_counts)
 from .xcover import (LimitExceeded, Unsatisfiable, XCoverInstance,
                      check_solution, dfs, solve)
 
@@ -424,7 +424,7 @@ def search_singer(n: int, m: int, node_limit: int | None = None,
                               node_limit, time_limit)
     reps = sorted((s1, (s1 + s2) % ctx.order) for s1, s2 in witnesses)
     cert = OrbitCertificate(n=n, m=m, poly=ctx.poly, reps=tuple(reps))
-    _check_partition(ctx, cert.reps, m)
+    _check_partition(ctx, cert.reps, cert.m)
     return cert
 
 
@@ -475,5 +475,5 @@ def search_frobenius(n: int, node_limit: int | None = None,
     pairs = _solve_strata(ctx, 1, {t: c // 18 * 3 for t, c in strata.items() if t > 1},
                           node_limit, time_limit)
     cert = FrobeniusCertificate(n=n, poly=ctx.poly, pairs=tuple(sorted(pairs)))
-    _check_partition(ctx, frobenius_reps(ctx, cert.pairs), 1)
+    _check_partition(ctx, cert.reps, cert.m)
     return cert

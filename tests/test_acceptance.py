@@ -22,8 +22,8 @@ from tridesign.designs import (charge_ledger, verify_balanced, verify_design,
                                verify_gdd)
 from tridesign.gf2n import build_field
 from tridesign.lines import line_count
-from tridesign.orbits import (OrbitCertificate, expand_certificate,
-                              frobenius_reps)
+from tridesign.orbits import (FrobeniusCertificate, OrbitCertificate,
+                              expand_certificate)
 from tridesign.search import (frobenius_strata, search_frobenius, search_singer)
 
 
@@ -99,7 +99,8 @@ def test_criterion_05_frob13():
         ds = load_dataset("frob13")
         assert len(ds.payload) == 35
         # orbit level: 455 disjoint 18-sets tiling Z_8191 minus 0
-        reps = frobenius_reps(ctx, ds.payload)
+        cert = as_certificate(ds)
+        reps = cert.reps
         assert len(reps) == 455
         covered = set()
         for i, j in reps:
@@ -111,7 +112,7 @@ def test_criterion_05_frob13():
             covered |= block
         assert covered == set(range(1, 8191))
         # full expansion
-        d = expand_certificate(as_certificate(ds))
+        d = expand_certificate(cert)
         assert d.triangle_count == 3726905
         rep = verify_design(d)
         assert rep.ok and rep.line_total == 11180715
@@ -314,7 +315,7 @@ def test_criterion_10_property_suites():
         assert d.triangle_count == 127
         assert np.unique(d.tri, axis=0).shape[0] == 127
         pair13 = load_dataset("frob13").payload[0]
-        reps13 = frobenius_reps(f13, [pair13])[:2]
+        reps13 = FrobeniusCertificate(n=13, poly=f13.poly, pairs=(pair13,)).reps[:2]
         cert13 = OrbitCertificate(n=13, m=1, poly=f13.poly,
                                   reps=tuple(reps13))
         d13 = expand_certificate(cert13)

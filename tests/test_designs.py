@@ -57,14 +57,17 @@ def test_malformed_triangle_raises(design6):
     bad2[0] = (0, 2, 4)
     with pytest.raises(ValueError, match="malformed"):
         verify_design(Design(n=6, poly=design6.poly, tri=bad2))
-    # corners that an int32 row block would wrap onto a valid triangle
-    for wide in ((1 << 32) | 4, -(1 << 32) | 1):
-        bad3 = design6.tri.astype(np.int64)     # int32 rows cannot hold it
-        bad3[7] = (1, 2, wide)
-        d = Design(n=6, poly=design6.poly, tri=bad3)
-        row = int(np.flatnonzero((d.tri == wide).any(axis=1))[0])
-        with pytest.raises(ValueError, match=rf"malformed triangle at row {row}: "):
-            verify_design(d)
+
+
+@pytest.mark.parametrize("wide", [(1 << 32) + 4, -(1 << 32) + 4])
+def test_design_refuses_corner_outside_int32(design6, wide):
+    # a corner that an int32 row would wrap onto 4, the valid triangle
+    # (1, 2, 4), is refused when the design is made, its row named
+    tri = design6.tri.astype(np.int64)
+    tri[7] = (1, 2, wide)
+    with pytest.raises(ValueError, match=rf"^triangle row 7 \(1, 2, {wide}\) has a "
+                                         "corner outside the int32 range$"):
+        Design(n=6, poly=design6.poly, tri=tri)
 
 
 def test_verify_gdd_ok(gdd6_2):
@@ -144,6 +147,26 @@ def test_charge_ledger_empty():
     assert led.shape == (16,) and not led.any()
 
 
+@pytest.mark.parametrize("n", [26, 31])
+def test_balance_counters_refused_past_the_budget(n):
+    # 2^n entries exceed MAX_MATERIALIZED_TRIANGLES from n = 26 on
+    d = Design(n=n, poly=0, tri=np.array([[1, 2, 4]]))
+    for call in (verify_balanced, lambda d: charge_ledger(d.tri, d.n)):
+        with pytest.raises(ValueError, match=f"^balance counters for n={n} need 2\\^{n} "):
+            call(d)
+
+
+def test_incidence_counts_refuse_the_first_out_of_range_block(monkeypatch):
+    # blocks of 8 rows at n = 3: the first block's 8 is refused at once,
+    # before the later block's negative corner reaches numpy
+    import tridesign.designs as D
+    monkeypatch.setattr(D, "_BLOCK_ROWS", 8)
+    tri = np.tile(np.array([[1, 2, 4]]), (20, 1))
+    tri[0], tri[15] = (1, 2, 8), (-1, 2, 4)
+    with pytest.raises(ValueError, match="^triangle vector out of range for declared"):
+        coverage_counts(tri, 3)
+
+
 def test_charge_ledger_design6_profile(design6):
     led = charge_ledger(design6.tri, 6)
     assert led[32] == -31
@@ -201,26 +224,28 @@ def _lexsort_reference(tri):
     return tri[np.lexsort((tri[:, 2], tri[:, 1], tri[:, 0]))]
 
 
-def _rule_dtype(tri):
-    """The canonical row dtype of ``tri``'s values: int32 when every value
-    fits one, else int64."""
-    tri = np.asarray(tri, dtype=np.int64)
-    fits = tri.size == 0 or (tri.min() >= -(1 << 31) and tri.max() < 1 << 31)
-    return np.int32 if fits else np.int64
+def _refused_row(row):
+    """The error of a triangle row with a corner outside the int32 range."""
+    return rf"^triangle row {row} \(.*\) has a corner outside the int32 range$"
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("high", [1 << 6, 1 << 13, 1 << 21, 1 << 22, 1 << 40])
+@pytest.mark.parametrize("high", [1 << 6, 1 << 13, 1 << 21, 1 << 22, 1 << 31, 1 << 40])
 def test_normalize_matches_lexsort(seed, high):
     # high <= 2^21 takes the packed-key path (2^21 - 1 is its widest
-    # value), anything wider the lexsort fallback
+    # value), anything wider up to 2^31 the lexsort fallback; a wider
+    # value fits no int32 row and is refused
     rng = np.random.default_rng(seed)
     tri = rng.integers(0, high, size=(300, 3), dtype=np.int64)
     tri = np.concatenate([tri, tri[rng.integers(0, 300, size=40)]])  # repeats
     tri[0] = (high - 1, 0, high - 1)
     before = tri.copy()
+    if high > 1 << 31:
+        with pytest.raises(ValueError, match=_refused_row(0)):
+            _normalize_triangles(tri)
+        return
     out = _normalize_triangles(tri)
-    assert out.dtype == _rule_dtype(before) and out.flags.c_contiguous
+    assert out.dtype == np.int32 and out.flags.c_contiguous
     assert np.array_equal(out, _lexsort_reference(before))
     assert np.array_equal(tri, before)  # input left untouched
 
@@ -230,11 +255,11 @@ def test_normalize_negative_and_empty():
     tri = rng.integers(0, 64, size=(50, 3), dtype=np.int64)
     tri[3, 1] = -5
     cases = [tri, tri.astype(np.int32),
-             np.array([[3, -5, 7], [-(1 << 40), 2, 1], [0, 0, 0]], dtype=np.int64),
+             np.array([[3, -5, 7], [-(1 << 31), 2, 1], [0, 0, 0]], dtype=np.int64),
              np.empty((0, 3), dtype=np.int32), np.empty((0, 3), dtype=np.int64)]
     for case in cases:
         out = _normalize_triangles(case)
-        assert out.dtype == _rule_dtype(case) and out.flags.c_contiguous
+        assert out.dtype == np.int32 and out.flags.c_contiguous
         assert out.shape == case.shape and not np.shares_memory(out, case)
         assert np.array_equal(out, _lexsort_reference(case))
     with pytest.raises(ValueError, match="shape"):
@@ -255,16 +280,20 @@ def _boundary_input(dtype, top, seed=0):
     (np.uint16, (1 << 16) - 1),
     (np.int64, (1 << 21) - 1),  # widest packed key
     (np.int64, 1 << 21),        # first value that takes the lexsort path
-    (np.int32, (1 << 31) - 1),  # widest int32 column block
+    (np.int32, (1 << 31) - 1),  # widest int32 value
     (np.int64, (1 << 31) - 1),
-    (np.int64, 1 << 31),        # first value that needs an int64 block
+    (np.int64, 1 << 31),        # first value no int32 row holds: refused
     (np.uint32, 1 << 31),
 ])
 def test_normalize_dtype_boundaries(dtype, top):
     tri = _boundary_input(dtype, top)
     before = tri.copy()
+    if top >= 1 << 31:
+        with pytest.raises(ValueError, match=_refused_row(5)):
+            _normalize_triangles(tri)
+        return
     out = _normalize_triangles(tri)
-    assert out.dtype == _rule_dtype(before) and out.flags.c_contiguous
+    assert out.dtype == np.int32 and out.flags.c_contiguous
     assert np.array_equal(out, _lexsort_reference(before))
     assert not np.shares_memory(out, tri)
     assert np.array_equal(tri, before)  # input left untouched
@@ -274,22 +303,26 @@ def test_normalize_dtype_boundaries(dtype, top):
 
 
 @pytest.mark.parametrize("kernel", ["_normalize_triangles", "ascending_rows"])
-@pytest.mark.parametrize("corner, dtype", [
+@pytest.mark.parametrize("corner, needs", [
     ((1 << 31) - 1, np.int32),      # widest int32 value
     (-5, np.int32),                 # negative, in range
     (-(1 << 31), np.int32),         # most negative int32 value
     (1 << 31, np.int64),            # first value above the int32 range
     (-(1 << 31) - 1, np.int64),     # first value below it
 ])
-def test_row_dtype_boundaries(kernel, corner, dtype):
-    # rows are int32 exactly when every value fits one, whatever the
-    # input dtype, and hold the input's values either way
+def test_row_dtype_boundaries(kernel, corner, needs):
+    # rows are int32, whatever the input dtype, and hold the input's
+    # values; a corner that needs a wider dtype is refused, its row named
     import tridesign.designs as D
     rng = np.random.default_rng(1)
     tri = rng.integers(1, 1 << 12, size=(100, 3), dtype=np.int64)
     tri[17] = (9, corner, 3)
+    if needs == np.int64:
+        with pytest.raises(ValueError, match=_refused_row(17)):
+            getattr(D, kernel)(tri)
+        return
     out = getattr(D, kernel)(tri)
-    assert out.dtype == dtype and out.flags.c_contiguous
+    assert out.dtype == np.int32 and out.flags.c_contiguous
     want = _lexsort_reference(tri) if kernel == "_normalize_triangles" \
         else np.sort(tri, axis=1)
     assert np.array_equal(out, want)
@@ -587,8 +620,6 @@ def _with_rows(base, rows, groups=None):
     d = Gdd(n=base.n, poly=base.poly, tri=base.tri, m=base.m,
             groups=base.groups if groups is None else groups) \
         if isinstance(base, Gdd) else Design(n=base.n, poly=base.poly, tri=base.tri)
-    if any(not -(1 << 31) <= v < 1 << 31 for row in rows.values() for v in row):
-        d.tri = d.tri.astype(np.int64)      # int32 rows cannot hold the corner
     for i, row in rows.items():
         d.tri[i] = row
     return d
@@ -612,9 +643,8 @@ def test_block_size_does_not_change_outputs(base, request, monkeypatch):
     faults = [
         ({6: (1, 2, 3)}, "malformed triangle at row 6: (1, 2, 3)"),  # a block's last row
         ({13: (0, 2, 4)}, "malformed triangle at row 13: (0, 2, 4)"),
-        # wraps to (1, 2, 4) in int32, after a fault in an earlier block
-        ({3: (1, 2, 2), 100: (1, 2, (1 << 32) | 4)}, "malformed triangle at row 3: (1, 2, 2)"),
-        ({100: (1, 2, (1 << 32) | 4)}, "malformed triangle at row 100: (1, 2, 4294967300)"),
+        # the earlier of two faults in different blocks is named
+        ({3: (1, 2, 2), 100: (1, 2, 3)}, "malformed triangle at row 3: (1, 2, 2)"),
     ]
     bad = [_with_rows(base, rows) for rows, _ in faults]
     if isinstance(base, Gdd):

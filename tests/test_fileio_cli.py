@@ -760,6 +760,33 @@ def _one_row(row: str) -> str:
     return _SMALL_DESIGN.replace("1 2 4\n", row)
 
 
+@pytest.mark.parametrize("n", [16, 20])
+def test_cli_verifies_one_group_gdd_quickly(n, tmp_path, capsys):
+    # the spread check makes one pass per pivot, not one per pair of the
+    # 2^n - 1 vectors of the group (2.7 s at n = 16 that way)
+    import time
+    from tridesign.gf2n import DEFAULT_POLYS
+    p = tmp_path / "one_group.design"
+    p.write_text(f"tridesign-design v1\nkind: gdd\nn: {n}\nm: {n}\n"
+                 f"poly: {hex(DEFAULT_POLYS[n])}\ncount: 0\ngroups: 0\ntriangles:\n")
+    start = time.perf_counter()
+    assert run_cli("verify", "--in", str(p)) == 0
+    assert time.perf_counter() - start < 1.0
+    assert f"gdd n={n} m={n}: OK" in capsys.readouterr().out
+
+
+def test_cli_balanced_verify_refuses_counters_past_the_budget(tmp_path, capsys):
+    # two 2^31-entry counters (16 GiB each) are refused before either exists
+    p = tmp_path / "one31.design"
+    p.write_text(_one_row("1 2 4\n").replace("n: 3", "n: 31"))
+    codes = []
+    peak = traced_peak_mib(
+        lambda: codes.append(run_cli("verify", "--balanced", "--in", str(p))))
+    assert codes == [2] and peak < 10
+    assert capsys.readouterr().err == ("error: balance counters for n=31 need 2^31 "
+                                       "entries each, more than 50000000\n")
+
+
 @pytest.mark.parametrize("row, message", [
     ("1 2 0000000000000004\n", "16 hex digits"),
     ("1 2 00000000000000004\n", "17 hex digits"),

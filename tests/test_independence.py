@@ -10,7 +10,8 @@ Output has one channel as well: only the command line writes to the
 terminal, and the library reports progress on the ``tridesign`` logger.
 Importing or calling the library leaves process-wide settings as it
 found them: no module loads ``ctypes`` (the C library's allocator, for
-one, is left alone) or sets interpreter or numpy globals.
+one, is left alone) or sets interpreter or numpy globals.  And the
+package holds no helper that nothing uses.
 """
 
 import ast
@@ -135,3 +136,61 @@ def test_global_state_scan_sees_setters():
     assert _global_state_changes(source) == [
         (1, "ctypes"), (2, "ctypes"), (5, "setswitchinterval"),
         (6, "sys.setrecursionlimit"), (7, "np.seterr"), (8, "np.set_printoptions")]
+
+
+# Every top-level function and class of the package is used: referenced
+# somewhere in the package outside its own definition, exported by
+# ``__init__`` or used by the benchmark, which also names the functions
+# it times as strings.
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def _references(tree):
+    """The names that ``tree`` loads, reads as attributes, imports or
+    holds as string constants."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _unreferenced(package, others):
+    """``module.name`` of each top-level function or class of the
+    ``package`` sources ({module: source}) that neither they, outside
+    its own definition, nor the ``others`` sources reference."""
+    # the references of each top-level statement, by module
+    refs = {mod: [(node, _references(node)) for node in ast.parse(src).body]
+            for mod, src in package.items()}
+    outside = set().union(*(_references(ast.parse(src)) for src in others))
+    unused = []
+    for mod, statements in refs.items():
+        elsewhere = outside.union(*(r for other, body in refs.items() if other != mod
+                                    for _, r in body))
+        for node, _ in statements:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and node.name not in elsewhere.union(
+                        *(r for other, r in statements if other is not node)):
+                unused.append(f"{mod}.{node.name}")
+    return unused
+
+
+def test_no_helper_goes_unreferenced():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    bench = [p.read_text(encoding="utf-8") for p in PERFBENCH.glob("*.py")]
+    assert _unreferenced(package, bench) == []
+
+
+def test_unreferenced_scan_sees_unused_helpers():
+    package = {"a": "def used():\n    return 1\n\n\ndef recursive(k):\n"
+                    "    return recursive(k - 1)\n\n\nclass Exported:\n    pass\n"
+                    "\n\ndef timed():\n    pass\n\n\ndef unused():\n    used()\n",
+               "__init__": "from .a import Exported\n"}
+    assert _unreferenced(package, ["SPANS = [('a', 'timed')]\n"]) == \
+        ["a.recursive", "a.unused"]

@@ -281,6 +281,37 @@ def test_validate_spread_matches_loop_reference(n, m, kind, seed):
             assert named and int(named.group(1)) in holders, message
 
 
+@pytest.mark.parametrize("group, n", [
+    ([2, 4, 5, 6, 7, 8, 9], 4),                 # pivots 2, 4, 6 are dependent
+    ([*range(1, 12), *range(16, 20)], 5),       # closed under pivots 1, 2, not 4, 8
+    ([1, 2, 3, 4, 5, 8, 9], 4),                 # closed under pivot 1 only
+])
+def test_validate_spread_refuses_pivot_mutants(group, n):
+    # the pivots sit at sorted positions 0, 1, 3, 7: groups that fail
+    # the subspace test only at some pivots are refused as any other
+    q, m = len(group), len(group).bit_length()
+    sp = np.array([group, [v for v in range(1, 1 << n) if v not in group][:q]])
+    assert _verdict(validate_spread, sp, n) == \
+        f"group 0 is not closed under XOR: no {m}-dimensional subspace"
+    assert _verdict(reference.validate_spread, sp, m, n) == \
+        f"group 0 does not span an {m}-dimensional subspace"
+
+
+def test_validate_spread_matches_rank_on_every_7_subset():
+    # every 7 of the 15 nonzero vectors of GF(2)^4 as one group: it is a
+    # subspace less 0 (and only fails to cover) exactly when its rank is 3
+    from itertools import combinations
+    short = "groups do not cover all nonzero vectors"
+    subspaces = 0
+    for group in combinations(range(1, 16), 7):
+        got = _verdict(validate_spread, [group], 4)
+        assert got in (short, "group 0 is not closed under XOR: no 3-dimensional subspace")
+        ref = _verdict(reference.validate_spread, [group], 3, 4)
+        assert (got == short) == (ref == short), group
+        subspaces += got == short
+    assert subspaces == 15
+
+
 def test_validate_spread_at_18_6():
     # the GF(64)-coset spread of the k = 3 tower: 4161 groups of 63
     sp = desarguesian_spread(build_field(18), 6)

@@ -9,7 +9,7 @@ from tridesign.gf2n import _build_field_cached, build_field
 from tridesign.orbits import (FrobeniusCertificate, OrbitCertificate,
                               OrbitCollisionError, certificate_from_json_dict,
                               cyclotomic_class_sizes, expand_certificate,
-                              frobenius_reps, gamma_rows, orbit_cover_counts)
+                              gamma_rows, orbit_cover_counts)
 
 
 def gamma_oracle(ctx, k):
@@ -77,14 +77,18 @@ def test_cyclotomic_class_sizes_match_orbits(n):
     assert narrow.dtype == np.int32 and np.array_equal(narrow, sizes)
 
 
-def test_frobenius_reps_names_first_mixed_pair(f13):
+def _unfolded(ctx, pairs):
+    return list(FrobeniusCertificate(n=ctx.n, poly=ctx.poly, pairs=tuple(pairs)).reps)
+
+
+def test_frobenius_certificate_reps_names_first_mixed_pair(f13):
     # a pair whose residues lie in classes of different sizes is refused,
     # the first such pair named: 0 is alone in its class
     with pytest.raises(OrbitCollisionError,
                        match=r"^pair \(0,5\): class sizes differ \(1,13,13\)$"):
-        frobenius_reps(f13, [(1, 4097), (0, 5), (5, -5)])
+        _unfolded(f13, [(1, 4097), (0, 5), (5, -5)])
     with pytest.raises(OrbitCollisionError, match=r"pair \(5,-5\): .* \(13,13,1\)"):
-        frobenius_reps(f13, [(1, 4097), (5, -5)])
+        _unfolded(f13, [(1, 4097), (5, -5)])
 
 
 def test_cy_gamma_sizes(f7, f13):
@@ -189,19 +193,19 @@ def test_expand_rejects_bad_dimension_gap():
         expand_certificate(cert)
 
 
-def test_frobenius_reps_sweep(f7, f12):
-    reps = frobenius_reps(f7, [(1, 9)])
+def test_frobenius_certificate_reps_sweep(f7, f12):
+    reps = _unfolded(f7, [(1, 9)])
     assert len(reps) == 7
     assert reps[0] == (1, 118)  # (a, -b) mod 127
     assert len(set(reps)) == 7
     # pair by pair, j ascending, as the scalar sweep gives them
     pairs = [(1, 9), (117, 1), (-3, 131), (3, 9)]
-    assert frobenius_reps(f7, pairs) == [
+    assert _unfolded(f7, pairs) == [
         ((a << j) % 127, (-b << j) % 127) for a, b in pairs for j in range(7)]
-    assert frobenius_reps(f7, []) == []
+    assert _unfolded(f7, []) == []
     # each pair sweeps its own class size: (65, 130) lies in GF(2^6)
     pairs = [(1, 2), (65, 130), (5, 7)]
-    assert frobenius_reps(f12, pairs) == [
+    assert _unfolded(f12, pairs) == [
         ((a << j) % 4095, (-b << j) % 4095)
         for (a, b), t in zip(pairs, (12, 6, 12)) for j in range(t)]
 
@@ -302,13 +306,9 @@ def test_orbit_cover_counts_agree_with_set_reference(name):
     cert = as_certificate(load_dataset(name))
     ctx = build_field(cert.n, cert.poly)
     M = ctx.order
-    if isinstance(cert, FrobeniusCertificate):
-        reps = frobenius_reps(ctx, cert.pairs)
-        universe = set(range(1, M))
-    else:
-        reps = list(cert.reps)
-        g = M // ((1 << cert.m) - 1)
-        universe = {r for r in range(1, M) if r % g}
+    reps = list(cert.reps)
+    g = M // ((1 << cert.m) - 1)
+    universe = {r for r in range(1, M) if r % g}
     i0, j0 = reps[0]
     mutants = {
         "intact": reps,
@@ -318,7 +318,7 @@ def test_orbit_cover_counts_agree_with_set_reference(name):
         "i_equals_j": [(i0, i0)] + reps[1:],
         "degenerate": [(1, ctx.zech(1))] + reps[1:],
     }
-    if isinstance(cert, OrbitCertificate):
+    if cert.m > 1:
         mutants["group_line"] = [(g, j0)] + reps[1:]
         # a triangle inside one group: three distinct group-line orbits
         q = (1 << cert.m) - 1
